@@ -7,11 +7,19 @@ dot is accepted on input and never printed).
 
 The paper works almost exclusively with ``www`` portal hostnames of apex
 domains (§IV-A), so helpers for apex/``www`` round-trips are provided.
+
+Names are interned: each distinct name is parsed, validated and hashed
+once per process, and every later construction of it — from the same
+text, from its labels, via :meth:`DomainName.parent` or
+:meth:`DomainName.suffixes`, or by unpickling — returns that same
+object.  Sites share nameserver and CNAME targets heavily, so a
+campaign constructs names two orders of magnitude more often than
+distinct names exist.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..errors import NameError_
 from ..rng import stable_hash
@@ -22,31 +30,50 @@ _MAX_NAME_LENGTH = 253
 _MAX_LABEL_LENGTH = 63
 
 
+#: Interned names by their exact input text, and by normalised labels.
+#: Only valid names are ever entered; invalid text raises on every call.
+_BY_TEXT: Dict[str, "DomainName"] = {}  # repro: allow[REP060] -- holds immutable, value-equal names whose identity never reaches an output; the hash is process-stable
+_BY_LABELS: Dict[Tuple[str, ...], "DomainName"] = {}  # repro: allow[REP060] -- holds immutable, value-equal names whose identity never reaches an output; the hash is process-stable
+
+
 class DomainName:
-    """A fully-qualified, normalised DNS name."""
+    """A fully-qualified, normalised, interned DNS name.
+
+    Instances are immutable and shared: never assign to their slots.
+    """
 
     __slots__ = ("_labels", "_hash")
 
-    def __init__(self, name: "str | DomainName | Iterable[str]") -> None:
+    def __new__(cls, name: "str | DomainName | Iterable[str]") -> "DomainName":
         if isinstance(name, DomainName):
-            self._labels: Tuple[str, ...] = name._labels
-            self._hash: int = name._hash
-            return
+            return name
         if isinstance(name, str):
-            labels = _parse(name)
-        else:
-            labels = tuple(label.lower() for label in name)
+            interned = _BY_TEXT.get(name)
+            if interned is None:
+                interned = _BY_TEXT[name] = cls._from_labels(_parse(name))
+            return interned
+        labels = tuple(label.lower() for label in name)
+        interned = _BY_LABELS.get(labels)
+        if interned is None:
             _validate(labels, repr(name))
-        self._labels = labels
-        self._hash = stable_hash(labels)
+            interned = cls._from_labels(labels)
+        return interned
 
     @classmethod
     def _from_labels(cls, labels: Tuple[str, ...]) -> "DomainName":
         """Fast internal constructor for already-validated labels."""
-        name = cls.__new__(cls)
-        name._labels = labels
-        name._hash = stable_hash(labels)
+        name = _BY_LABELS.get(labels)
+        if name is None:
+            name = object.__new__(cls)
+            name._labels = labels
+            name._hash = stable_hash(labels)
+            _BY_LABELS[labels] = name
         return name
+
+    def __reduce__(self):
+        # Rebuild through the intern tables, so pickle, deepcopy and the
+        # shard pipe hand back this process's instance.
+        return (DomainName, (self._labels,))
 
     # -- structure ------------------------------------------------------
 
@@ -79,7 +106,7 @@ class DomainName:
 
     def is_subdomain_of(self, other: "DomainName | str") -> bool:
         """True when ``self`` is equal to or below ``other``."""
-        parent = other if isinstance(other, DomainName) else DomainName(other)
+        parent = DomainName(other)
         n = len(parent._labels)
         if n == 0:
             return True
@@ -132,6 +159,8 @@ class DomainName:
         return f"DomainName('{self}')"
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if isinstance(other, str):
             try:
                 other = DomainName(other)
@@ -145,9 +174,9 @@ class DomainName:
         return self._labels[::-1] < other._labels[::-1]
 
     def __hash__(self) -> int:
-        # Precomputed via stable_hash: unlike salted builtin hash, the
-        # value — and therefore DomainName set/dict layout — is
-        # identical in every worker process.
+        # Computed once per distinct name via stable_hash: unlike salted
+        # builtin hash, the value — and therefore DomainName set/dict
+        # layout — is identical in every worker process.
         return self._hash
 
     def __len__(self) -> int:

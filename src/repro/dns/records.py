@@ -12,6 +12,7 @@ exposure vector.
 from __future__ import annotations
 
 import enum
+import types
 from dataclasses import dataclass
 from typing import Union
 
@@ -68,6 +69,18 @@ class SoaData:
 
 Rdata = Union[IPv4Address, DomainName, str, SoaData]
 
+#: The rdata class each record type requires.
+_RDATA_TYPES = types.MappingProxyType(
+    {
+        RecordType.A: IPv4Address,
+        RecordType.CNAME: DomainName,
+        RecordType.NS: DomainName,
+        RecordType.MX: DomainName,
+        RecordType.TXT: str,
+        RecordType.SOA: SoaData,
+    }
+)
+
 
 @dataclass(frozen=True)
 class ResourceRecord:
@@ -81,14 +94,7 @@ class ResourceRecord:
     def __post_init__(self) -> None:
         if self.ttl < 0:
             raise ZoneError(f"negative TTL on {self.name} {self.rtype}")
-        expected = {
-            RecordType.A: IPv4Address,
-            RecordType.CNAME: DomainName,
-            RecordType.NS: DomainName,
-            RecordType.MX: DomainName,
-            RecordType.TXT: str,
-            RecordType.SOA: SoaData,
-        }[self.rtype]
+        expected = _RDATA_TYPES[self.rtype]
         if not isinstance(self.rdata, expected):
             raise ZoneError(
                 f"{self.rtype} record for {self.name} needs "

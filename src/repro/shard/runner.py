@@ -417,7 +417,11 @@ class ProcessExecutor:
                     pass
             connection.close()
         for process in self._processes:
-            process.join(timeout=5)
+            # A forced close terminates before joining: forked workers
+            # inherit the coordinator's pipe ends, so closing ours never
+            # reaches them as EOF and a join would wait out its timeout.
+            if not force:
+                process.join(timeout=5)
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5)

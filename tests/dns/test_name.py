@@ -1,9 +1,13 @@
 """Tests for DomainName."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.dns.name import ROOT, DomainName
 from repro.errors import NameError_
+from repro.rng import stable_hash
 
 
 class TestParsing:
@@ -94,6 +98,7 @@ class TestStructure:
 class TestValueSemantics:
     def test_equality_with_string(self):
         assert DomainName("example.com") == "EXAMPLE.com"
+        assert DomainName("example.com") == "example.com."
         assert DomainName("example.com") != "other.com"
         assert DomainName("example.com") != "not a valid...name!!"
 
@@ -111,3 +116,66 @@ class TestValueSemantics:
 
     def test_str_roundtrip(self):
         assert DomainName(str(DomainName("x.y.io"))) == DomainName("x.y.io")
+
+
+class TestInterning:
+    def test_text_labels_and_copy_give_one_object(self):
+        name = DomainName("WWW.Example.com.")
+        assert DomainName(("www", "example", "com")) is name
+        assert DomainName(["WWW", "EXAMPLE", "COM"]) is name
+        assert DomainName("www.example.com") is name
+        assert DomainName(name) is name
+
+    def test_root_is_interned(self):
+        assert DomainName("") is ROOT
+        assert DomainName(".") is ROOT
+        assert DomainName(()) is ROOT
+
+    def test_derived_names_are_interned(self):
+        name = DomainName("deep.www.example.com")
+        assert name.parent() is DomainName("www.example.com")
+        expected = ("deep.www.example.com", "www.example.com", "example.com", "com")
+        assert all(
+            got is DomainName(text) for got, text in zip(name.suffixes(), expected)
+        )
+        assert name.apex is DomainName("example.com")
+        assert name.www() is DomainName("www.example.com")
+        assert DomainName("example.com").child("WWW") is DomainName("www.example.com")
+
+    @pytest.mark.parametrize(
+        "text, labels",
+        [
+            ("", ()),
+            ("com", ("com",)),
+            ("www.example.com", ("www", "example", "com")),
+            ("ns1.cloudflare.net", ("ns1", "cloudflare", "net")),
+        ],
+    )
+    def test_hash_is_stable_hash_of_labels(self, text, labels):
+        assert DomainName(text)._hash == stable_hash(labels)
+
+    def test_golden_hashes(self):
+        # Pinned values: set/dict layouts and every artifact depend on them.
+        assert hash(ROOT) == 0x1E0F3C2932570DA9
+        assert hash(DomainName("www.example.com")) == 0x3215AB07B403AE94
+        assert hash(DomainName("ns1.cloudflare.net")) == 0x2F0B0F65B5F26CD5
+
+    def test_pickle_preserves_identity(self):
+        name = DomainName("a.b.example.org")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(name, protocol)) is name
+        assert pickle.loads(pickle.dumps(ROOT)) is ROOT
+
+    def test_copy_and_deepcopy_preserve_identity(self):
+        name = DomainName("x.example.net")
+        assert copy.copy(name) is name
+        assert copy.deepcopy(name) is name
+        assert copy.deepcopy({name: [name]}) == {name: [name]}
+
+    def test_bad_name_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(NameError_):
+                DomainName("bad..name.com")
+        for _ in range(2):
+            with pytest.raises(NameError_):
+                DomainName(("bad", "", "com"))

@@ -132,3 +132,17 @@ class TestHealthyLockstep:
         executor.call_all("collect")
         executor.call_all("advance")
         executor.call_all("barrier", 1)
+
+
+class TestForcedClose:
+    def test_forced_close_of_healthy_workers_is_prompt(self, executor):
+        # Forked workers inherit the coordinator's pipe ends, so closing
+        # them never reads as EOF in a worker; a forced close must
+        # terminate rather than wait out a join timeout per worker.
+        executor.call_all("barrier", 0)
+        processes = list(executor._processes)
+        started = time.monotonic()
+        executor.close(force=True)
+        assert time.monotonic() - started < 2.0
+        assert not any(process.is_alive() for process in processes)
+        assert executor._processes == []
