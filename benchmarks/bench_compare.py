@@ -10,22 +10,10 @@ difference means the query path's *work* changed, not just its speed,
 and the script exits 1.  Wall times vary with hardware; they are
 printed for the perf trajectory but never gated.
 
-A payload may also carry a ``shard_scaling`` section (``repro bench
---shards``): the sharded E1 collection's worker-scaling curve.  It is
-printed when present — wall times and CPU counts are hardware facts,
-and the curve's population may differ from the gated workload's — but
-never gated.
-
-Likewise a ``lint_wall`` section (``benchmarks/lint_wall.py
+A payload may also carry a ``lint_wall`` section (``benchmarks/lint_wall.py
 --merge-into``): the self-lint's cold/warm wall time and cache speedup.
 Printed when present, never gated — the correctness properties (zero
 warm re-parses, identical findings) are tier-1 tests.
-
-And an ``attacks_overhead`` section: the E1 overhead curve of running
-the collection under an attack campaign versus attacks-off at the same
-(population, seed, warmup).  Printed when present, never gated — the
-attacks-on run legitimately does different work (outage retries,
-quarantine churn); the gated workload is always the attacks-off one.
 """
 
 from __future__ import annotations
@@ -71,12 +59,8 @@ def compare(baseline: Dict[str, object], candidate: Dict[str, object]) -> int:
         f"({ratio:.2f}x, reported only)"
     )
 
-    _report_shard_scaling("baseline", baseline)
-    _report_shard_scaling("candidate", candidate)
     _report_lint_wall("baseline", baseline)
     _report_lint_wall("candidate", candidate)
-    _report_attacks_overhead("baseline", baseline)
-    _report_attacks_overhead("candidate", candidate)
 
     if drift:
         print(
@@ -105,41 +89,6 @@ def _report_lint_wall(role: str, payload: Dict[str, object]) -> None:
         f"warm {float(warm['wall_seconds']):.3f}s "
         f"({float(lint['speedup']):.1f}x)"
     )
-
-
-def _report_attacks_overhead(role: str, payload: Dict[str, object]) -> None:
-    overhead = payload.get("attacks_overhead")
-    if not overhead:
-        return
-    print(
-        f"bench-compare: {role} attacks overhead curve "
-        f"(p{overhead['population']}, reported only):"
-    )
-    for point in overhead["points"]:
-        print(
-            f"  attacks={point['profile'] or 'off'}: "
-            f"E1 {float(point['e1_wall_seconds']):.3f}s, "
-            f"{point['queries_sent']} queries, "
-            f"{point['unanswered']} unanswered"
-        )
-
-
-def _report_shard_scaling(role: str, payload: Dict[str, object]) -> None:
-    scaling = payload.get("shard_scaling")
-    if not scaling:
-        return
-    print(
-        f"bench-compare: {role} shard-scaling curve "
-        f"(p{scaling['population']}, {scaling['cpus']} cpu(s), "
-        "reported only):"
-    )
-    for point in scaling["points"]:
-        print(
-            f"  {point['workers']} worker(s) [{point['mode']}]: "
-            f"{float(point['wall_seconds']):.3f}s, "
-            f"{point['resolved']} resolved, "
-            f"{point['queries_sent']} queries"
-        )
 
 
 def main(argv) -> int:

@@ -2,8 +2,9 @@
 
 See :mod:`repro.checkpoint.store` for the on-disk format (manifest,
 content-hashed snapshots, write-ahead journal), :mod:`.runner` for the
-barrier loop and deterministic resume, and :mod:`.killmatrix` for the
-crash-at-every-barrier equivalence harness.
+checkpointed entry points (one-worker runs of the study driver in
+:mod:`repro.shard.runner`, which owns the barrier loop and resume), and
+:mod:`.killmatrix` for the crash-at-every-barrier equivalence harness.
 """
 
 from .killmatrix import run_kill_matrix, study_artifact

@@ -10,7 +10,8 @@ same equivalence discipline ``repro chaos`` applies to fault profiles,
 pointed at the checkpoint plane itself.
 
 The matrix also exercises the refusal paths on the reference
-directory: mismatched seed and profile must raise
+directory: a mismatched seed or any mismatched scenario profile must
+raise
 :class:`CheckpointMismatchError`, a torn journal tail must be
 *tolerated* (resume from the previous barrier, still byte-identical),
 and a corrupted snapshot must raise :class:`CheckpointCorruptError`.
@@ -18,6 +19,7 @@ and a corrupted snapshot must raise :class:`CheckpointCorruptError`.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -30,10 +32,7 @@ from ..errors import (
 )
 from ..faults.chaos import _collection_artifact, diff_artifacts
 from ..faults.crash import CRASH_MODES, CrashPlan
-from ..attacks.profiles import ATTACK_PROFILES
-from ..faults.profiles import PROFILES
-from ..traffic.profiles import TRAFFIC_PROFILES
-from .runner import resume_study, run_checkpointed_study
+from ..scenario import Scenario
 from .store import canonical_json, content_hash
 
 __all__ = ["study_artifact", "run_kill_matrix"]
@@ -72,52 +71,31 @@ def run_kill_matrix(
     must be enough to stop — or, for the torn tail, be tolerated by —
     the campaign resume).
     """
+    # Imported lazily: repro.shard.runner itself imports this package's
+    # serde/store modules, and the package __init__ pulls in this module
+    # — a top-level import would close the cycle.
+    from ..shard.runner import resume_campaign, run_campaign, shard_directory
+
     base = Path(base_dir)
     config = config if config is not None else StudyConfig()
-    inputs = dict(
-        population=population,
-        seed=seed,
-        config=config,
+    scenario = Scenario.of(
         fault_profile=fault_profile,
         traffic_profile=traffic_profile,
         attack_profile=attack_profile,
     )
+    inputs = dict(population=population, seed=seed, config=config, scenario=scenario)
 
-    if shards <= 1:
-        def launch(directory, crash_plan, run_inputs):
-            return run_checkpointed_study(
-                directory, crash_plan=crash_plan, **run_inputs
-            )
-
-        def reopen(directory, run_inputs):
-            return resume_study(directory, **run_inputs)
-
-        def store_dir(directory):
-            return Path(directory)
-    else:
-        # Imported lazily: repro.shard.runner itself imports this
-        # package's serde/store modules, and the package __init__ pulls
-        # in this module — a top-level import would close the cycle.
-        from ..shard.runner import (
-            resume_sharded_study,
-            run_sharded_study,
-            shard_directory,
+    def launch(directory, crash_plan, run_inputs):
+        return run_campaign(
+            checkpoint_dir=directory,
+            crash_plan=crash_plan,
+            shard_count=shards,
+            mode=shard_mode,
+            **run_inputs,
         )
 
-        def launch(directory, crash_plan, run_inputs):
-            return run_sharded_study(
-                checkpoint_dir=directory,
-                crash_plan=crash_plan,
-                shard_count=shards,
-                mode=shard_mode,
-                **run_inputs,
-            )
-
-        def reopen(directory, run_inputs):
-            return resume_sharded_study(directory, mode=shard_mode, **run_inputs)
-
-        def store_dir(directory):
-            return shard_directory(directory, 0, shards)
+    def reopen(directory, run_inputs):
+        return resume_campaign(directory, mode=shard_mode, **run_inputs)
 
     reference_report = launch(base / "reference", None, inputs)
     reference = study_artifact(reference_report)
@@ -147,7 +125,7 @@ def run_kill_matrix(
         inputs,
         reference_bytes,
         reopen,
-        store_dir(base / "reference"),
+        shard_directory(base / "reference", 0, shards),
     )
 
     return {
@@ -155,9 +133,7 @@ def run_kill_matrix(
         "population": population,
         "seed": seed,
         "study_days": config.study_days,
-        "fault_profile": fault_profile,
-        "traffic_profile": traffic_profile,
-        "attack_profile": attack_profile,
+        **scenario.identity(),
         "shards": shards,
         "reference_hash": content_hash(reference),
         "cases": cases,
@@ -204,8 +180,9 @@ def _refusal_checks(
     every refusal path refuses — and the torn-tail path tolerates.
 
     ``store_dir`` is where the journal and snapshots actually live: the
-    reference directory itself for a monolithic run, shard 0's
-    subdirectory for a sharded campaign.
+    reference directory itself for a one-worker run, shard 0's
+    subdirectory for a sharded campaign.  Each scenario profile in turn
+    is swapped for another registered one, and the resume must refuse.
     """
     checks: List[Dict[str, object]] = []
 
@@ -219,45 +196,21 @@ def _refusal_checks(
             reopen,
         )
     )
-    other_profile = sorted(
-        name for name in PROFILES if name != inputs["fault_profile"]
-    )[0]
-    wrong_profile = dict(inputs, fault_profile=other_profile)
-    checks.append(
-        _expect_refusal(
-            "mismatched-profile",
-            reference_dir,
-            wrong_profile,
-            CheckpointMismatchError,
-            reopen,
+    scenario = inputs["scenario"]
+    for check, field in (
+        ("mismatched-profile", "fault"),
+        ("mismatched-traffic", "traffic"),
+        ("mismatched-attacks", "attacks"),
+    ):
+        other = next(
+            name for name in Scenario.known(field) if name != getattr(scenario, field)
         )
-    )
-    other_traffic = sorted(
-        name for name in TRAFFIC_PROFILES if name != inputs["traffic_profile"]
-    )[0]
-    wrong_traffic = dict(inputs, traffic_profile=other_traffic)
-    checks.append(
-        _expect_refusal(
-            "mismatched-traffic",
-            reference_dir,
-            wrong_traffic,
-            CheckpointMismatchError,
-            reopen,
+        wrong = dict(inputs, scenario=replace(scenario, **{field: other}))
+        checks.append(
+            _expect_refusal(
+                check, reference_dir, wrong, CheckpointMismatchError, reopen
+            )
         )
-    )
-    other_attack = sorted(
-        name for name in ATTACK_PROFILES if name != inputs["attack_profile"]
-    )[0]
-    wrong_attack = dict(inputs, attack_profile=other_attack)
-    checks.append(
-        _expect_refusal(
-            "mismatched-attacks",
-            reference_dir,
-            wrong_attack,
-            CheckpointMismatchError,
-            reopen,
-        )
-    )
 
     # Torn tail: a partial record (crash mid-append) must be discarded,
     # resuming from the previous barrier and still matching byte-for-byte.

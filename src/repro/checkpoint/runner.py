@@ -10,11 +10,15 @@ next day runs.
 A crash anywhere leaves the journal ending at the last *committed*
 barrier.  :func:`resume_study` rebuilds the world from the manifest's
 inputs, replays the world's (measurement-independent) dynamics up to
-the snapshot's day, overlays the measurement state, verifies the
-replayed clock landed exactly where the snapshot says it should, and
+the snapshot's day, verifies the replayed clock landed exactly where
+the snapshot says it should, overlays the measurement state, and
 drives the remaining barriers.  The kill-matrix harness asserts the
 result is byte-identical to an uninterrupted run, for a crash at every
 barrier in both crash modes.
+
+Both entry points are one-worker runs of the study driver in
+:mod:`repro.shard.runner`, whose single barrier loop and barrier commit
+serve checkpointed and sharded studies alike.
 """
 
 from __future__ import annotations
@@ -22,13 +26,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
-from ..core.study import SixWeekStudy, StudyConfig, StudyReport, StudyRuntime
-from ..errors import CheckpointCorruptError, CheckpointError, SimulationError
+from ..core.study import StudyConfig, StudyReport
 from ..faults.crash import CrashPlan
-from ..world.config import WorldConfig
-from ..world.internet import SimulatedInternet
-from .serde import config_to_dict, restore_runtime, serialize_runtime
-from .store import CheckpointStore
+from ..scenario import Scenario
+# Not called here: kept importable because campaignbench/spans.py patches it.
+from .serde import serialize_runtime
 
 __all__ = ["run_checkpointed_study", "resume_study"]
 
@@ -51,20 +53,22 @@ def run_checkpointed_study(
     directory must be fresh; an existing run is resumed with
     :func:`resume_study`, never silently overwritten.
     """
-    config = config if config is not None else StudyConfig()
-    store = CheckpointStore.create(
-        checkpoint_dir,
-        seed=seed,
+    # Imported here: repro.shard.runner imports this package's serde and
+    # store modules, and the package __init__ pulls in this module.
+    from ..shard.runner import run_campaign
+
+    return run_campaign(
+        scenario=Scenario.of(
+            fault_profile=fault_profile,
+            traffic_profile=traffic_profile,
+            attack_profile=attack_profile,
+        ),
         population=population,
-        config=config_to_dict(config),
-        fault_profile=fault_profile,
-        traffic_profile=traffic_profile,
-        attack_profile=attack_profile,
+        seed=seed,
+        config=config,
+        checkpoint_dir=checkpoint_dir,
+        crash_plan=crash_plan,
     )
-    study, runtime = _begin(
-        population, seed, config, fault_profile, traffic_profile, attack_profile
-    )
-    return _drive(store, study, runtime, crash_plan, latest_barrier=-1)
 
 
 def resume_study(
@@ -85,118 +89,20 @@ def resume_study(
     record is damaged (:class:`CheckpointCorruptError`), or when the
     replayed world's clock drifts from the snapshot's recorded position
     — drift means world dynamics were not reproduced and the resumed
-    measurements would silently diverge.
+    measurements would silently diverge.  The run's layout is read from
+    its manifest, so a sharded campaign resumes too (inline).
     """
-    config = config if config is not None else StudyConfig()
-    store = CheckpointStore.open(checkpoint_dir)
-    store.verify_inputs(
-        seed=seed,
+    from ..shard.runner import resume_campaign
+
+    return resume_campaign(
+        checkpoint_dir,
+        scenario=Scenario.of(
+            fault_profile=fault_profile,
+            traffic_profile=traffic_profile,
+            attack_profile=attack_profile,
+        ),
         population=population,
-        config=config_to_dict(config),
-        fault_profile=fault_profile,
-        traffic_profile=traffic_profile,
-        attack_profile=attack_profile,
+        seed=seed,
+        config=config,
+        crash_plan=crash_plan,
     )
-    record = store.latest()
-    if record is None:
-        raise CheckpointError(
-            f"journal at {store.journal_path} holds no committed barriers; "
-            "nothing to resume — rerun from scratch"
-        )
-    state = store.load_snapshot(record)
-
-    study, runtime = _begin(
-        population, seed, config, fault_profile, traffic_profile, attack_profile
-    )
-    # Replay the world's measurement-independent dynamics day by day up
-    # to the snapshot's position, then overlay the measurement state.
-    for _ in range(int(state["day_index"])):
-        study.world.engine.run_day()
-    restore_runtime(study, runtime, state)
-    try:
-        study.world.clock.require(int(state["clock_now"]))
-    except SimulationError as exc:
-        raise CheckpointCorruptError(
-            f"replayed world clock drifted from the snapshot: {exc}"
-        ) from exc
-    return _drive(
-        store, study, runtime, crash_plan, latest_barrier=int(record["barrier"])
-    )
-
-
-# -- internals -------------------------------------------------------------
-
-
-def _begin(
-    population: int,
-    seed: int,
-    config: StudyConfig,
-    fault_profile: Optional[str],
-    traffic_profile: Optional[str] = None,
-    attack_profile: Optional[str] = None,
-) -> "tuple[SixWeekStudy, StudyRuntime]":
-    """Deterministically rebuild world + study and begin the campaign.
-
-    The fault profile installs *after* warm-up, so its day-windowed
-    rules are relative to the same clock day on every rebuild — this is
-    what makes a resumed run's fault schedule identical to the
-    original's.  The traffic and attack planes install the same way:
-    post-warmup, so a resumed run regenerates the identical background
-    load and attack schedule before the snapshot overlays (and, for the
-    attack plane, cross-checks) the planes' exact state.
-    """
-    world = SimulatedInternet(WorldConfig(population_size=population, seed=seed))
-    study = SixWeekStudy(world, config)
-    runtime = study.begin()
-    if fault_profile is not None:
-        world.install_faults(fault_profile)
-    if traffic_profile is not None:
-        world.install_traffic(traffic_profile)
-    if attack_profile is not None:
-        world.install_attacks(attack_profile)
-    return study, runtime
-
-
-def _drive(
-    store: CheckpointStore,
-    study: SixWeekStudy,
-    runtime: StudyRuntime,
-    crash_plan: Optional[CrashPlan],
-    latest_barrier: int,
-) -> StudyReport:
-    """The barrier loop shared by fresh and resumed runs.
-
-    Barriers already committed (``<= latest_barrier``) are never
-    re-appended: a resume picks the loop up mid-stride without touching
-    the journal's history.
-    """
-    study_days = study.config.study_days
-    while True:
-        barrier = runtime.day_index
-        if barrier > latest_barrier:
-            _commit_barrier(store, study, runtime, crash_plan, barrier)
-            latest_barrier = barrier
-        if barrier >= study_days:
-            break
-        study.run_day(runtime)
-    return study.finalise(runtime)
-
-
-def _commit_barrier(
-    store: CheckpointStore,
-    study: SixWeekStudy,
-    runtime: StudyRuntime,
-    crash_plan: Optional[CrashPlan],
-    barrier: int,
-) -> None:
-    if crash_plan is not None:
-        crash_plan.fire_if_due(barrier, "before-commit")
-    state = serialize_runtime(study, runtime)
-    store.append_barrier(
-        barrier=barrier,
-        day=study.world.clock.day,
-        clock_now=study.world.clock.now,
-        state=state,
-    )
-    if crash_plan is not None:
-        crash_plan.fire_if_due(barrier, "after-commit")

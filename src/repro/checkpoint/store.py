@@ -4,9 +4,10 @@ A checkpoint directory holds three kinds of files:
 
 ``MANIFEST.json``
     The run's identity — schema version, seed, population size, the
-    full study config, the fault profile — plus content hashes of the
-    config and profile.  A resume against *different* inputs is refused
-    loudly (:class:`~repro.errors.CheckpointMismatchError`): silently
+    full study config, the :class:`~repro.scenario.Scenario` — plus
+    content hashes of the config and scenario.  A resume against
+    *different* inputs is refused loudly
+    (:class:`~repro.errors.CheckpointMismatchError`): silently
     continuing a seed-11 trajectory with seed-12 inputs would produce a
     report that looks valid and is garbage.
 
@@ -36,7 +37,8 @@ from ..errors import (
     CheckpointMismatchError,
     CheckpointSchemaError,
 )
-from ..io import append_durable_line, atomic_write_text
+from ..io import append_durable_line, atomic_write_text, canonical_json, content_hash
+from ..scenario import Scenario
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -46,7 +48,9 @@ __all__ = [
 ]
 
 #: Bump on any incompatible change to manifest/journal/snapshot layout.
-SCHEMA_VERSION = 1
+#: Schema 2 records the scenario (all three profiles) as the manifest's
+#: identity; other versions are refused, never migrated.
+SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "MANIFEST.json"
 JOURNAL_NAME = "journal.jsonl"
@@ -60,18 +64,6 @@ _RECORD_FIELDS = (
     "snapshot_hash",
     "manifest_hash",
 )
-
-
-def canonical_json(payload: object) -> str:
-    """Byte-stable JSON: sorted keys, no whitespace."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def content_hash(payload: object) -> str:
-    """blake2b over the canonical JSON encoding."""
-    return hashlib.blake2b(
-        canonical_json(payload).encode("utf-8"), digest_size=16
-    ).hexdigest()
 
 
 class CheckpointStore:
@@ -92,9 +84,7 @@ class CheckpointStore:
         seed: int,
         population: int,
         config: Dict[str, object],
-        fault_profile: Optional[str] = None,
-        traffic_profile: Optional[str] = None,
-        attack_profile: Optional[str] = None,
+        scenario: Scenario,
         shard: Optional[Dict[str, int]] = None,
     ) -> "CheckpointStore":
         """Start a fresh checkpoint directory (refuses to reuse one).
@@ -102,7 +92,8 @@ class CheckpointStore:
         ``shard`` records the store's position in a sharded campaign —
         ``{"index": i, "count": n}`` for a worker's store, ``{"count": n}``
         for the coordinator's parent directory, ``None`` (the default)
-        for a monolithic run.  The identity is checked on resume: a
+        for a one-worker (monolithic) run.  The identity is checked on
+        resume: a
         worker's slice of the measurements must never be resumed as if
         it covered the whole population, nor vice versa.
         """
@@ -119,10 +110,8 @@ class CheckpointStore:
             "population": int(population),
             "config": config,
             "config_hash": content_hash(config),
-            "fault_profile": fault_profile,
-            "profile_hash": content_hash({"fault_profile": fault_profile}),
-            "traffic_profile": traffic_profile,
-            "attack_profile": attack_profile,
+            "scenario": scenario.identity(),
+            "scenario_hash": scenario.hash,
             "shard": shard,
         }
         atomic_write_text(directory / MANIFEST_NAME, canonical_json(manifest) + "\n")
@@ -145,7 +134,8 @@ class CheckpointStore:
         if version != SCHEMA_VERSION:
             raise CheckpointSchemaError(
                 f"checkpoint schema {version!r} is not the supported "
-                f"schema {SCHEMA_VERSION}"
+                f"schema {SCHEMA_VERSION}; checkpoints are not migrated "
+                "across schemas — rerun from scratch"
             )
         return cls(directory, manifest)
 
@@ -157,32 +147,25 @@ class CheckpointStore:
         seed: int,
         population: int,
         config: Dict[str, object],
-        fault_profile: Optional[str] = None,
-        traffic_profile: Optional[str] = None,
-        attack_profile: Optional[str] = None,
+        scenario: Scenario,
         shard: Optional[Dict[str, int]] = None,
     ) -> None:
         """Refuse (loudly) to marry this store to different inputs.
 
         ``shard`` must match the identity recorded at :meth:`create`
-        (``None`` for monolithic stores) — manifests written before the
-        sharding plane carry no ``shard`` key, which reads back as
-        ``None`` and stays resumable monolithically.  Likewise
-        ``traffic_profile`` and ``attack_profile``: manifests written
-        before those planes read back as ``None`` and stay resumable
-        without background load or attacks.
+        (``None`` for a one-worker run's store).  A scenario mismatch
+        names the profile that differs (``fault_profile=…``).
         """
+        recorded_inputs = {**self.manifest, **self.manifest["scenario"]}
         expected = {
             "seed": int(seed),
             "population": int(population),
-            "fault_profile": fault_profile,
-            "traffic_profile": traffic_profile,
-            "attack_profile": attack_profile,
+            **scenario.identity(),
             "config_hash": content_hash(config),
             "shard": shard,
         }
         for key, value in expected.items():
-            recorded = self.manifest.get(key)
+            recorded = recorded_inputs.get(key)
             if recorded != value:
                 label = "study config" if key == "config_hash" else key
                 raise CheckpointMismatchError(

@@ -4,13 +4,14 @@
 
     python -m repro study  [--population N] [--seed S] [--days D] [--warmup W]
                            [--shards N] [--shard-mode inline|process]
-                           [--traffic PROFILE]
+                           [--checkpoint DIR] [--fault-profile NAME]
+                           [--traffic PROFILE] [--attacks PROFILE]
     python -m repro scan   [--population N] [--seed S]
     python -m repro attack [--population N] [--seed S] [--gbps G]
     python -m repro purge-probe [--trials T] [--plan PLAN]
     python -m repro bench  [--population N] [--seed S] [--warmup W]
-                           [--label L] [--out PATH] [--shards N[,N...]]
-                           [--traffic PROFILE]
+                           [--label L] [--out PATH]
+                           [--traffic PROFILE] [--attacks PROFILE]
     python -m repro traffic [--profile NAME] [--population N] [--seed S]
                            [--days D]
     python -m repro attacks [--profile NAME] [--population N] [--seed S]
@@ -19,10 +20,13 @@
                            [--warmup W] [--out PATH] [--traffic PROFILE]
                            [--attacks PROFILE]
     python -m repro resume CHECKPOINT_DIR [--population N] [--seed S]
-                           [--days D] [--warmup W] [--profile NAME]
+                           [--days D] [--warmup W] [--fault-profile NAME]
+                           [--traffic PROFILE] [--attacks PROFILE]
                            [--export PATH] [--shard-mode inline|process]
     python -m repro kill-matrix [--population N] [--seed S] [--days D]
-                           [--warmup W] [--profile NAME] [--workdir DIR]
+                           [--warmup W] [--fault-profile NAME]
+                           [--traffic PROFILE] [--attacks PROFILE]
+                           [--workdir DIR]
                            [--out PATH] [--shards N]
                            [--shard-mode inline|process]
     python -m repro lint   [paths] [--select IDS] [--ignore IDS]
@@ -56,21 +60,22 @@ byte-identical to the monolithic run's; with ``--checkpoint`` each
 worker keeps its own store under the campaign directory and ``resume``
 detects the sharded layout from the coordinator manifest.
 ``kill-matrix --shards N`` runs the whole matrix through the sharded
-plane, and ``bench --shards 1,2,4,8`` appends a worker-scaling curve
-for the E1 collection to the BENCH payload.  docs/SCALING.md documents
-the execution model.
+plane.  docs/SCALING.md documents the execution model.
 
-``--traffic PROFILE`` (on ``study``, ``resume``, ``kill-matrix`` and
-``bench``) installs a named background-load profile after warm-up: the
-provider fleets serve Zipf-distributed client traffic and their defense
-stack (token buckets, adaptive limit tiers, circuit breakers, load
+``--fault-profile``, ``--traffic`` and ``--attacks`` name the run's
+:class:`~repro.scenario.Scenario`; ``study``, ``resume`` and
+``kill-matrix`` take all three, ``bench`` and ``chaos`` the last two.
+``--fault-profile NAME`` installs a named fault profile after warm-up.
+``--traffic PROFILE`` installs a named background-load profile after
+warm-up: the provider fleets serve Zipf-distributed client traffic and
+their defense stack (token buckets, adaptive limit tiers, circuit breakers, load
 shedding) may throttle the measurement plane, which degrades gracefully
 (UNMEASURED observations and partial scans, never fabricated
 transitions).  ``repro traffic`` lists the profiles or dry-drives one
 and prints its tallies.  docs/ROBUSTNESS.md documents the semantics.
 
-``--attacks PROFILE`` (on the same commands) schedules a deterministic
-DDoS campaign after warm-up: volumetric and amplification events strike
+``--attacks PROFILE`` schedules a deterministic DDoS campaign after
+warm-up: volumetric and amplification events strike
 site origins, provider fleets, and co-located hosting blocks, drive
 emergency JOIN / post-attack LEAVE/SWITCH waves through the world's
 behavior engine, surge the background-traffic load, and open transient
@@ -95,7 +100,7 @@ from .core.pipeline import FilterPipeline
 from .core.purge_probe import PurgeProbe
 from .core.report import render_full_report
 from .core.residual_scan import CloudflareScanner, NameserverHarvest
-from .core.study import SixWeekStudy, StudyConfig
+from .core.study import StudyConfig
 from .dps.plans import PlanTier
 from .dps.portal import ReroutingMethod
 from .io import atomic_write_json
@@ -119,6 +124,20 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=2018,
                          help="world seed (default 2018)")
 
+    def add_scenario_args(
+        sub: argparse.ArgumentParser, faults: bool = True
+    ) -> None:
+        if faults:
+            sub.add_argument("--fault-profile", metavar="NAME", default=None,
+                             help="install a named fault profile after "
+                                  "warm-up ('none' disables)")
+        sub.add_argument("--traffic", metavar="PROFILE", default=None,
+                         help="drive background load under a named traffic "
+                              "profile ('none' disables; see 'repro traffic')")
+        sub.add_argument("--attacks", metavar="PROFILE", default=None,
+                         help="schedule a named DDoS campaign after warm-up "
+                              "('none' disables; see 'repro attacks')")
+
     study = subparsers.add_parser("study", help="run the full six-week campaign")
     add_world_args(study)
     study.add_argument("--days", type=int, default=42,
@@ -131,15 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="commit a durable checkpoint barrier after "
                             "every study day into DIR (resume with "
                             "'repro resume DIR')")
-    study.add_argument("--fault-profile", metavar="NAME", default=None,
-                       help="run the checkpointed study under a named "
-                            "fault profile (requires --checkpoint)")
-    study.add_argument("--traffic", metavar="PROFILE", default=None,
-                       help="drive background load under a named traffic "
-                            "profile ('none' disables; see 'repro traffic')")
-    study.add_argument("--attacks", metavar="PROFILE", default=None,
-                       help="schedule a named DDoS campaign after warm-up "
-                            "('none' disables; see 'repro attacks')")
+    add_scenario_args(study)
     study.add_argument("--shards", type=int, default=1, metavar="N",
                        help="partition the population across N lockstep "
                             "workers and merge byte-identically (default 1)")
@@ -177,16 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trajectory label (default: p<population>)")
     bench.add_argument("--out", metavar="PATH", default=None,
                        help="output path (default: BENCH_<label>.json)")
-    bench.add_argument("--traffic", metavar="PROFILE", default=None,
-                       help="run the workloads under a named background-"
-                            "traffic profile ('none' disables)")
-    bench.add_argument("--attacks", metavar="PROFILE", default=None,
-                       help="run the workloads under a named DDoS campaign "
-                            "('none' disables)")
-    bench.add_argument("--shards", metavar="N[,N...]", default=None,
-                       help="also measure the sharded E1 collection at "
-                            "these worker counts (e.g. 1,2,4,8) and record "
-                            "the scaling curve in the payload")
+    add_scenario_args(bench, faults=False)
 
     chaos = subparsers.add_parser(
         "chaos",
@@ -205,14 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 21)")
     chaos.add_argument("--out", metavar="PATH", default=None,
                        help="output path (default: CHAOS_<profile>.json)")
-    chaos.add_argument("--traffic", metavar="PROFILE", default=None,
-                       help="run BOTH worlds under this background-traffic "
-                            "profile, proving the fault check composes with "
-                            "load ('none' disables)")
-    chaos.add_argument("--attacks", metavar="PROFILE", default=None,
-                       help="run BOTH worlds under this attack campaign, "
-                            "proving the fault check composes with attacks "
-                            "('none' disables)")
+    add_scenario_args(chaos, faults=False)
 
     resume = subparsers.add_parser(
         "resume", help="continue a crashed checkpointed study"
@@ -225,12 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="study length in days (default 42)")
     resume.add_argument("--warmup", type=int, default=56,
                         help="warm-up days before the study (default 56)")
-    resume.add_argument("--fault-profile", metavar="NAME", default=None,
-                        help="fault profile the original run used, if any")
-    resume.add_argument("--traffic", metavar="PROFILE", default=None,
-                        help="traffic profile the original run used, if any")
-    resume.add_argument("--attacks", metavar="PROFILE", default=None,
-                        help="attack profile the original run used, if any")
+    add_scenario_args(resume)
     resume.add_argument("--export", metavar="PATH", default=None,
                         help="also write the report as JSON to PATH")
     resume.add_argument("--shard-mode", choices=["inline", "process"],
@@ -251,14 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="study length in days (default 4)")
     killmatrix.add_argument("--warmup", type=int, default=10,
                             help="warm-up days before the study (default 10)")
-    killmatrix.add_argument("--fault-profile", metavar="NAME", default=None,
-                            help="also run the matrix under a fault profile")
-    killmatrix.add_argument("--traffic", metavar="PROFILE", default=None,
-                            help="also run the matrix under a background-"
-                                 "traffic profile")
-    killmatrix.add_argument("--attacks", metavar="PROFILE", default=None,
-                            help="also run the matrix under a DDoS attack "
-                                 "campaign")
+    add_scenario_args(killmatrix)
     killmatrix.add_argument("--workdir", metavar="DIR", default=None,
                             help="where the matrix keeps its checkpoint "
                                  "directories (default: a fresh temp dir)")
@@ -422,49 +405,39 @@ def main(argv: Optional[List[str]] = None) -> int:  # repro: allow[REP040] -- re
         return _cmd_traffic(args)
     if args.command == "attacks":
         return _cmd_attacks(args)
-    if getattr(args, "traffic", None) is not None:
+    if args.command in ("study", "resume", "kill-matrix", "bench", "chaos"):
         from .errors import ConfigurationError
-        from .traffic import normalize_traffic_profile
+        from .scenario import Scenario
 
         try:
-            args.traffic = normalize_traffic_profile(args.traffic)
+            scenario = Scenario.of(
+                fault_profile=getattr(args, "fault_profile", None),
+                traffic_profile=args.traffic,
+                attack_profile=args.attacks,
+            )
         except ConfigurationError as exc:
             print(f"repro {args.command}: {exc}", file=sys.stderr)
             return 2
-    if getattr(args, "attacks", None) is not None:
-        from .attacks import normalize_attack_profile
-        from .errors import ConfigurationError
-
-        try:
-            args.attacks = normalize_attack_profile(args.attacks)
-        except ConfigurationError as exc:
-            print(f"repro {args.command}: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "resume":
-        return _cmd_resume(args)
-    if args.command == "kill-matrix":
-        return _cmd_kill_matrix(args)
-    if args.command == "study" and args.shards > 1:
-        return _cmd_study_sharded(args)
-    if args.command == "study" and args.checkpoint:
-        return _cmd_study_checkpointed(args)
+        if args.command == "study":
+            return _cmd_study(args, scenario)
+        if args.command == "resume":
+            return _cmd_resume(args, scenario)
+        if args.command == "kill-matrix":
+            return _cmd_kill_matrix(args, scenario)
+        if args.command == "chaos":
+            return _cmd_chaos(args, scenario)
+        return _cmd_bench(args, scenario)
     world = SimulatedInternet(
         WorldConfig(population_size=args.population, seed=args.seed)
     )
-    if args.command == "study":
-        return _cmd_study(world, args)
     if args.command == "scan":
         return _cmd_scan(world, args)
     if args.command == "attack":
         return _cmd_attack(world, args)
-    if args.command == "bench":
-        return _cmd_bench(world, args)
     return _cmd_purge_probe(world, args)
 
 
-def _cmd_chaos(args) -> int:
+def _cmd_chaos(args, scenario) -> int:
     from .faults.chaos import run_chaos
 
     report = run_chaos(
@@ -472,8 +445,8 @@ def _cmd_chaos(args) -> int:
         population=args.population,
         seed=args.seed,
         warmup_days=args.warmup,
-        traffic=args.traffic,
-        attacks=args.attacks,
+        traffic=scenario.traffic,
+        attacks=scenario.attacks,
     )
     out_path = args.out or f"CHAOS_{report['profile']}.json"
     atomic_write_json(out_path, report)
@@ -498,43 +471,18 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _parse_shard_counts(raw: str) -> List[int]:
-    counts = []
-    for part in raw.split(","):
-        part = part.strip()
-        if part:
-            counts.append(int(part))
-    if not counts or any(count < 1 for count in counts):
-        raise ValueError(f"bad shard-count list {raw!r}")
-    return counts
-
-
-def _cmd_bench(world: SimulatedInternet, args) -> int:  # repro: allow[REP040] -- run_bench's wall-clock reads are the bench's output, not simulation state
+def _cmd_bench(args, scenario) -> int:  # repro: allow[REP040] -- run_bench's wall-clock reads are the bench's output, not simulation state
     from .obs.bench import run_bench
 
-    if args.shards is not None:
-        try:
-            shard_counts = _parse_shard_counts(args.shards)
-        except ValueError:
-            print(f"repro bench: --shards wants a comma-separated list of "
-                  f"positive worker counts, got {args.shards!r}",
-                  file=sys.stderr)
-            return 2
-    else:
-        shard_counts = None
     result = run_bench(
-        world,
+        SimulatedInternet(
+            WorldConfig(population_size=args.population, seed=args.seed)
+        ),
         warmup_days=args.warmup,
         label=args.label,
-        traffic=args.traffic,
-        attacks=args.attacks,
+        traffic=scenario.traffic,
+        attacks=scenario.attacks,
     )
-    if shard_counts:
-        from .obs.bench import run_shard_scaling
-
-        result["shard_scaling"] = run_shard_scaling(
-            world, shard_counts=shard_counts
-        )
     out_path = args.out or f"BENCH_{result['label']}.json"
     atomic_write_json(out_path, result)
     e1 = result["e1_collection"]
@@ -562,35 +510,31 @@ def _cmd_bench(world: SimulatedInternet, args) -> int:  # repro: allow[REP040] -
         )
         print(f"traffic [{traffic['profile']}]: tier={traffic['tier']}, "
               f"{sheds} measurement deliveries throttled/shed")
-    scaling = result.get("shard_scaling")
-    if scaling:
-        print(f"shard scaling ({scaling['cpus']} cpu(s)):")
-        for point in scaling["points"]:
-            print(f"  {point['workers']} worker(s) [{point['mode']}]: "
-                  f"{point['wall_seconds']:.3f}s, "
-                  f"{point['resolved']} resolved, "
-                  f"{point['queries_sent']} queries")
     print(f"bench written to {out_path}")
     return 0
 
 
-def _cmd_study(world: SimulatedInternet, args) -> int:
-    if args.fault_profile:
-        print("repro study: --fault-profile requires --checkpoint",
-              file=sys.stderr)
-        return 2
+def _cmd_study(args, scenario) -> int:
+    from .errors import CheckpointError, ConfigurationError, ShardError
+    from .shard.runner import run_campaign
+
     config = StudyConfig(warmup_days=args.warmup, study_days=args.days)
-    study = SixWeekStudy(world, config)
-    runtime = study.begin()
-    if args.traffic is not None:
-        # Post-warmup, exactly like the checkpointed plane's _begin:
-        # background load shapes the measured weeks, not the warm-up.
-        world.install_traffic(args.traffic)
-    if args.attacks is not None:
-        world.install_attacks(args.attacks)
-    while not runtime.finished:
-        study.run_day(runtime)
-    report = study.finalise(runtime)
+    try:
+        report = run_campaign(
+            scenario=scenario,
+            population=args.population,
+            seed=args.seed,
+            config=config,
+            shard_count=args.shards,
+            mode=args.shard_mode,
+            checkpoint_dir=args.checkpoint,
+        )
+    except ConfigurationError as exc:
+        print(f"repro study: {exc}", file=sys.stderr)
+        return 2
+    except (CheckpointError, ShardError) as exc:
+        print(f"repro study: {exc}", file=sys.stderr)
+        return 1
     return _print_study_report(report, args.export)
 
 
@@ -604,96 +548,29 @@ def _print_study_report(report, export: Optional[str]) -> int:
     return 0
 
 
-def _cmd_study_sharded(args) -> int:
+def _cmd_resume(args, scenario) -> int:
     from .errors import CheckpointError, ShardError
-    from .shard import run_sharded_study
-
-    if args.fault_profile and not args.checkpoint:
-        print("repro study: --fault-profile requires --checkpoint",
-              file=sys.stderr)
-        return 2
-    config = StudyConfig(warmup_days=args.warmup, study_days=args.days)
-    try:
-        report = run_sharded_study(
-            population=args.population,
-            seed=args.seed,
-            config=config,
-            fault_profile=args.fault_profile,
-            traffic_profile=args.traffic,
-            attack_profile=args.attacks,
-            shard_count=args.shards,
-            mode=args.shard_mode,
-            checkpoint_dir=args.checkpoint,
-        )
-    except (CheckpointError, ShardError) as exc:
-        print(f"repro study: {exc}", file=sys.stderr)
-        return 1
-    return _print_study_report(report, args.export)
-
-
-def _cmd_study_checkpointed(args) -> int:
-    from .checkpoint import run_checkpointed_study
-    from .errors import CheckpointError
+    from .shard.runner import resume_campaign
 
     config = StudyConfig(warmup_days=args.warmup, study_days=args.days)
     try:
-        report = run_checkpointed_study(
+        # The manifest says whether this is a one-worker run or a
+        # sharded campaign; the operator never passes a shard count.
+        report = resume_campaign(
             args.checkpoint,
+            scenario=scenario,
             population=args.population,
             seed=args.seed,
             config=config,
-            fault_profile=args.fault_profile,
-            traffic_profile=args.traffic,
-            attack_profile=args.attacks,
+            mode=args.shard_mode,
         )
-    except CheckpointError as exc:
-        print(f"repro study: {exc}", file=sys.stderr)
-        return 1
-    return _print_study_report(report, args.export)
-
-
-def _cmd_resume(args) -> int:
-    from .checkpoint import resume_study
-    from .checkpoint.store import CheckpointStore
-    from .errors import CheckpointError, ShardError
-
-    config = StudyConfig(warmup_days=args.warmup, study_days=args.days)
-    try:
-        # A sharded campaign's coordinator manifest records {"count": n}
-        # (no "index"); anything else resumes through the monolithic
-        # plane, including a worker's own shard-<i>-of-<n> store, which
-        # the identity check then refuses.
-        shard = CheckpointStore.open(args.checkpoint).manifest.get("shard")
-        if isinstance(shard, dict) and "count" in shard and "index" not in shard:
-            from .shard import resume_sharded_study
-
-            report = resume_sharded_study(
-                args.checkpoint,
-                population=args.population,
-                seed=args.seed,
-                config=config,
-                fault_profile=args.fault_profile,
-                traffic_profile=args.traffic,
-                attack_profile=args.attacks,
-                mode=args.shard_mode,
-            )
-        else:
-            report = resume_study(
-                args.checkpoint,
-                population=args.population,
-                seed=args.seed,
-                config=config,
-                fault_profile=args.fault_profile,
-                traffic_profile=args.traffic,
-                attack_profile=args.attacks,
-            )
     except (CheckpointError, ShardError) as exc:
         print(f"repro resume: {exc}", file=sys.stderr)
         return 1
     return _print_study_report(report, args.export)
 
 
-def _cmd_kill_matrix(args) -> int:
+def _cmd_kill_matrix(args, scenario) -> int:
     import tempfile
 
     from .checkpoint import run_kill_matrix
@@ -705,10 +582,8 @@ def _cmd_kill_matrix(args) -> int:
         population=args.population,
         seed=args.seed,
         config=config,
-        fault_profile=args.fault_profile,
-        traffic_profile=args.traffic,
-        attack_profile=args.attacks,
         shards=args.shards,
+        **scenario.identity(),
         shard_mode=args.shard_mode,
     )
     atomic_write_json(args.out, payload)

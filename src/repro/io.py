@@ -10,22 +10,39 @@ ever observe a complete before- or after-image.
 
 The ``repro lint`` rule REP031 flags direct ``open(..., "w")`` /
 ``write_text`` calls elsewhere in the package so new persistence paths
-cannot quietly bypass these helpers.
+cannot quietly bypass these helpers.  :func:`canonical_json` and
+:func:`content_hash` fix the byte form that persisted identities are
+hashed over.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Any
 
 __all__ = [
+    "canonical_json",
+    "content_hash",
     "atomic_write_text",
     "atomic_write_json",
     "append_durable_line",
     "fsync_directory",
 ]
+
+
+def canonical_json(payload: object) -> str:
+    """Byte-stable JSON: sorted keys, no whitespace."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def content_hash(payload: object) -> str:
+    """blake2b over the canonical JSON encoding."""
+    return hashlib.blake2b(
+        canonical_json(payload).encode("utf-8"), digest_size=16
+    ).hexdigest()
 
 
 def fsync_directory(directory: "str | Path") -> None:

@@ -21,10 +21,8 @@ so the repository's perf trajectory has real data points.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.collector import DnsRecordCollector
 from ..core.htmlverify import HtmlVerifier
@@ -37,7 +35,7 @@ from ..net.geo import PAPER_VANTAGE_REGIONS
 from ..obs.metrics import MetricsRegistry
 from ..world.internet import SimulatedInternet
 
-__all__ = ["run_bench", "compare_query_paths", "run_shard_scaling"]
+__all__ = ["run_bench", "compare_query_paths"]
 
 
 def _wall_now() -> float:
@@ -88,123 +86,6 @@ def _query_cost(queries_sent: int, results) -> Dict[str, float]:
         "resolved": resolved,
         "queries_sent": queries_sent,
         "queries_per_resolved": queries_sent / max(1, resolved),
-    }
-
-
-def _measure_slice(
-    world: SimulatedInternet, hostnames: List[str]
-) -> Tuple[int, int]:
-    """One worker's share of the E1 collection: (resolved, queries_sent)."""
-    resolver = world.make_resolver()
-    collector = DnsRecordCollector(resolver)
-    snapshot = collector.collect(hostnames, day=world.clock.day)
-    resolved = sum(1 for domain in snapshot if domain.resolved)
-    return resolved, resolver.queries_sent
-
-
-def _scaling_worker(connection, world, hostnames) -> None:
-    """Forked-child entrypoint: measure one slice, ship the tallies home."""
-    try:
-        connection.send(("ok", _measure_slice(world, hostnames)))
-    except Exception as exc:  # repro: allow[REP021] -- a forked measurement child must report failure over the pipe, not die silently
-        connection.send(("error", f"{type(exc).__name__}: {exc}"))
-    finally:
-        connection.close()
-
-
-def run_shard_scaling(  # repro: allow[REP040] -- wall-clock scaling curve is the measurement itself; reported only, never fed back into the simulation
-    world: SimulatedInternet,
-    *,
-    shard_counts: Sequence[int] = (1, 2, 4, 8),
-) -> Dict[str, object]:
-    """Wall-time the sharded E1 collection at each worker count.
-
-    For each entry in ``shard_counts`` the population's hostname list is
-    partitioned with the same contiguous balanced bounds the shard
-    runner uses, and every slice is collected by a worker forked *after*
-    the world was built — the copy-on-write fork shares the parent's
-    world, so the expensive build is paid once and the parent's replica
-    is never mutated, making every point measure an identical workload.
-    On platforms without ``fork`` the slices run sequentially in-process
-    (no parallelism, but the same per-slice work), recorded as
-    ``mode="sequential"``.
-
-    The per-point resolver tallies (``resolved``, ``queries_sent``) are
-    deterministic functions of (population, seed, day, worker count) —
-    queries grow with the worker count because each worker's resolver
-    has its own TTL cache — so they double as a cross-machine identity
-    check on the curve.  Wall seconds and ``cpus`` are reported only.
-    """
-    # Imported lazily: core.study reaches back into this package for
-    # MetricsRegistry, and a top-level import would close the cycle
-    # through obs/__init__ while this module is still initialising.
-    from ..core.study import shard_bounds
-    from ..errors import ShardError
-
-    hostnames = [str(site.www) for site in world.population]
-    can_fork = "fork" in multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork") if can_fork else None
-
-    points: List[Dict[str, object]] = []
-    for count in shard_counts:
-        slices = [
-            hostnames[slice(*shard_bounds(len(hostnames), index, count))]
-            for index in range(count)
-        ]
-        started = _wall_now()
-        resolved = queries = 0
-        if context is not None:
-            processes = []
-            pipes = []
-            for names in slices:
-                parent_end, child_end = context.Pipe()
-                process = context.Process(
-                    target=_scaling_worker, args=(child_end, world, names)
-                )
-                process.start()
-                child_end.close()
-                processes.append(process)
-                pipes.append(parent_end)
-            errors: List[str] = []
-            for parent_end in pipes:
-                try:
-                    kind, value = parent_end.recv()
-                except EOFError:
-                    kind, value = "error", "worker died without reporting"
-                if kind == "ok":
-                    resolved += value[0]
-                    queries += value[1]
-                else:
-                    errors.append(str(value))
-                parent_end.close()
-            for process in processes:
-                process.join()
-            if errors:
-                raise ShardError(
-                    f"shard-scaling worker(s) failed at {count} worker(s): "
-                    + "; ".join(errors)
-                )
-        else:
-            for names in slices:
-                slice_resolved, slice_queries = _measure_slice(world, names)
-                resolved += slice_resolved
-                queries += slice_queries
-        points.append(
-            {
-                "workers": count,
-                "mode": "fork" if context is not None else "sequential",
-                "resolved": resolved,
-                "queries_sent": queries,
-                "wall_seconds": _wall_now() - started,
-            }
-        )
-
-    return {
-        "population": len(hostnames),
-        "seed": world.config.seed,
-        "sim_day": world.clock.day,
-        "cpus": os.cpu_count() or 1,
-        "points": points,
     }
 
 

@@ -1,8 +1,9 @@
-"""Lockstep sharded execution of the six-week study.
+"""The study driver: lockstep workers stepped through one barrier loop.
 
 ``N`` workers — in-process objects (``mode="inline"``) or forked OS
 processes (``mode="process"``) — each rebuild the full deterministic
-world from ``(seed, population)`` and measure one contiguous slice of
+world from ``(seed, population)`` and the run's
+:class:`~repro.scenario.Scenario`, and measure one contiguous slice of
 the site population.  The coordinator drives them day by day through
 the same phases the monolithic loop runs:
 
@@ -23,23 +24,25 @@ After the last barrier each worker ships its payload
 them, overlays the result onto a freshly replayed monolithic runtime,
 and runs :meth:`~repro.core.study.SixWeekStudy.finalise`.  The merged
 report is byte-identical to a single-process campaign's, whatever the
-shard count.
+shard count.  One worker (``N = 1``) is the monolithic run: it always
+runs inline and finalises its own runtime — no payload, no merge, no
+replay world.  Plain, checkpointed and sharded studies all run here.
 
-Checkpoints nest under the campaign directory: the coordinator's
-manifest at the top (recording the shard count), one full per-shard
-store in ``shard-<i>-of-<n>/`` each.  A resumed campaign seeks every
-worker to the *lowest* barrier any shard committed — workers ahead of
-it simply replay (their journals already hold the later barriers and
-are never re-appended), which is the same tolerance the monolithic
-plane applies to a torn journal tail.
+A one-worker run keeps its checkpoint store at the checkpoint directory
+itself.  With more workers the stores nest: the coordinator's manifest
+at the top (recording the shard count), one full per-shard store in
+``shard-<i>-of-<n>/`` each.  A resume seeks every worker to the
+*lowest* barrier any shard committed — workers ahead of it simply
+replay (their journals already hold the later barriers and are never
+re-appended), the same tolerance a torn journal tail gets.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..checkpoint.serde import config_to_dict, restore_runtime, serialize_runtime
 from ..checkpoint.store import CheckpointStore
@@ -55,6 +58,7 @@ from ..errors import (
     SimulationError,
 )
 from ..faults.crash import CrashPlan
+from ..scenario import Scenario
 from ..world.config import WorldConfig
 from ..world.internet import SimulatedInternet
 from .merge import merge_payloads, overlay_merged, worker_payload
@@ -67,6 +71,10 @@ __all__ = [
     "InlineExecutor",
     "ProcessExecutor",
     "shard_directory",
+    "begin_study",
+    "replay_to_snapshot",
+    "run_campaign",
+    "resume_campaign",
     "run_sharded_study",
     "resume_sharded_study",
 ]
@@ -92,8 +100,60 @@ _POLL_SLICE = 0.05
 
 
 def shard_directory(base: "Path | str", shard_index: int, shard_count: int) -> Path:
-    """The per-shard checkpoint store's location under a campaign dir."""
+    """Where shard ``shard_index``'s checkpoint store lives under ``base``.
+
+    A one-worker run's store is ``base`` itself.
+    """
+    if shard_count == 1:
+        return Path(base)
     return Path(base) / f"shard-{shard_index}-of-{shard_count}"
+
+
+def begin_study(
+    population: int,
+    seed: int,
+    config: StudyConfig,
+    scenario: Scenario,
+    shard_index: int = 0,
+    shard_count: int = 1,
+) -> "tuple[SixWeekStudy, StudyRuntime]":
+    """Build the world, begin the study (warm-up) and install the scenario.
+
+    The planes install *after* warm-up, so their day-windowed rules,
+    background load and attack schedule are relative to the same clock
+    day on every rebuild — a resumed run, a shard worker and the merge
+    replay all regenerate the original's.
+    """
+    world = SimulatedInternet(WorldConfig(population_size=population, seed=seed))
+    study = SixWeekStudy(world, config)
+    runtime = study.begin(shard_index, shard_count)
+    scenario.install(world)
+    return study, runtime
+
+
+def replay_to_snapshot(
+    study: SixWeekStudy,
+    runtime: StudyRuntime,
+    state: Dict[str, object],
+    overlay: Callable[[SixWeekStudy, StudyRuntime, Dict[str, object]], None],
+) -> None:
+    """Replay the world to ``state``'s day, check the clock, overlay it.
+
+    The world is never serialized: its dynamics are measurement-
+    independent, so stepping a freshly begun world ``day_index`` engine
+    days reproduces it.  A clock that lands anywhere but the recorded
+    ``clock_now`` means the dynamics were not reproduced, and the
+    overlaid measurements would silently diverge.
+    """
+    for _ in range(int(state["day_index"])):
+        study.world.engine.run_day()
+    try:
+        study.world.clock.require(int(state["clock_now"]))
+    except SimulationError as exc:
+        raise CheckpointCorruptError(
+            f"replayed world clock drifted from the snapshot: {exc}"
+        ) from exc
+    overlay(study, runtime, state)
 
 
 @dataclass(frozen=True)
@@ -106,9 +166,7 @@ class WorkerSpec:
     population: int
     seed: int
     config: StudyConfig
-    fault_profile: Optional[str] = None
-    traffic_profile: Optional[str] = None
-    attack_profile: Optional[str] = None
+    scenario: Scenario = Scenario()
     checkpoint_dir: Optional[str] = None
     crash_plan: Optional[CrashPlan] = None
     #: False: fresh run (create the store).  True: open the existing
@@ -132,7 +190,14 @@ class ShardWorker:
         self.store = self._attach_store()
         records = self.store.barriers() if self.store is not None else []
         self.latest_barrier = int(records[-1]["barrier"]) if records else -1
-        self.study, self.runtime = self._begin()
+        self.study, self.runtime = begin_study(
+            spec.population,
+            spec.seed,
+            spec.config,
+            spec.scenario,
+            spec.shard_index,
+            spec.shard_count,
+        )
         if spec.resume and spec.seek_barrier >= 0:
             self._seek(records)
 
@@ -146,33 +211,18 @@ class ShardWorker:
             seed=spec.seed,
             population=spec.population,
             config=config_to_dict(spec.config),
-            fault_profile=spec.fault_profile,
-            traffic_profile=spec.traffic_profile,
-            attack_profile=spec.attack_profile,
-            shard={"index": spec.shard_index, "count": spec.shard_count},
+            scenario=spec.scenario,
+            shard=(
+                {"index": spec.shard_index, "count": spec.shard_count}
+                if spec.shard_count > 1
+                else None
+            ),
         )
         if spec.resume:
             store = CheckpointStore.open(spec.checkpoint_dir)
             store.verify_inputs(**identity)
             return store
         return CheckpointStore.create(spec.checkpoint_dir, **identity)
-
-    def _begin(self) -> "tuple[SixWeekStudy, StudyRuntime]":
-        """Rebuild world + study deterministically (profile after warmup,
-        mirroring the monolithic checkpoint runner)."""
-        spec = self.spec
-        world = SimulatedInternet(
-            WorldConfig(population_size=spec.population, seed=spec.seed)
-        )
-        study = SixWeekStudy(world, spec.config)
-        runtime = study.begin(spec.shard_index, spec.shard_count)
-        if spec.fault_profile is not None:
-            world.install_faults(spec.fault_profile)
-        if spec.traffic_profile is not None:
-            world.install_traffic(spec.traffic_profile)
-        if spec.attack_profile is not None:
-            world.install_attacks(spec.attack_profile)
-        return study, runtime
 
     def _seek(self, records: List[Dict[str, object]]) -> None:
         """Replay the world to ``seek_barrier`` and overlay its snapshot."""
@@ -183,17 +233,8 @@ class ShardWorker:
                 f"barrier {target} but has only committed up to "
                 f"{self.latest_barrier}"
             )
-        record = records[target]  # barriers are contiguous from 0
-        state = self.store.load_snapshot(record)
-        for _ in range(int(state["day_index"])):
-            self.study.world.engine.run_day()
-        restore_runtime(self.study, self.runtime, state)
-        try:
-            self.study.world.clock.require(int(state["clock_now"]))
-        except SimulationError as exc:
-            raise CheckpointCorruptError(
-                f"replayed world clock drifted from the snapshot: {exc}"
-            ) from exc
+        state = self.store.load_snapshot(records[target])  # contiguous from 0
+        replay_to_snapshot(self.study, self.runtime, state, restore_runtime)
 
     # -- lockstep operations -------------------------------------------
 
@@ -211,6 +252,8 @@ class ShardWorker:
             return self.study.advance_day(self.runtime)
         if op == "finish":
             return worker_payload(self.study, self.runtime)
+        if op == "finalise":
+            return self.study.finalise(self.runtime)
         raise ShardError(f"unknown shard operation {op!r}")
 
     def _op_barrier(self, barrier: int) -> int:
@@ -485,58 +528,28 @@ def run_sharded_study(
 ) -> StudyReport:
     """Run the campaign over ``shard_count`` lockstep workers and merge.
 
-    With ``checkpoint_dir`` the campaign is crash-safe: the coordinator
-    writes its manifest at the top and each worker keeps a full
-    checkpoint store in its own subdirectory; :func:`resume_sharded_study`
-    continues a killed campaign on the identical trajectory.
+    With ``checkpoint_dir`` the campaign is crash-safe: each worker
+    keeps a full checkpoint store (see :func:`shard_directory`; with
+    more than one worker the coordinator's manifest sits on top), and
+    :func:`resume_sharded_study` continues a killed campaign on the
+    identical trajectory.
     ``crash_plan`` arms the same :class:`~repro.faults.crash.CrashPlan`
     in *every* worker — the sharded kill-matrix's fault kind.
     """
-    config = config if config is not None else StudyConfig()
-    _require_mode(mode)
-    ShardPlan(population, shard_count)  # validates the topology
-    base = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if base is not None:
-        CheckpointStore.create(
-            base,
-            seed=seed,
-            population=population,
-            config=config_to_dict(config),
+    return run_campaign(
+        scenario=Scenario.of(
             fault_profile=fault_profile,
             traffic_profile=traffic_profile,
             attack_profile=attack_profile,
-            shard={"count": shard_count},
-        )
-    specs = [
-        WorkerSpec(
-            shard_index=index,
-            shard_count=shard_count,
-            population=population,
-            seed=seed,
-            config=config,
-            fault_profile=fault_profile,
-            traffic_profile=traffic_profile,
-            attack_profile=attack_profile,
-            checkpoint_dir=(
-                str(shard_directory(base, index, shard_count))
-                if base is not None
-                else None
-            ),
-            crash_plan=crash_plan,
-        )
-        for index in range(shard_count)
-    ]
-    payloads = _drive_lockstep(
-        specs, config, mode, start_barrier=0, op_timeout=op_timeout
-    )
-    return _finalise_merged(
-        population,
-        seed,
-        config,
-        fault_profile,
-        traffic_profile,
-        attack_profile,
-        payloads,
+        ),
+        population=population,
+        seed=seed,
+        config=config,
+        shard_count=shard_count,
+        mode=mode,
+        checkpoint_dir=checkpoint_dir,
+        crash_plan=crash_plan,
+        op_timeout=op_timeout,
     )
 
 
@@ -554,77 +567,135 @@ def resume_sharded_study(
     crash_plan: Optional[CrashPlan] = None,
     op_timeout: Optional[float] = None,
 ) -> StudyReport:
-    """Continue a killed sharded campaign on its exact trajectory.
+    """Continue a killed campaign on its exact trajectory.
 
-    The shard count is read from the coordinator's manifest (and
-    cross-checked against ``shard_count`` when supplied).  Every worker
-    seeks to the lowest barrier committed by *any* shard — workers that
-    got further replay deterministically up to their journals' existing
-    records without re-appending them.
+    The shard count is read from the manifest (and cross-checked
+    against ``shard_count`` when supplied).  Every worker seeks to the
+    lowest barrier committed by *any* shard — workers that got further
+    replay deterministically up to their journals' existing records
+    without re-appending them.
+    """
+    return resume_campaign(
+        checkpoint_dir,
+        scenario=Scenario.of(
+            fault_profile=fault_profile,
+            traffic_profile=traffic_profile,
+            attack_profile=attack_profile,
+        ),
+        population=population,
+        seed=seed,
+        config=config,
+        mode=mode,
+        shard_count=shard_count,
+        crash_plan=crash_plan,
+        op_timeout=op_timeout,
+    )
+
+
+def run_campaign(
+    *,
+    scenario: Scenario,
+    population: int,
+    seed: int,
+    config: Optional[StudyConfig] = None,
+    shard_count: int = 1,
+    mode: str = "inline",
+    checkpoint_dir: "Path | str | None" = None,
+    crash_plan: Optional[CrashPlan] = None,
+    op_timeout: Optional[float] = None,
+) -> StudyReport:
+    """Run a study from scratch: the driver behind every public runner.
+
+    With ``checkpoint_dir`` every worker commits a barrier per day into
+    its store (:func:`shard_directory`); a campaign of more than one
+    worker also writes the coordinator's manifest at the top.
+    """
+    config = config if config is not None else StudyConfig()
+    _require_mode(mode)
+    ShardPlan(population, shard_count)  # validates the topology
+    base = Path(checkpoint_dir) if checkpoint_dir is not None else None
+    if base is not None and shard_count > 1:
+        CheckpointStore.create(
+            base,
+            seed=seed,
+            population=population,
+            config=config_to_dict(config),
+            scenario=scenario,
+            shard={"count": shard_count},
+        )
+    template = WorkerSpec(
+        shard_index=0,
+        shard_count=shard_count,
+        population=population,
+        seed=seed,
+        config=config,
+        scenario=scenario,
+        crash_plan=crash_plan,
+    )
+    return _drive(_fan_out(template, base), mode, 0, op_timeout)
+
+
+def resume_campaign(
+    checkpoint_dir: "Path | str",
+    *,
+    scenario: Scenario,
+    population: int,
+    seed: int,
+    config: Optional[StudyConfig] = None,
+    mode: str = "inline",
+    shard_count: Optional[int] = None,
+    crash_plan: Optional[CrashPlan] = None,
+    op_timeout: Optional[float] = None,
+) -> StudyReport:
+    """Continue a crashed study, one-worker or sharded, from its manifest.
+
+    Refuses loudly when the supplied inputs differ from the manifest
+    (:class:`CheckpointMismatchError`), when no journal holds a
+    committed barrier, when a snapshot or mid-journal record is damaged
+    (:class:`CheckpointCorruptError`), or when the replayed world's
+    clock drifts from the snapshot's recorded position.
     """
     config = config if config is not None else StudyConfig()
     _require_mode(mode)
     base = Path(checkpoint_dir)
-    parent = CheckpointStore.open(base)
-    recorded = parent.manifest.get("shard")
-    if not isinstance(recorded, dict) or "count" not in recorded or "index" in recorded:
-        raise CheckpointMismatchError(
-            f"{base} is not a sharded campaign's coordinator directory; "
-            "resume monolithic checkpoints with resume_study"
-        )
-    count = int(recorded["count"])
+    top = CheckpointStore.open(base)
+    count = _recorded_shard_count(top)
     if shard_count is not None and shard_count != count:
         raise CheckpointMismatchError(
             f"campaign at {base} ran with {count} shard(s); the resume "
             f"asked for {shard_count} — the partition is part of the "
             "trajectory and cannot change mid-campaign"
         )
-    parent.verify_inputs(
+    top.verify_inputs(
         seed=seed,
         population=population,
         config=config_to_dict(config),
-        fault_profile=fault_profile,
-        traffic_profile=traffic_profile,
-        attack_profile=attack_profile,
-        shard={"count": count},
+        scenario=scenario,
+        shard={"count": count} if count > 1 else None,
     )
-
     latest_barriers: List[int] = []
     for index in range(count):
-        shard_store = CheckpointStore.open(shard_directory(base, index, count))
-        record = shard_store.latest()
+        record = CheckpointStore.open(shard_directory(base, index, count)).latest()
         latest_barriers.append(int(record["barrier"]) if record else -1)
-    seek_barrier = min(latest_barriers)
-
-    specs = [
-        WorkerSpec(
-            shard_index=index,
-            shard_count=count,
-            population=population,
-            seed=seed,
-            config=config,
-            fault_profile=fault_profile,
-            traffic_profile=traffic_profile,
-            attack_profile=attack_profile,
-            checkpoint_dir=str(shard_directory(base, index, count)),
-            crash_plan=crash_plan,
-            resume=True,
-            seek_barrier=seek_barrier,
+    if max(latest_barriers) < 0:
+        raise CheckpointError(
+            f"checkpoint at {base} holds no committed barriers; nothing "
+            "to resume — rerun from scratch"
         )
-        for index in range(count)
-    ]
-    start = seek_barrier if seek_barrier >= 0 else 0
-    payloads = _drive_lockstep(
-        specs, config, mode, start_barrier=start, op_timeout=op_timeout
+    seek_barrier = min(latest_barriers)
+    template = WorkerSpec(
+        shard_index=0,
+        shard_count=count,
+        population=population,
+        seed=seed,
+        config=config,
+        scenario=scenario,
+        crash_plan=crash_plan,
+        resume=True,
+        seek_barrier=seek_barrier,
     )
-    return _finalise_merged(
-        population,
-        seed,
-        config,
-        fault_profile,
-        traffic_profile,
-        attack_profile,
-        payloads,
+    return _drive(
+        _fan_out(template, base), mode, max(seek_barrier, 0), op_timeout
     )
 
 
@@ -638,74 +709,99 @@ def _require_mode(mode: str) -> None:
         )
 
 
-def _drive_lockstep(
+def _recorded_shard_count(store: CheckpointStore) -> int:
+    """The worker count of the run whose top-level manifest ``store`` is."""
+    recorded = store.manifest.get("shard")
+    if recorded is None:
+        return 1
+    if "index" in recorded:
+        raise CheckpointMismatchError(
+            f"{store.directory} is shard {recorded['index']}'s store of a "
+            f"{recorded['count']}-shard campaign; resume the campaign "
+            "directory above it"
+        )
+    return int(recorded["count"])
+
+
+def _fan_out(template: WorkerSpec, base: Optional[Path]) -> List[WorkerSpec]:
+    """One spec per shard, each pointed at its own checkpoint store."""
+    count = template.shard_count
+    return [
+        replace(
+            template,
+            shard_index=index,
+            checkpoint_dir=(
+                str(shard_directory(base, index, count)) if base is not None else None
+            ),
+        )
+        for index in range(count)
+    ]
+
+
+def _drive(
     specs: Sequence[WorkerSpec],
-    config: StudyConfig,
     mode: str,
     start_barrier: int,
     op_timeout: Optional[float] = None,
-) -> List[Dict[str, object]]:
-    """The coordinator's day loop: barrier → collect → (scan) → advance."""
+) -> StudyReport:
+    """Step the workers through every barrier, then finalise.
+
+    A lone worker measured the whole population, so its runtime *is*
+    the monolithic one: it runs inline (a process would buy nothing)
+    and finalises in place.  Several workers ship payloads that the
+    coordinator merges onto a replayed world.
+    """
+    lone = len(specs) == 1
     executor = (
         ProcessExecutor(specs, op_timeout=op_timeout)
-        if mode == "process"
+        if mode == "process" and not lone
         else InlineExecutor(specs)
     )
     executor.start()
     try:
-        day = start_barrier
-        while True:
-            executor.call_all("barrier", day)
-            if day >= config.study_days:
-                break
-            executor.call_all("collect")
-            if config.run_residual_scans and day % config.scan_every_days == 0:
-                name_lists = executor.call_all("harvest_names")
-                campaign_harvest = sorted(
-                    {name for names in name_lists for name in names}
-                )
-                executor.call_all("scan", campaign_harvest)
-            executor.call_all("advance")
-            day += 1
-        return executor.call_all("finish")
+        _drive_lockstep(executor, specs[0].config, start_barrier)
+        if lone:
+            return executor.call_all("finalise")[0]
+        payloads = executor.call_all("finish")
     finally:
         executor.close()
+    return _finalise_merged(specs[0], payloads)
+
+
+def _drive_lockstep(
+    executor: "InlineExecutor | ProcessExecutor",
+    config: StudyConfig,
+    start_barrier: int,
+) -> None:
+    """The barrier loop: barrier → collect → (scan) → advance."""
+    day = start_barrier
+    while True:
+        executor.call_all("barrier", day)
+        if day >= config.study_days:
+            break
+        executor.call_all("collect")
+        if config.run_residual_scans and day % config.scan_every_days == 0:
+            name_lists = executor.call_all("harvest_names")
+            campaign_harvest = sorted(
+                {name for names in name_lists for name in names}
+            )
+            executor.call_all("scan", campaign_harvest)
+        executor.call_all("advance")
+        day += 1
 
 
 def _finalise_merged(
-    population: int,
-    seed: int,
-    config: StudyConfig,
-    fault_profile: Optional[str],
-    traffic_profile: Optional[str],
-    attack_profile: Optional[str],
-    payloads: List[Dict[str, object]],
+    spec: WorkerSpec, payloads: List[Dict[str, object]]
 ) -> StudyReport:
     """Merge worker payloads and run the post-loop analyses.
 
-    The coordinator replays its own full-world replica (warm-up via
-    :meth:`begin`, then the study's engine days), overlays the merged
-    measurement state, and finalises — the same world-replay discipline
-    the checkpoint plane's resume uses, with the merged payload in the
-    role of the snapshot.
+    The coordinator replays its own full-world replica and overlays the
+    merged measurement state — the merged payload in the role of the
+    snapshot — then finalises.
     """
     merged = merge_payloads(payloads)
-    world = SimulatedInternet(WorldConfig(population_size=population, seed=seed))
-    study = SixWeekStudy(world, config)
-    runtime = study.begin()
-    if fault_profile is not None:
-        world.install_faults(fault_profile)
-    if traffic_profile is not None:
-        world.install_traffic(traffic_profile)
-    if attack_profile is not None:
-        world.install_attacks(attack_profile)
-    for _ in range(int(merged["day_index"])):
-        world.engine.run_day()
-    try:
-        world.clock.require(int(merged["clock_now"]))
-    except SimulationError as exc:
-        raise ShardError(
-            f"coordinator world replay drifted from the workers: {exc}"
-        ) from exc
-    overlay_merged(study, runtime, merged)
+    study, runtime = begin_study(
+        spec.population, spec.seed, spec.config, spec.scenario
+    )
+    replay_to_snapshot(study, runtime, merged, overlay_merged)
     return study.finalise(runtime)

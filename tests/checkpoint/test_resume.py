@@ -132,15 +132,25 @@ class TestResumeRefusals:
                 crashed_dir, **dict(study_inputs, fault_profile="heavy-loss")
             )
 
+    def test_worker_store_refused_on_its_own(self, tmp_path, study_inputs):
+        from repro.shard import run_sharded_study
+
+        run_sharded_study(
+            checkpoint_dir=tmp_path / "campaign", shard_count=2, **study_inputs
+        )
+        with pytest.raises(CheckpointMismatchError, match="campaign directory"):
+            resume_study(tmp_path / "campaign" / "shard-0-of-2", **study_inputs)
+
     def test_empty_journal_refused(self, tmp_path, study_inputs):
         from repro.checkpoint import CheckpointStore, config_to_dict
+        from repro.scenario import Scenario
 
         CheckpointStore.create(
             tmp_path / "ckpt",
             seed=SEED,
             population=POPULATION,
             config=config_to_dict(study_inputs["config"]),
-            fault_profile=None,
+            scenario=Scenario(),
         )
         with pytest.raises(CheckpointError, match="no committed barriers"):
             resume_study(tmp_path / "ckpt", **study_inputs)

@@ -17,6 +17,7 @@ from repro.errors import (
     CheckpointMismatchError,
     CheckpointSchemaError,
 )
+from repro.scenario import Scenario
 
 CONFIG = {"study_days": 3, "warmup_days": 8}
 
@@ -27,7 +28,7 @@ def make_store(directory, seed=11, population=150, config=None, profile=None):
         seed=seed,
         population=population,
         config=config if config is not None else dict(CONFIG),
-        fault_profile=profile,
+        scenario=Scenario.of(fault_profile=profile),
     )
 
 
@@ -38,7 +39,7 @@ class TestManifest:
         assert opened.manifest == created.manifest
         assert opened.manifest_hash == created.manifest_hash
         assert opened.manifest["schema_version"] == SCHEMA_VERSION
-        assert opened.manifest["fault_profile"] == "lossy-default"
+        assert opened.manifest["scenario"]["fault_profile"] == "lossy-default"
 
     def test_create_refuses_existing_directory(self, tmp_path):
         make_store(tmp_path / "ckpt")
@@ -56,6 +57,19 @@ class TestManifest:
         with pytest.raises(CheckpointSchemaError, match="schema"):
             CheckpointStore.open(tmp_path / "ckpt")
 
+    def test_schema_1_manifest_refused_not_migrated(self, tmp_path):
+        store = make_store(tmp_path / "ckpt", profile="lossy-default")
+        manifest = dict(store.manifest, schema_version=1)
+        (tmp_path / "ckpt" / "MANIFEST.json").write_text(canonical_json(manifest))
+        with pytest.raises(CheckpointSchemaError, match="rerun from scratch"):
+            CheckpointStore.open(tmp_path / "ckpt")
+
+    def test_manifest_records_the_scenario(self, tmp_path):
+        store = make_store(tmp_path / "ckpt", profile="lossy-default")
+        scenario = Scenario.of(fault_profile="lossy-default")
+        assert store.manifest["scenario"] == scenario.identity()
+        assert store.manifest["scenario_hash"] == scenario.hash
+
     def test_garbled_manifest_is_corrupt(self, tmp_path):
         make_store(tmp_path / "ckpt")
         (tmp_path / "ckpt" / "MANIFEST.json").write_text("{not json")
@@ -70,7 +84,10 @@ class TestVerifyInputs:
 
     def test_matching_inputs_accepted(self, store):
         store.verify_inputs(
-            seed=11, population=150, config=dict(CONFIG), fault_profile="lossy-default"
+            seed=11,
+            population=150,
+            config=dict(CONFIG),
+            scenario=Scenario.of(fault_profile="lossy-default"),
         )
 
     @pytest.mark.parametrize(
@@ -79,12 +96,15 @@ class TestVerifyInputs:
             (dict(seed=12), "seed"),
             (dict(population=151), "population"),
             (dict(config={"study_days": 4, "warmup_days": 8}), "config"),
-            (dict(fault_profile=None), "fault_profile"),
+            (dict(scenario=Scenario()), "fault_profile"),
         ],
     )
     def test_each_mismatch_refused(self, store, override, needle):
         inputs = dict(
-            seed=11, population=150, config=dict(CONFIG), fault_profile="lossy-default"
+            seed=11,
+            population=150,
+            config=dict(CONFIG),
+            scenario=Scenario.of(fault_profile="lossy-default"),
         )
         inputs.update(override)
         with pytest.raises(CheckpointMismatchError, match=needle):

@@ -8,7 +8,7 @@ from repro.core.study import SixWeekStudy, StudyConfig
 from repro.errors import ShardError
 from repro.shard import merge_payloads, overlay_merged
 from repro.shard.merge import PAYLOAD_VERSION
-from repro.shard.runner import WorkerSpec, _drive_lockstep
+from repro.shard.runner import InlineExecutor, WorkerSpec, _drive_lockstep
 from repro.world import SimulatedInternet, WorldConfig
 
 
@@ -26,7 +26,10 @@ def payloads():
         )
         for index in range(2)
     ]
-    return _drive_lockstep(specs, config, "inline", start_barrier=0)
+    executor = InlineExecutor(specs)
+    executor.start()
+    _drive_lockstep(executor, config, start_barrier=0)
+    return executor.call_all("finish")
 
 
 class TestMergePayloads:
