@@ -15,26 +15,114 @@ their inputs are the cached summaries, whose collected evidence grows
 with the rule set), so upgrading the linter or changing
 ``--select``/``--ignore`` never serves stale findings.  A corrupt or unreadable cache file degrades to a cold run —
 the cache is an accelerator, never a correctness dependency.
+
+Findings and summaries go through one generic codec, :func:`encode` /
+:func:`decode`, driven by each dataclass's fields and type hints.  A
+finding's fingerprint is an ``init=False`` field, so it is never written
+and always *recomputed* on load: a cache can never inject an identity
+the current code would not produce itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Tuple
+import typing
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..io import atomic_write_json
 from .findings import Finding
 from .graph import ModuleSummary
 
-__all__ = ["LintCache", "content_hash", "ruleset_signature"]
+__all__ = ["LintCache", "content_hash", "decode", "encode", "ruleset_signature"]
 
 #: Bump when the cached shape (findings/summary serialization) changes.
 #: v2: ModuleSummary grew the REP06x shard-safety evidence (globals,
 #: string sets, loads, self writes, merge hazards, mutable defaults).
 #: v3: FunctionSummary grew the REP07x effect evidence (effect sites,
 #: per-name first-read lines).
-CACHE_SCHEMA_VERSION = 3
+#: v4: one generic codec replaced the per-class ``to_dict``/``from_dict``
+#: pairs; findings are stored by field name.
+CACHE_SCHEMA_VERSION = 4
+
+_Codec = Tuple[Callable[[Any], Any], Callable[[Any], Any]]
+
+
+def encode(value: Any) -> Any:
+    """A dataclass value as JSON-ready data (sets become sorted lists)."""
+    return _codec(type(value))[0](value)
+
+
+def decode(cls: type, data: Any) -> Any:
+    """Rebuild a ``cls`` value from :func:`encode` output, exactly."""
+    return _codec(cls)[1](data)
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def _codec(hint: Any) -> _Codec:
+    """The (encode, decode) pair for one type hint, built once per type.
+
+    Covers what the summary and finding dataclasses use: nested
+    dataclasses (``init=False`` fields are skipped), enums, ``Optional``,
+    ``List``, ``Set``, ``Dict[str, ...]``, fixed or variadic ``Tuple``
+    and JSON scalars, which pass through unchanged.  Any other hint is
+    refused, so a new summary field cannot round-trip inexactly.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        fields = [
+            (f.name,) + _codec(hints[f.name])
+            for f in dataclasses.fields(hint) if f.init
+        ]
+        return (
+            lambda value: {
+                name: enc(getattr(value, name)) for name, enc, _ in fields
+            },
+            lambda data: hint(*[dec(data[name]) for name, _, dec in fields]),
+        )
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return (lambda value: value.value, hint)
+    if origin is typing.Union:
+        [inner] = [arg for arg in args if arg is not type(None)]
+        enc, dec = _codec(inner)
+        return (
+            lambda value: None if value is None else enc(value),
+            lambda data: None if data is None else dec(data),
+        )
+    if origin is dict:
+        enc, dec = _codec(args[1])
+        if enc is _same and dec is _same:
+            return (dict, dict)
+        return (
+            lambda value: {k: enc(v) for k, v in value.items()},
+            lambda data: {k: dec(v) for k, v in data.items()},
+        )
+    if origin is tuple and args[-1] is not Ellipsis:
+        items = [_codec(arg) for arg in args]
+        return (
+            lambda value: [enc(v) for (enc, _), v in zip(items, value)],
+            lambda data: tuple(dec(v) for (_, dec), v in zip(items, data)),
+        )
+    if origin in (list, tuple, set):
+        out = sorted if origin is set else list
+        enc, dec = _codec(args[0])
+        if enc is _same and dec is _same:
+            return (out, origin)
+        return (
+            lambda value: out(enc(v) for v in value),
+            lambda data: origin(dec(v) for v in data),
+        )
+    if hint in (str, int, float, bool):
+        return (_same, _same)
+    raise TypeError(f"the cache codec cannot encode {hint!r}")
 
 
 def content_hash(data: bytes) -> str:
@@ -86,10 +174,8 @@ class LintCache:
         if not isinstance(entry, dict) or entry.get("hash") != digest:
             return None
         try:
-            findings = [
-                Finding.from_dict(item) for item in entry["findings"]
-            ]
-            summary = ModuleSummary.from_dict(entry["summary"])
+            findings = [decode(Finding, item) for item in entry["findings"]]
+            summary = decode(ModuleSummary, entry["summary"])
         except (KeyError, TypeError, ValueError):
             return None
         return findings, summary
@@ -99,8 +185,8 @@ class LintCache:
         """Record one file's results (raw, pre-occurrence-numbering)."""
         self._entries[display_path] = {
             "hash": digest,
-            "findings": [finding.to_dict() for finding in findings],
-            "summary": summary.to_dict(),
+            "findings": [encode(finding) for finding in findings],
+            "summary": encode(summary),
         }
         self._dirty = True
 

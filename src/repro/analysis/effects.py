@@ -13,9 +13,10 @@ asserted by hypothesis tests only.  This pass makes it checked-in:
   with a witness :class:`EffectTrace` down to the carrier statement.
   Direct evidence comes from the collector's
   :class:`~repro.analysis.graph.EffectSite` records plus the taint
-  pass's source seeds; propagation is the same sorted-frontier
-  fixpoint :mod:`repro.analysis.taint` uses, run once per effect kind,
-  so witness chains are byte-identical across runs and processes.
+  pass's source seeds; propagation is the graph's shared fixpoint
+  (:meth:`~repro.analysis.graph.ProjectGraph.propagate`, the one taint
+  uses), run once per effect kind, so witness chains are byte-identical
+  across runs and processes.
 * The boundary is declared with :func:`repro.markers.pure_function`.
   The decade is inert until a tree opts in, and load-bearing from the
   first declaration on — exactly like the REP06x shard markers.
@@ -61,6 +62,8 @@ from .graph import (
     ModuleSummary,
     ProjectGraph,
     SANITIZED,
+    chain_str,
+    key_str,
 )
 from .rules import ProjectRule, register
 
@@ -154,7 +157,6 @@ class EffectsResult:
 
     direct: Dict[FunctionKey, Tuple[EffectAtom, ...]]
     traces: Dict[FunctionKey, Dict[str, EffectTrace]]
-    edges: Dict[FunctionKey, List[FunctionKey]]
 
     def trace(self, key: FunctionKey, kind: str):
         """The first-wins witness trace for one (function, kind)."""
@@ -164,14 +166,6 @@ class EffectsResult:
         """The function's effect summary, in lattice order."""
         present = self.traces.get(key, {})
         return tuple(kind for kind in EFFECT_KINDS if kind in present)
-
-
-def _chain_str(chain: Tuple[FunctionKey, ...]) -> str:
-    return " -> ".join(f"{module}.{qualname}" for module, qualname in chain)
-
-
-def _key_str(key: FunctionKey) -> str:
-    return f"{key[0]}.{key[1]}"
 
 
 def _effect_sanctioned(summary: ModuleSummary) -> bool:
@@ -285,46 +279,26 @@ def infer_effects(graph: ProjectGraph) -> EffectsResult:
         if atoms:
             direct[(summary.module, fn.qualname)] = tuple(atoms)
 
-    edges = graph.call_edges()
-    reverse: Dict[FunctionKey, List[FunctionKey]] = {}
-    for caller, callees in edges.items():
-        for callee in callees:
-            reverse.setdefault(callee, []).append(caller)
-    for callers in reverse.values():
-        callers.sort()
-
     traces: Dict[FunctionKey, Dict[str, EffectTrace]] = {}
     for kind in EFFECT_KINDS:
-        kind_traces: Dict[FunctionKey, EffectTrace] = {}
-        frontier: List[FunctionKey] = []
+        carriers: Dict[FunctionKey, EffectAtom] = {}
         for key in sorted(direct):
             for atom in direct[key]:
                 if atom.kind == kind:
-                    kind_traces[key] = EffectTrace(chain=(key,), atom=atom)
-                    frontier.append(key)
+                    carriers[key] = atom
                     break
-        if kind != "calls-unknown":
+        if kind == "calls-unknown":
             # Unknown-call evidence stays local: propagating it would
             # saturate the graph with stdlib noise.
-            frontier.sort()
-            while frontier:
-                next_frontier: List[FunctionKey] = []
-                for callee in frontier:
-                    trace = kind_traces[callee]
-                    for caller in reverse.get(callee, ()):
-                        if caller in kind_traces:
-                            continue
-                        kind_traces[caller] = EffectTrace(
-                            chain=(caller,) + trace.chain,
-                            atom=trace.atom,
-                        )
-                        next_frontier.append(caller)
-                next_frontier.sort()
-                frontier = next_frontier
-        for key, trace in kind_traces.items():
-            traces.setdefault(key, {})[kind] = trace
+            chains = {key: (key,) for key in carriers}
+        else:
+            chains = graph.propagate(carriers, "callers")
+        for key, chain in chains.items():
+            traces.setdefault(key, {})[kind] = EffectTrace(
+                chain=chain, atom=carriers[chain[-1]]
+            )
 
-    result = EffectsResult(direct=direct, traces=traces, edges=edges)
+    result = EffectsResult(direct=direct, traces=traces)
     graph._effects_result = result
     return result
 
@@ -405,8 +379,8 @@ class TransitiveImpurityRule(ProjectRule):
                     message=(
                         f"'{fn.qualname}' is declared @pure_function but"
                         f" reaches an impure callee:"
-                        f" {_chain_str(trace.chain)} ({kind}:"
-                        f" {atom.detail} in {_key_str(trace.carrier)} at"
+                        f" {chain_str(trace.chain)} ({kind}:"
+                        f" {atom.detail} in {key_str(trace.carrier)} at"
                         f" line {atom.line}); purify the callee, route"
                         " around it, or drop the declaration"
                     ),
@@ -459,8 +433,8 @@ class AmbientStateReadRule(ProjectRule):
                     message=(
                         f"'{fn.qualname}' is declared @pure_function but"
                         " reads ambient module state through a helper:"
-                        f" {_chain_str(trace.chain)} ({atom.detail} in"
-                        f" {_key_str(trace.carrier)} at line {atom.line});"
+                        f" {chain_str(trace.chain)} ({atom.detail} in"
+                        f" {key_str(trace.carrier)} at line {atom.line});"
                         " pass the value in or freeze the global"
                     ),
                     severity=self.severity,
@@ -497,8 +471,8 @@ class ImpureMergeHelperRule(ProjectRule):
                     message=(
                         f"merge point '{fn.qualname}' calls an effectful"
                         f" helper whose writes escape the merge:"
-                        f" {_chain_str(trace.chain)} ({kind}:"
-                        f" {atom.detail} in {_key_str(trace.carrier)} at"
+                        f" {chain_str(trace.chain)} ({kind}:"
+                        f" {atom.detail} in {key_str(trace.carrier)} at"
                         f" line {atom.line}); merge output must depend"
                         " only on the shard payloads it is handed"
                     ),

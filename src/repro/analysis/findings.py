@@ -64,7 +64,7 @@ class Finding:
         return (self.path, self.line, self.column, self.rule_id, self.occurrence)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable representation (reporters and the cache)."""
+        """The public representation the JSON reporter prints."""
         return {
             "rule": self.rule_id,
             "path": self.path,
@@ -76,25 +76,6 @@ class Finding:
             "occurrence": self.occurrence,
             "fingerprint": self.fingerprint,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        """Rebuild a finding from :meth:`to_dict` output.
-
-        The fingerprint is *recomputed*, not trusted from the payload —
-        a cache can never inject an identity the current code would not
-        produce itself.
-        """
-        return cls(
-            rule_id=data["rule"],
-            path=data["path"],
-            line=data["line"],
-            column=data["column"],
-            message=data["message"],
-            severity=Severity(data["severity"]),
-            source=data["source"],
-            occurrence=data.get("occurrence", 0),
-        )
 
     def render(self) -> str:
         """The classic one-line compiler format."""

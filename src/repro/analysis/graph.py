@@ -8,10 +8,10 @@ REP04x rules need:
 * :func:`summarize_module` distils one parsed module into a
   :class:`ModuleSummary` — import bindings, symbol table, per-function
   call sites, direct-nondeterminism evidence, fork labels, ``__all__``
-  exports, and inline suppressions.  Summaries are plain-data and
-  JSON-round-trippable, which is what makes the on-disk incremental
-  cache possible: a warm ``repro lint`` run rebuilds the project graph
-  from cached summaries without re-parsing a single file.
+  exports, and inline suppressions.  Summaries are plain typed
+  dataclasses, which :mod:`repro.analysis.cache`'s generic codec
+  round-trips through JSON: a warm ``repro lint`` run rebuilds the
+  project graph from cached summaries without re-parsing a single file.
 * :class:`ProjectGraph` stitches summaries into a module/import graph,
   a project-wide symbol table, and a conservative intra-project call
   graph (direct calls, imported symbols, ``self`` dispatch through base
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .rules import ModuleContext
 from .suppressions import Suppression, scan_suppressions
@@ -143,7 +143,7 @@ def module_name_for(display_path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Summary data model (JSON-round-trippable for the incremental cache)
+# Summary data model (round-tripped by the cache codec)
 # ---------------------------------------------------------------------------
 
 
@@ -153,13 +153,6 @@ class ParamInfo:
 
     name: str
     annotation_names: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "annotation_names": list(self.annotation_names)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ParamInfo":
-        return cls(data["name"], tuple(data["annotation_names"]))
 
     @property
     def is_rng(self) -> bool:
@@ -194,18 +187,6 @@ class CallRef:
     qualifier: str = ""
     line: int = 0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "qualifier": self.qualifier,
-            "line": self.line,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallRef":
-        return cls(data["kind"], data["name"], data["qualifier"], data["line"])
-
 
 @dataclass(frozen=True)
 class TaintReason:
@@ -214,13 +195,6 @@ class TaintReason:
     kind: str  # "ambient-random" | "wall-clock" | "os-entropy" | "marker"
     detail: str
     line: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "detail": self.detail, "line": self.line}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TaintReason":
-        return cls(data["kind"], data["detail"], data["line"])
 
 
 @dataclass(frozen=True)
@@ -233,22 +207,6 @@ class ForkLabel:
     source: str
     qualname: str
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "label": self.label,
-            "line": self.line,
-            "column": self.column,
-            "source": self.source,
-            "qualname": self.qualname,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ForkLabel":
-        return cls(
-            data["label"], data["line"], data["column"],
-            data["source"], data["qualname"],
-        )
-
 
 @dataclass(frozen=True)
 class ShadowSite:
@@ -260,22 +218,6 @@ class ShadowSite:
     source: str
     qualname: str
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "param": self.param,
-            "line": self.line,
-            "column": self.column,
-            "source": self.source,
-            "qualname": self.qualname,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ShadowSite":
-        return cls(
-            data["param"], data["line"], data["column"],
-            data["source"], data["qualname"],
-        )
-
 
 @dataclass(frozen=True)
 class ExportInfo:
@@ -285,18 +227,6 @@ class ExportInfo:
     line: int
     column: int
     source: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "column": self.column,
-            "source": self.source,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExportInfo":
-        return cls(data["name"], data["line"], data["column"], data["source"])
 
 
 @dataclass(frozen=True)
@@ -314,22 +244,6 @@ class StateSite:
     source: str
     kind: str
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "column": self.column,
-            "source": self.source,
-            "kind": self.kind,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "StateSite":
-        return cls(
-            data["name"], data["line"], data["column"],
-            data["source"], data["kind"],
-        )
-
 
 @dataclass(frozen=True)
 class MergeHazard:
@@ -345,22 +259,6 @@ class MergeHazard:
     line: int
     column: int
     source: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "detail": self.detail,
-            "line": self.line,
-            "column": self.column,
-            "source": self.source,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "MergeHazard":
-        return cls(
-            data["kind"], data["detail"], data["line"],
-            data["column"], data["source"],
-        )
 
 
 @dataclass(frozen=True)
@@ -386,23 +284,6 @@ class EffectSite:
     line: int
     column: int
     source: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "target": self.target,
-            "detail": self.detail,
-            "line": self.line,
-            "column": self.column,
-            "source": self.source,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "EffectSite":
-        return cls(
-            data["kind"], data["target"], data["detail"],
-            data["line"], data["column"], data["source"],
-        )
 
     @property
     def root(self) -> str:
@@ -436,57 +317,6 @@ class FunctionSummary:
     effects: List[EffectSite] = field(default_factory=list)
     #: First read line per free name in :attr:`loads` (REP072 anchors).
     load_lines: Dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "line": self.line,
-            "column": self.column,
-            "source": self.source,
-            "params": [p.to_dict() for p in self.params],
-            "decorators": list(self.decorators),
-            "calls": [c.to_dict() for c in self.calls],
-            "taint_reasons": [t.to_dict() for t in self.taint_reasons],
-            "rng_args": [list(pair) for pair in self.rng_args],
-            "parent": self.parent,
-            "loads": list(self.loads),
-            "self_writes": list(self.self_writes),
-            "mutable_defaults": [s.to_dict() for s in self.mutable_defaults],
-            "merge_hazards": [h.to_dict() for h in self.merge_hazards],
-            "effects": [e.to_dict() for e in self.effects],
-            "load_lines": dict(self.load_lines),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            qualname=data["qualname"],
-            name=data["name"],
-            line=data["line"],
-            column=data["column"],
-            source=data["source"],
-            params=[ParamInfo.from_dict(p) for p in data["params"]],
-            decorators=tuple(data["decorators"]),
-            calls=[CallRef.from_dict(c) for c in data["calls"]],
-            taint_reasons=[TaintReason.from_dict(t) for t in data["taint_reasons"]],
-            rng_args=[(pair[0], pair[1]) for pair in data["rng_args"]],
-            parent=data["parent"],
-            loads=tuple(data["loads"]),
-            self_writes=tuple(data["self_writes"]),
-            mutable_defaults=[
-                StateSite.from_dict(s) for s in data["mutable_defaults"]
-            ],
-            merge_hazards=[
-                MergeHazard.from_dict(h) for h in data["merge_hazards"]
-            ],
-            effects=[
-                EffectSite.from_dict(e) for e in data.get("effects", [])
-            ],
-            load_lines={
-                k: int(v) for k, v in data.get("load_lines", {}).items()
-            },
-        )
 
     def param(self, name: str) -> Optional[ParamInfo]:
         for info in self.params:
@@ -526,35 +356,6 @@ class ClassSummary:
     #: *and* across threads — but not across processes: REP060).
     mutable_attrs: List[StateSite] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": list(self.bases),
-            "methods": dict(self.methods),
-            "attr_types": {k: list(v) for k, v in self.attr_types.items()},
-            "column": self.column,
-            "source": self.source,
-            "mutable_attrs": [s.to_dict() for s in self.mutable_attrs],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassSummary":
-        return cls(
-            name=data["name"],
-            line=data["line"],
-            bases=tuple(data["bases"]),
-            methods=dict(data["methods"]),
-            attr_types={
-                k: tuple(v) for k, v in data["attr_types"].items()
-            },
-            column=data["column"],
-            source=data["source"],
-            mutable_attrs=[
-                StateSite.from_dict(s) for s in data["mutable_attrs"]
-            ],
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -577,63 +378,6 @@ class ModuleSummary:
     #: UPPER_CASE names bound to constant string collections (consumed
     #: by REP063 to read ``checkpoint.serde``'s SERDE_REGISTRY).
     string_sets: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "basename": self.basename,
-            "bindings": {k: list(v) for k, v in self.bindings.items()},
-            "functions": {
-                k: v.to_dict() for k, v in self.functions.items()
-            },
-            "classes": {k: v.to_dict() for k, v in self.classes.items()},
-            "exports": (
-                None
-                if self.exports is None
-                else [e.to_dict() for e in self.exports]
-            ),
-            "referenced": sorted(self.referenced),
-            "suppressions": [s.to_dict() for s in self.suppressions],
-            "fork_labels": [f.to_dict() for f in self.fork_labels],
-            "shadows": [s.to_dict() for s in self.shadows],
-            "globals": [s.to_dict() for s in self.globals],
-            "string_sets": {
-                k: list(v) for k, v in self.string_sets.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            basename=data["basename"],
-            bindings={k: tuple(v) for k, v in data["bindings"].items()},
-            functions={
-                k: FunctionSummary.from_dict(v)
-                for k, v in data["functions"].items()
-            },
-            classes={
-                k: ClassSummary.from_dict(v)
-                for k, v in data["classes"].items()
-            },
-            exports=(
-                None
-                if data["exports"] is None
-                else [ExportInfo.from_dict(e) for e in data["exports"]]
-            ),
-            referenced=set(data["referenced"]),
-            suppressions=[
-                Suppression.from_dict(s) for s in data["suppressions"]
-            ],
-            fork_labels=[ForkLabel.from_dict(f) for f in data["fork_labels"]],
-            shadows=[ShadowSite.from_dict(s) for s in data["shadows"]],
-            globals=[StateSite.from_dict(s) for s in data["globals"]],
-            string_sets={
-                k: tuple(v) for k, v in data["string_sets"].items()
-            },
-        )
 
     @property
     def sanctioned(self) -> bool:
@@ -1527,6 +1271,16 @@ def summarize_module(context: ModuleContext,
 #: A function key: (module name, qualified function name).
 FunctionKey = Tuple[str, str]
 
+
+def key_str(key: FunctionKey) -> str:
+    """A function as findings name it: ``module.qualname``."""
+    return f"{key[0]}.{key[1]}"
+
+
+def chain_str(chain: Sequence[FunctionKey]) -> str:
+    """A witness chain as findings print it: ``a.f -> b.g -> ...``."""
+    return " -> ".join(key_str(key) for key in chain)
+
 #: Sentinel returned when a call is sanitized by an injected dependency.
 SANITIZED = "sanitized"
 
@@ -1558,6 +1312,8 @@ class ProjectGraph:
         self.star_imported_modules: Set[str] = set(
             star_imported_modules or ()
         )
+        self._callees: Optional[Dict[FunctionKey, List[FunctionKey]]] = None
+        self._callers: Optional[Dict[FunctionKey, List[FunctionKey]]] = None
         # method name -> [(module, class name)]
         self._method_index: Dict[str, List[Tuple[str, str]]] = {}
         # class name -> [(module, class name)]
@@ -1824,17 +1580,72 @@ class ProjectGraph:
     # -- edges -------------------------------------------------------------
 
     def call_edges(self) -> Dict[FunctionKey, List[FunctionKey]]:
-        """Caller → callee edges, sanitized edges dropped, sorted."""
-        edges: Dict[FunctionKey, List[FunctionKey]] = {}
-        for summary, fn in self.functions():
-            key: FunctionKey = (summary.module, fn.qualname)
-            targets: Set[FunctionKey] = set()
-            for call in fn.calls:
-                resolved = self.resolve_call(summary, fn, call)
-                if resolved == SANITIZED:
-                    continue
-                for target in resolved:
-                    if target is not None and self.function(target) is not None:
-                        targets.add(target)
-            edges[key] = sorted(targets)
-        return edges
+        """Caller → callee edges, sanitized edges dropped, sorted.
+
+        Built once per graph and shared by every pass; read-only.
+        """
+        if self._callees is None:
+            edges: Dict[FunctionKey, List[FunctionKey]] = {}
+            for summary, fn in self.functions():
+                key: FunctionKey = (summary.module, fn.qualname)
+                targets: Set[FunctionKey] = set()
+                for call in fn.calls:
+                    resolved = self.resolve_call(summary, fn, call)
+                    if resolved == SANITIZED:
+                        continue
+                    for target in resolved:
+                        if target is not None and self.function(target) is not None:
+                            targets.add(target)
+                edges[key] = sorted(targets)
+            self._callees = edges
+        return self._callees
+
+    def caller_edges(self) -> Dict[FunctionKey, List[FunctionKey]]:
+        """:meth:`call_edges` reversed (callee → callers), sorted."""
+        if self._callers is None:
+            reverse: Dict[FunctionKey, List[FunctionKey]] = {}
+            for caller, callees in self.call_edges().items():
+                for callee in callees:
+                    reverse.setdefault(callee, []).append(caller)
+            for callers in reverse.values():
+                callers.sort()
+            self._callers = reverse
+        return self._callers
+
+    def propagate(
+        self, seeds: Iterable[FunctionKey], direction: str
+    ) -> Dict[FunctionKey, Tuple[FunctionKey, ...]]:
+        """The reachability fixpoint every whole-program pass shares.
+
+        Walks the call graph breadth first from ``seeds`` towards
+        ``"callers"`` (taint, effects) or ``"callees"`` (the REP06x
+        shard closure).  Every frontier is processed in sorted order and
+        the first visit wins, so each reached function keeps a shortest
+        witness chain, ties going to the smallest predecessor: the same
+        chain on every run and in every process.  Each function is
+        visited once, so it converges through mutual recursion too.
+
+        Returns every reached function's chain in call order — from the
+        function down to its seed towards callers, from the seed down to
+        the function towards callees; a seed's chain is itself alone.
+        """
+        adjacency = {"callers": self.caller_edges,
+                     "callees": self.call_edges}[direction]()
+        towards_callers = direction == "callers"
+        chains = {seed: (seed,) for seed in sorted(set(seeds))}
+        frontier = list(chains)
+        while frontier:
+            next_frontier: List[FunctionKey] = []
+            for node in frontier:
+                chain = chains[node]
+                for neighbour in adjacency.get(node, ()):
+                    if neighbour in chains:
+                        continue
+                    chains[neighbour] = (
+                        (neighbour,) + chain if towards_callers
+                        else chain + (neighbour,)
+                    )
+                    next_frontier.append(neighbour)
+            next_frontier.sort()
+            frontier = next_frontier
+        return chains

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Tuple
 
 from .findings import Finding, Severity
-from .graph import ForkLabel, FunctionKey, ProjectGraph
+from .graph import ForkLabel, ProjectGraph, chain_str, key_str
 from .rules import ProjectRule, register
 from .taint import propagate_taint
 
@@ -35,10 +35,6 @@ __all__ = [
     "ShadowedInjectionRule",
     "TransitiveNondeterminismRule",
 ]
-
-
-def _chain_str(chain: Tuple[FunctionKey, ...]) -> str:
-    return " -> ".join(f"{module}.{qualname}" for module, qualname in chain)
 
 
 @register
@@ -60,7 +56,6 @@ class TransitiveNondeterminismRule(ProjectRule):
                 # @nondeterministic marker's) responsibility.
                 continue
             reason = trace.reasons[0]
-            source_module, source_qualname = trace.source
             yield Finding(
                 rule_id=self.rule_id,
                 path=summary.path,
@@ -68,9 +63,9 @@ class TransitiveNondeterminismRule(ProjectRule):
                 column=fn.column,
                 message=(
                     f"'{fn.qualname}' is transitively nondeterministic: "
-                    f"{_chain_str(trace.chain)} "
+                    f"{chain_str(trace.chain)} "
                     f"({reason.kind}: {reason.detail} in "
-                    f"{source_module}.{source_qualname});"
+                    f"{key_str(trace.source)});"
                     " inject a SeededRng/SimulationClock or mark the chain"
                     " @nondeterministic"
                 ),

@@ -34,10 +34,10 @@ tree opts in, and load-bearing from the first declaration on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from .findings import Finding, Severity
-from .graph import FunctionKey, ProjectGraph
+from .graph import FunctionKey, ProjectGraph, chain_str, key_str
 from .rules import ProjectRule, register
 
 __all__ = [
@@ -55,52 +55,6 @@ SERDE_REGISTRY_NAME = "SERDE_REGISTRY"
 _CTOR_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 
 
-def _closure(
-    edges: Dict[FunctionKey, List[FunctionKey]],
-    roots: List[FunctionKey],
-) -> Dict[FunctionKey, Optional[FunctionKey]]:
-    """Callee-direction reachability with BFS parent links.
-
-    Returns a parent map whose keys are every function reachable from
-    ``roots`` (roots map to None).  Work is processed in sorted order at
-    every step so witness chains are identical on every run.
-    """
-    parents: Dict[FunctionKey, Optional[FunctionKey]] = {}
-    frontier = sorted(set(roots))
-    for root in frontier:
-        parents[root] = None
-    while frontier:
-        next_frontier: List[FunctionKey] = []
-        for caller in frontier:
-            for callee in edges.get(caller, ()):
-                if callee not in parents:
-                    parents[callee] = caller
-                    next_frontier.append(callee)
-        next_frontier.sort()
-        frontier = next_frontier
-    return parents
-
-
-def _chain(
-    parents: Dict[FunctionKey, Optional[FunctionKey]], key: FunctionKey
-) -> Tuple[FunctionKey, ...]:
-    """The witness chain from a closure root down to ``key``."""
-    chain = [key]
-    parent = parents.get(key)
-    while parent is not None:
-        chain.append(parent)
-        parent = parents.get(parent)
-    return tuple(reversed(chain))
-
-
-def _chain_str(chain: Tuple[FunctionKey, ...]) -> str:
-    return " -> ".join(f"{module}.{qualname}" for module, qualname in chain)
-
-
-def _key_str(key: FunctionKey) -> str:
-    return f"{key[0]}.{key[1]}"
-
-
 @register
 class SharedMutableStateRule(ProjectRule):
     """REP060: mutable state shared across shard worker processes."""
@@ -113,8 +67,8 @@ class SharedMutableStateRule(ProjectRule):
         entries = graph.shard_entries()
         if not entries:
             return
-        parents = _closure(graph.call_edges(), entries)
-        reachable = sorted(parents)
+        chains = graph.propagate(entries, "callees")
+        reachable = sorted(chains)
         reported: Set[Tuple[str, int, str]] = set()
 
         # Module-level mutable globals read by shard-reachable code.
@@ -142,7 +96,7 @@ class SharedMutableStateRule(ProjectRule):
                     message=(
                         f"module-level {site.kind} '{site.name}' is read"
                         f" inside the shard boundary"
-                        f" ({_chain_str(_chain(parents, key))}); each"
+                        f" ({chain_str(chains[key])}); each"
                         " worker process mutates a private copy, so"
                         " cross-shard state silently diverges — make it"
                         " immutable or pass per-shard state explicitly"
@@ -174,7 +128,7 @@ class SharedMutableStateRule(ProjectRule):
                         f"class-level {site.kind}"
                         f" '{class_name}.{site.name}' is mutable state"
                         " shared by every instance inside the shard"
-                        f" boundary ({_chain_str(_chain(parents, key))});"
+                        f" boundary ({chain_str(chains[key])});"
                         " use an instance attribute or a default_factory"
                     ),
                     severity=self.severity,
@@ -202,7 +156,7 @@ class SharedMutableStateRule(ProjectRule):
                     message=(
                         f"'{fn.qualname}' has mutable default"
                         f" '{site.name}' ({site.kind}) inside the shard"
-                        f" boundary ({_chain_str(_chain(parents, key))});"
+                        f" boundary ({chain_str(chains[key])});"
                         " the default accumulates per-process state —"
                         " default to None and construct per call"
                     ),
@@ -253,10 +207,10 @@ class RngStreamEscapeRule(ProjectRule):
         entries = graph.shard_entries()
         if not entries:
             return
-        edges = graph.call_edges()
-        entry_parents = {entry: _closure(edges, [entry]) for entry in entries}
-        merges = graph.merge_points()
-        merge_parents = _closure(edges, merges) if merges else {}
+        entry_chains = {
+            entry: graph.propagate([entry], "callees") for entry in entries
+        }
+        merge_chains = graph.propagate(graph.merge_points(), "callees")
 
         for summary in sorted(graph.summaries, key=lambda s: s.path):
             if not self.applies_to_summary(summary):
@@ -265,11 +219,11 @@ class RngStreamEscapeRule(ProjectRule):
                 key = (summary.module, fork.qualname)
                 owners = [
                     entry for entry in entries
-                    if key in entry_parents[entry]
+                    if key in entry_chains[entry]
                 ]
                 if len(owners) >= 2:
                     chains = "; ".join(
-                        _chain_str(_chain(entry_parents[entry], key))
+                        chain_str(entry_chains[entry][key])
                         for entry in owners
                     )
                     yield Finding(
@@ -287,7 +241,7 @@ class RngStreamEscapeRule(ProjectRule):
                         severity=self.severity,
                         source=fork.source,
                     )
-                elif owners and key in merge_parents:
+                elif owners and key in merge_chains:
                     yield Finding(
                         rule_id=self.rule_id,
                         path=summary.path,
@@ -295,9 +249,9 @@ class RngStreamEscapeRule(ProjectRule):
                         column=fork.column,
                         message=(
                             f"stream '{fork.label}' is owned by shard"
-                            f" entry point {_key_str(owners[0])} but also"
+                            f" entry point {key_str(owners[0])} but also"
                             " flows into merge code"
-                            f" ({_chain_str(_chain(merge_parents, key))});"
+                            f" ({chain_str(merge_chains[key])});"
                             " merge code must not draw from shard-owned"
                             " streams"
                         ),
@@ -328,11 +282,11 @@ class UnregisteredCheckpointStateRule(ProjectRule):
             # against (the rule never guesses a registry).
             return
 
-        parents = _closure(graph.call_edges(), entries)
+        chains = graph.propagate(entries, "callees")
         witnesses: Dict[Tuple[str, str], FunctionKey] = {}
         # The class owning a declared entry-point method is shard state
         # itself; so is every class constructed inside the closure.
-        for key in sorted(parents):
+        for key in sorted(chains):
             module = graph.modules.get(key[0])
             fn = graph.function(key)
             if module is None or fn is None:
@@ -364,7 +318,7 @@ class UnregisteredCheckpointStateRule(ProjectRule):
                 continue
             if not self._is_mutable(owner, klass):
                 continue
-            chain = _chain_str(_chain(parents, witnesses[class_key]))
+            chain = chain_str(chains[witnesses[class_key]])
             yield Finding(
                 rule_id=self.rule_id,
                 path=owner.path,

@@ -18,7 +18,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .findings import Finding, Severity
 from .rules import ModuleContext, Rule, register
@@ -40,23 +40,6 @@ class Suppression:
     rule_ids: Tuple[str, ...]
     reason: str
     source: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "rule_ids": list(self.rule_ids),
-            "reason": self.reason,
-            "source": self.source,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Suppression":
-        return cls(
-            line=data["line"],
-            rule_ids=tuple(data["rule_ids"]),
-            reason=data["reason"],
-            source=data["source"],
-        )
 
 
 def _comment_tokens(lines: Sequence[str]) -> List[Tuple[int, str]]:

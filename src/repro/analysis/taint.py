@@ -7,10 +7,9 @@ Taint propagates backwards along call edges: a caller of a tainted
 function is tainted, unless the edge is *sanitized* — the call goes
 through an injected ``SeededRng``/``SimulationClock`` parameter, whose
 output is reproducible by construction.  Sanitized edges are already
-dropped by :meth:`ProjectGraph.call_edges`, so propagation here is a
-plain reachability fixpoint (a breadth-first search from the sources
-over reversed edges), which converges even through mutual recursion
-because each function is visited at most once.
+dropped by :meth:`ProjectGraph.call_edges`, so propagation here is
+the graph's shared reachability fixpoint, run from the sources towards
+callers (:meth:`ProjectGraph.propagate`).
 
 Each tainted function records a witness *chain* down to one source, so
 findings can show the reviewer the exact call path that leaks
@@ -20,7 +19,7 @@ nondeterminism instead of a bare verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .graph import FunctionKey, ProjectGraph, TaintReason
 
@@ -50,64 +49,35 @@ class TaintTrace:
 
 @dataclass
 class TaintResult:
-    """The converged taint set plus the edges it was computed over."""
+    """The converged taint set."""
 
     tainted: Dict[FunctionKey, TaintTrace]
-    edges: Dict[FunctionKey, List[FunctionKey]]
 
     def trace(self, key: FunctionKey) -> Optional[TaintTrace]:
         return self.tainted.get(key)
 
 
-def _direct_sources(graph: ProjectGraph) -> List[Tuple[FunctionKey, Tuple[TaintReason, ...]]]:
-    sources: List[Tuple[FunctionKey, Tuple[TaintReason, ...]]] = []
+def _direct_sources(graph: ProjectGraph) -> Dict[FunctionKey, Tuple[TaintReason, ...]]:
+    sources: Dict[FunctionKey, Tuple[TaintReason, ...]] = {}
     for summary, fn in graph.functions():
         if summary.sanctioned:
             # rng.py / clock.py *define* the sanctioned wrappers; their
             # internal entropy use is the whole point, not a leak.
             continue
         if fn.taint_reasons:
-            sources.append(
-                ((summary.module, fn.qualname), tuple(fn.taint_reasons))
-            )
+            sources[(summary.module, fn.qualname)] = tuple(fn.taint_reasons)
     return sources
 
 
 def propagate_taint(graph: ProjectGraph) -> TaintResult:
-    """Run the reachability fixpoint; deterministic across processes.
+    """Run the reachability fixpoint towards callers.
 
-    Work is processed in sorted order at every step, so when a function
-    is reachable from several sources the recorded witness chain is the
-    same on every run (shortest, ties broken lexicographically).
+    :meth:`ProjectGraph.propagate` makes the witness chain the same on
+    every run when a function reaches several sources.
     """
-    edges = graph.call_edges()
-    reverse: Dict[FunctionKey, List[FunctionKey]] = {}
-    for caller, callees in edges.items():
-        for callee in callees:
-            reverse.setdefault(callee, []).append(caller)
-    for callers in reverse.values():
-        callers.sort()
-
-    tainted: Dict[FunctionKey, TaintTrace] = {}
-    frontier: List[FunctionKey] = []
-    for key, reasons in sorted(_direct_sources(graph)):
-        tainted[key] = TaintTrace(chain=(key,), reasons=reasons)
-        frontier.append(key)
-
-    frontier.sort()
-    while frontier:
-        next_frontier: List[FunctionKey] = []
-        for callee in frontier:
-            trace = tainted[callee]
-            for caller in reverse.get(callee, ()):
-                if caller in tainted:
-                    continue
-                tainted[caller] = TaintTrace(
-                    chain=(caller,) + trace.chain,
-                    reasons=trace.reasons,
-                )
-                next_frontier.append(caller)
-        next_frontier.sort()
-        frontier = next_frontier
-
-    return TaintResult(tainted=tainted, edges=edges)
+    sources = _direct_sources(graph)
+    chains = graph.propagate(sources, "callers")
+    return TaintResult(tainted={
+        key: TaintTrace(chain=chain, reasons=sources[chain[-1]])
+        for key, chain in chains.items()
+    })

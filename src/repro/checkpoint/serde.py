@@ -232,7 +232,7 @@ def restore_report_partial(report, partial: Dict[str, object]) -> None:
     report.skipped_scan_weeks = [int(w) for w in partial["skipped_scan_weeks"]]
     report.partial_scan_weeks = {
         int(week): int(count)
-        for week, count in partial.get("partial_scan_weeks", [])
+        for week, count in partial["partial_scan_weeks"]
     }
     report.cloudflare_weekly = [
         _pipeline_from_dict(w) for w in partial["cloudflare_weekly"]
@@ -344,9 +344,7 @@ def restore_runtime(
     if fault_plan is not None:
         fault_plan.restore_state(fault_state)
 
-    # Old snapshots predate the traffic plane; their runs never had one
-    # installed, so a missing key means the same as an explicit None.
-    traffic_state = state.get("traffic_plane")
+    traffic_state = state["traffic_plane"]
     traffic_plane = study.world.fabric.traffic_plane
     if (traffic_state is None) != (traffic_plane is None):
         raise CheckpointCorruptError(
@@ -356,8 +354,7 @@ def restore_runtime(
     if traffic_plane is not None:
         traffic_plane.restore_state(traffic_state)
 
-    # Likewise attack-free for snapshots predating the attack plane.
-    attack_state = state.get("attack_plane")
+    attack_state = state["attack_plane"]
     attack_plane = study.world.fabric.attack_plane
     if (attack_state is None) != (attack_plane is None):
         raise CheckpointCorruptError(

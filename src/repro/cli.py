@@ -409,9 +409,14 @@ def main(argv: Optional[List[str]] = None) -> int:  # repro: allow[REP040] -- re
         from .errors import ConfigurationError
         from .scenario import Scenario
 
+        # chaos names its fault profile with --profile.
+        fault_profile = (
+            args.profile if args.command == "chaos"
+            else getattr(args, "fault_profile", None)
+        )
         try:
             scenario = Scenario.of(
-                fault_profile=getattr(args, "fault_profile", None),
+                fault_profile=fault_profile,
                 traffic_profile=args.traffic,
                 attack_profile=args.attacks,
             )
@@ -441,12 +446,10 @@ def _cmd_chaos(args, scenario) -> int:
     from .faults.chaos import run_chaos
 
     report = run_chaos(
-        args.profile,
+        scenario,
         population=args.population,
         seed=args.seed,
         warmup_days=args.warmup,
-        traffic=scenario.traffic,
-        attacks=scenario.attacks,
     )
     out_path = args.out or f"CHAOS_{report['profile']}.json"
     atomic_write_json(out_path, report)

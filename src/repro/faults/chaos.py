@@ -20,7 +20,8 @@ byte for byte.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Tuple
 
 from ..core.collector import DnsRecordCollector
 from ..core.htmlverify import HtmlVerifier
@@ -28,9 +29,11 @@ from ..core.matching import ProviderMatcher
 from ..core.pipeline import FilterPipeline
 from ..core.residual_scan import CloudflareScanner, IncapsulaScanner, NameserverHarvest
 from ..net.geo import PAPER_VANTAGE_REGIONS
+from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry
+from ..scenario import Scenario
 from ..world import SimulatedInternet, WorldConfig
-from .profiles import FaultProfile, profile as lookup_profile
+from .profiles import profile as lookup_profile
 
 __all__ = ["run_chaos", "diff_artifacts"]
 
@@ -101,31 +104,30 @@ def _run_workloads(
     population: int,
     seed: int,
     warmup_days: int,
-    fault_profile: Optional[FaultProfile],
-    traffic: Optional[str] = None,
-    attacks: Optional[str] = None,
+    scenario: Scenario,
 ) -> Tuple[Dict[str, object], Dict[str, object]]:
     """One world, E1 + E8, returning (artifacts, observability).
 
-    ``traffic`` and ``attacks`` install on *both* the baseline and the
-    faulty world (the caller passes the same values twice), so the diff
-    keeps isolating the fault profile's effect: under load and under
-    attack, an equivalence profile must still produce byte-identical
-    artifacts.  With an attack campaign the world soaks a few extra
-    days after install so the workloads measure mid-campaign.
+    The baseline and the faulty world share the scenario's traffic and
+    attack planes, so the diff keeps isolating the fault profile's
+    effect: under load and under attack, an equivalence profile must
+    still produce byte-identical artifacts.  The install order is
+    chaos's own, not :meth:`Scenario.install`'s: traffic, attacks (then
+    a few soak days, so the workloads measure mid-campaign), and faults
+    last, wired to the workloads' metrics registry.
     """
     world = SimulatedInternet(
         WorldConfig(population_size=population, seed=seed)
     )
     world.engine.run_days(warmup_days)
     metrics = MetricsRegistry()
-    if traffic is not None:
-        world.install_traffic(traffic)
-    if attacks is not None:
-        world.install_attacks(attacks)
+    if scenario.traffic is not None:
+        world.install_traffic(scenario.traffic)
+    if scenario.attacks is not None:
+        world.install_attacks(scenario.attacks)
         world.engine.run_days(_ATTACK_SOAK_DAYS)
-    if fault_profile is not None:
-        world.install_faults(fault_profile, metrics)
+    if scenario.fault is not None:
+        world.install_faults(scenario.fault, metrics)
     hostnames = [str(site.www) for site in world.population]
 
     # E1: one cache-purged daily collection pass.
@@ -194,29 +196,30 @@ def _run_workloads(
 
 
 def run_chaos(
-    profile_name: str,
+    scenario: Scenario,
     population: int = 400,
     seed: int = 2018,
     warmup_days: int = 21,
-    traffic: Optional[str] = None,
-    attacks: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run the chaos comparison and return the report payload.
 
-    ``passed`` is False when an equivalence profile diverged, or when a
-    budget-exceeding profile failed to degrade explicitly (faults were
-    injected, results diverged, yet nothing was marked unmeasured or
-    quarantined and no query was given up on).  ``traffic`` / ``attacks``
-    put *both* worlds under the same background load and attack
-    campaign, proving the fault check composes with the other planes.
+    The faulty world runs ``scenario``; the baseline runs it with the
+    fault plane off.  ``passed`` is False when an equivalence profile
+    diverged, or when a budget-exceeding profile failed to degrade
+    explicitly (faults were injected, results diverged, yet nothing was
+    marked unmeasured or quarantined and no query was given up on).  The
+    scenario's traffic and attack planes put *both* worlds under the
+    same background load and attack campaign, proving the fault check
+    composes with the other planes.
     """
-    fault_profile = lookup_profile(profile_name)
+    if scenario.fault is None:
+        raise ConfigurationError("chaos needs a scenario with a fault profile")
+    fault_profile = lookup_profile(scenario.fault)
     baseline_artifacts, _ = _run_workloads(
-        population, seed, warmup_days, None, traffic=traffic, attacks=attacks
+        population, seed, warmup_days, replace(scenario, fault=None)
     )
     chaotic_artifacts, observability = _run_workloads(
-        population, seed, warmup_days, fault_profile,
-        traffic=traffic, attacks=attacks,
+        population, seed, warmup_days, scenario
     )
     divergences = diff_artifacts(baseline_artifacts, chaotic_artifacts)
     identical = not divergences
@@ -247,8 +250,8 @@ def run_chaos(
         "population": population,
         "seed": seed,
         "warmup_days": warmup_days,
-        "traffic": traffic,
-        "attacks": attacks,
+        "traffic": scenario.traffic,
+        "attacks": scenario.attacks,
         "identical": identical,
         "divergences": divergences,
         "faults_injected": faults_injected,

@@ -351,8 +351,14 @@ class ProcessExecutor:
     def start(self) -> None:
         for spec in self._specs:
             parent_end, child_end = self._context.Pipe()
+            # A forked worker inherits every coordinator end open at
+            # fork time, its own included; it closes them first so the
+            # coordinator's close() reaches it as EOF.
+            inherited = self._connections + [parent_end]
             process = self._context.Process(
-                target=_worker_main, args=(child_end, spec), daemon=True
+                target=_worker_main,
+                args=(child_end, spec, inherited),
+                daemon=True,
             )
             process.start()
             child_end.close()
@@ -453,16 +459,11 @@ class ProcessExecutor:
 
     def close(self, force: bool = False) -> None:
         for connection in self._connections:
-            if not force:
-                try:
-                    connection.send(("exit", None))
-                except (BrokenPipeError, OSError):
-                    pass
             connection.close()
         for process in self._processes:
-            # A forced close terminates before joining: forked workers
-            # inherit the coordinator's pipe ends, so closing ours never
-            # reaches them as EOF and a join would wait out its timeout.
+            # A forced close follows a failure and terminates at once: a
+            # hung or mid-operation worker is not reading its pipe, so
+            # it would not see the EOF that ends a healthy one.
             if not force:
                 process.join(timeout=5)
             if process.is_alive():
@@ -472,16 +473,22 @@ class ProcessExecutor:
         self._connections = []
 
 
-def _worker_main(connection, spec: WorkerSpec) -> None:
-    """Entrypoint of a worker process (module-level for spawn safety)."""
+def _worker_main(connection, spec: WorkerSpec, inherited: Sequence) -> None:
+    """Entrypoint of a worker process (module-level for spawn safety).
+
+    The worker runs until the coordinator closes its pipe end, which
+    arrives here as EOF.
+    """
+    for end in inherited:
+        end.close()
     try:
         try:
             worker = ShardWorker(spec)
             connection.send(("ok", worker.latest_barrier))
             while True:
                 # The worker-side half of the deadlock fix: never block
-                # forever on a coordinator that hung or was killed
-                # without closing the pipe.
+                # forever on a coordinator that hung without closing its
+                # pipe (a killed one's pipe closes, which reads as EOF).
                 waited = 0.0
                 while not connection.poll(_POLL_SLICE):
                     waited += _POLL_SLICE
@@ -492,8 +499,6 @@ def _worker_main(connection, spec: WorkerSpec) -> None:
                             "coordinator's next operation; giving up"
                         )
                 op, argument = connection.recv()
-                if op == "exit":
-                    break
                 result = worker.dispatch(op, argument)
                 connection.send(("ok", result))
         except SimulatedCrash as crash:

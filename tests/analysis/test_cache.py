@@ -1,11 +1,26 @@
 """The incremental cache: warm-run zero re-parses, precise invalidation."""
 
+import dataclasses
 import json
+import pathlib
+from typing import FrozenSet
 
-from repro.analysis import Analyzer, LintResult, LintStats
-from repro.analysis.cache import LintCache, content_hash, ruleset_signature
+import pytest
+
+from repro.analysis import Analyzer, Finding, LintResult, LintStats, Severity
+from repro.analysis import cache as cache_module
+from repro.analysis.cache import (
+    LintCache,
+    content_hash,
+    decode,
+    encode,
+    ruleset_signature,
+)
+from repro.analysis.graph import ModuleSummary, summarize_module
 
 from .test_graph import write_package
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 FILES = {
     "pkg/__init__.py": "",
@@ -131,6 +146,33 @@ class TestWarmRuns:
         assert warm.stats.cache_hits == 3
         assert warm.stats.parsed == 0
 
+    def test_schema_3_cache_is_discarded(self, tmp_path, monkeypatch):
+        # A file the v3 engine wrote: its signature hashes schema 3 and
+        # its findings carry the reporter keys (``rule``,
+        # ``fingerprint``).  It must be dropped whole — a cold run, not
+        # a crash and not a stale hit.
+        write_package(tmp_path, FILES)
+        cache_path = tmp_path / "cache.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "CACHE_SCHEMA_VERSION", 3)
+            cold = make_analyzer(tmp_path).analyze([str(tmp_path / "pkg")])
+        payload = json.loads(cache_path.read_text(encoding="utf-8"))
+        entries = payload["entries"].values()
+        assert any(entry["findings"] for entry in entries)
+        for entry in entries:
+            entry["findings"] = [
+                decode(Finding, item).to_dict() for item in entry["findings"]
+            ]
+        cache_path.write_text(json.dumps(payload), encoding="utf-8")
+        result = make_analyzer(tmp_path).analyze([str(tmp_path / "pkg")])
+        assert result.stats.cache_hits == 0
+        assert result.stats.parsed == 3
+        assert [f.to_dict() for f in result.findings] == [
+            f.to_dict() for f in cold.findings
+        ]
+        warm = make_analyzer(tmp_path).analyze([str(tmp_path / "pkg")])
+        assert warm.stats.parsed == 0
+
     def test_cache_disabled_by_default(self, tmp_path):
         write_package(tmp_path, FILES)
         analyzer = Analyzer(root=str(tmp_path))
@@ -179,7 +221,45 @@ class TestCacheFile:
         assert cache.get("mod.py", content_hash(b"x = 2\n")) is None
 
 
-def _dummy_summary():
-    from repro.analysis import ModuleSummary
+class TestCodec:
+    def test_finding_fingerprint_is_recomputed_not_stored(self):
+        finding = Finding(
+            rule_id="REP001", path="mod.py", line=3, column=0,
+            message="m", severity=Severity.ERROR, source="import random",
+            occurrence=1,
+        )
+        data = encode(finding)
+        assert "fingerprint" not in data
+        assert data["severity"] == "error"
+        data["fingerprint"] = "0" * 16
+        rebuilt = decode(Finding, data)
+        assert rebuilt == finding
+        assert rebuilt.fingerprint == finding.fingerprint
 
+    def test_every_src_summary_round_trips_exactly(self):
+        analyzer = Analyzer(root=str(REPO_ROOT), select=["REP001"])
+        paths = analyzer.discover([str(REPO_ROOT / "src" / "repro")])
+        assert len(paths) > 100
+        for abspath in paths:
+            summary = summarize_module(analyzer.parse(abspath))
+            data = json.loads(json.dumps(encode(summary)))
+            assert decode(ModuleSummary, data) == summary, abspath
+
+    def test_unsupported_field_type_is_refused(self):
+        @dataclasses.dataclass
+        class Odd:
+            labels: FrozenSet[str]
+
+        with pytest.raises(TypeError):
+            encode(Odd(frozenset({"a"})))
+
+    def test_sets_encode_sorted(self):
+        summary = ModuleSummary(
+            module="mod", path="mod.py", basename="mod.py",
+            referenced={"b", "c", "a"},
+        )
+        assert encode(summary)["referenced"] == ["a", "b", "c"]
+
+
+def _dummy_summary():
     return ModuleSummary(module="mod", path="mod.py", basename="mod.py")

@@ -5,11 +5,13 @@ method dispatch — plus module naming and the summary round-trip the
 cache depends on.
 """
 
+import json
 import textwrap
 
 import pytest
 
 from repro.analysis import Analyzer, ModuleSummary, ProjectGraph, summarize_module
+from repro.analysis.cache import decode, encode
 from repro.analysis.graph import (
     CallRef,
     ClassSummary,
@@ -281,7 +283,7 @@ class TestSummaryModel:
         analyzer = Analyzer(root=str(tmp_path), select=["REP001"])
         [_, abspath] = analyzer.discover([str(tmp_path)])
         summary = summarize_module(analyzer.parse(abspath))
-        rebuilt = ModuleSummary.from_dict(summary.to_dict())
+        rebuilt = decode(ModuleSummary, json.loads(json.dumps(encode(summary))))
         assert rebuilt.module == "pkg.mod"
         assert rebuilt.bindings == summary.bindings
         assert sorted(rebuilt.functions) == sorted(summary.functions)
@@ -293,7 +295,7 @@ class TestSummaryModel:
         assert [s.line for s in rebuilt.suppressions] == [
             s.line for s in summary.suppressions
         ]
-        assert rebuilt.to_dict() == summary.to_dict()
+        assert rebuilt == summary
 
     def test_summary_captures_class_and_calls(self, tmp_path):
         write_package(tmp_path, {
@@ -327,9 +329,9 @@ class TestSummaryModel:
 
     def test_dataclass_round_trips(self):
         param = ParamInfo("rng", ("SeededRng",))
-        assert ParamInfo.from_dict(param.to_dict()) == param
+        assert decode(ParamInfo, encode(param)) == param
         assert param.is_rng and param.is_injected
         call = CallRef("obj", "helper", qualifier="mod", line=3)
-        assert CallRef.from_dict(call.to_dict()) == call
+        assert decode(CallRef, encode(call)) == call
         export = ExportInfo("name", 2, 4, '__all__ = ["name"]')
-        assert ExportInfo.from_dict(export.to_dict()) == export
+        assert decode(ExportInfo, encode(export)) == export

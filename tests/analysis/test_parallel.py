@@ -54,9 +54,7 @@ class TestJobsParity:
         assert [f.to_dict() for f in parallel.findings] == [
             f.to_dict() for f in serial.findings
         ]
-        assert [s.to_dict() for s in parallel.summaries] == [
-            s.to_dict() for s in serial.summaries
-        ]
+        assert parallel.summaries == serial.summaries
         # Both modes flagged something, so the parity is non-vacuous —
         # including the REP040 chain that needs cross-file summaries.
         assert any(f.rule_id == "REP040" for f in serial.findings)

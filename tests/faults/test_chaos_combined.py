@@ -11,7 +11,9 @@ the pre-attack-plane baseline.
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.faults.chaos import _run_workloads, run_chaos
+from repro.scenario import Scenario
 
 POPULATION = 200
 SEED = 2018
@@ -21,12 +23,14 @@ WARMUP = 8
 class TestEquivalenceUnderCombinedPlanes:
     def test_lossy_default_holds_under_surge_and_quiet_attacks(self):
         payload = run_chaos(
-            "lossy-default",
+            Scenario.of(
+                fault_profile="lossy-default",
+                traffic_profile="surge",
+                attack_profile="quiet",
+            ),
             population=POPULATION,
             seed=SEED,
             warmup_days=WARMUP,
-            traffic="surge",
-            attacks="quiet",
         )
         assert payload["passed"]
         assert payload["identical"]
@@ -39,12 +43,14 @@ class TestEquivalenceUnderCombinedPlanes:
         # profile's faults stay inside the retry budget even while
         # floods are opening outage windows around them.
         payload = run_chaos(
-            "lossy-default",
+            Scenario.of(
+                fault_profile="lossy-default",
+                traffic_profile="surge",
+                attack_profile="campaign",
+            ),
             population=POPULATION,
             seed=SEED,
             warmup_days=WARMUP,
-            traffic="surge",
-            attacks="campaign",
         )
         assert payload["passed"]
         assert payload["identical"]
@@ -54,12 +60,14 @@ class TestAttackCollateral:
     @pytest.fixture(scope="class")
     def payload(self):
         return run_chaos(
-            "attack-collateral",
+            Scenario.of(
+                fault_profile="attack-collateral",
+                traffic_profile="surge",
+                attack_profile="campaign",
+            ),
             population=POPULATION,
             seed=SEED,
             warmup_days=WARMUP,
-            traffic="surge",
-            attacks="campaign",
         )
 
     def test_degrades_explicitly_and_passes(self, payload):
@@ -83,11 +91,9 @@ class TestAttackOffBaseline:
         (The cross-version byte-identity itself is held by the CI bench
         gate diffing against the pre-attack baseline file.)"""
         first, observability = _run_workloads(
-            POPULATION, SEED, WARMUP, None, traffic=None, attacks=None
+            POPULATION, SEED, WARMUP, Scenario()
         )
-        again, _ = _run_workloads(
-            POPULATION, SEED, WARMUP, None, traffic=None, attacks=None
-        )
+        again, _ = _run_workloads(POPULATION, SEED, WARMUP, Scenario())
         assert first == again
         assert not any(
             name.startswith("attacks.")
@@ -96,7 +102,7 @@ class TestAttackOffBaseline:
 
     def test_payload_records_attacks_off_as_none(self):
         payload = run_chaos(
-            "lossy-default",
+            Scenario.of(fault_profile="lossy-default"),
             population=120,
             seed=7,
             warmup_days=4,
@@ -104,3 +110,7 @@ class TestAttackOffBaseline:
         assert payload["attacks"] is None
         assert payload["traffic"] is None
         assert payload["passed"]
+
+    def test_scenario_without_a_fault_profile_is_refused(self):
+        with pytest.raises(ConfigurationError):
+            run_chaos(Scenario.of(traffic_profile="surge"), population=40)

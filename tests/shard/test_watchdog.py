@@ -136,9 +136,9 @@ class TestHealthyLockstep:
 
 class TestForcedClose:
     def test_forced_close_of_healthy_workers_is_prompt(self, executor):
-        # Forked workers inherit the coordinator's pipe ends, so closing
-        # them never reads as EOF in a worker; a forced close must
-        # terminate rather than wait out a join timeout per worker.
+        # A forced close follows a failure, when a worker may not be
+        # reading its pipe; it must terminate rather than wait out a
+        # join timeout per worker.
         executor.call_all("barrier", 0)
         processes = list(executor._processes)
         started = time.monotonic()
@@ -146,3 +146,21 @@ class TestForcedClose:
         assert time.monotonic() - started < 2.0
         assert not any(process.is_alive() for process in processes)
         assert executor._processes == []
+
+
+class TestPipeEof:
+    def test_workers_exit_when_the_coordinator_closes_its_pipes(
+        self, executor
+    ):
+        # No message is sent: closing the coordinator's pipe ends must
+        # reach every worker as EOF, which requires each forked worker
+        # to have closed the coordinator ends it inherited.
+        executor.call_all("barrier", 0)
+        processes = list(executor._processes)
+        for connection in executor._connections:
+            connection.close()
+        deadline = time.monotonic() + 2.0
+        for process in processes:
+            process.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(process.is_alive() for process in processes)
+        assert [process.exitcode for process in processes] == [0, 0]
