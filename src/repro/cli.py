@@ -93,18 +93,13 @@ import sys
 from typing import List, Optional
 
 from .core.attacker import DdosSimulator, ResidualResolutionAttacker
-from .core.collector import DnsRecordCollector
-from .core.htmlverify import HtmlVerifier
 from .core.matching import ProviderMatcher
-from .core.pipeline import FilterPipeline
 from .core.purge_probe import PurgeProbe
 from .core.report import render_full_report
-from .core.residual_scan import CloudflareScanner, NameserverHarvest
-from .core.study import StudyConfig
+from .core.study import SixWeekStudy, StudyConfig
 from .dps.plans import PlanTier
 from .dps.portal import ReroutingMethod
 from .io import atomic_write_json
-from .net.geo import PAPER_VANTAGE_REGIONS
 from .world import SimulatedInternet, WorldConfig
 
 __all__ = ["main", "build_parser"]
@@ -713,26 +708,14 @@ def _cmd_attacks(args) -> int:
 
 def _cmd_scan(world: SimulatedInternet, args) -> int:
     world.engine.run_days(args.warmup)
-    hostnames = [str(s.www) for s in world.population]
-    collector = DnsRecordCollector(world.make_resolver())
-    snapshot = collector.collect(hostnames, day=world.clock.day)
-    harvest = NameserverHarvest()
-    harvest.ingest([snapshot])
-    if len(harvest) == 0:
+    study = SixWeekStudy(world, StudyConfig(warmup_days=0, study_days=1))
+    runtime = study.begin()
+    study.collect_day(runtime)
+    if len(runtime.harvest) == 0:
         print("no nameservers harvested; increase --population")
         return 1
-    scanner = CloudflareScanner(
-        harvest.resolve_addresses(world.make_resolver()),
-        [world.dns_client(region) for region in PAPER_VANTAGE_REGIONS],
-        rng=world.rng.fork("residual-scan"),
-    )
-    retrieved = scanner.scan(hostnames)
-    pipeline = FilterPipeline(
-        world.provider("cloudflare").prefixes,
-        world.make_resolver(),
-        HtmlVerifier(world.http_client(PAPER_VANTAGE_REGIONS[0])),
-    )
-    report = pipeline.run(retrieved, "cloudflare", week=0)
+    study.scan_day(runtime)
+    report = runtime.report.cloudflare_weekly[0]
     print(f"retrieved={report.retrieved} ip-filtered={report.dropped_ip_filter} "
           f"a-filtered={report.dropped_a_filter} hidden={report.hidden_count} "
           f"verified={report.verified_count}")

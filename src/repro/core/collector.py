@@ -11,13 +11,12 @@ a :class:`DailySnapshot`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from ..dns.message import Rcode
 from ..dns.name import DomainName
 from ..dns.records import RecordType
 from ..dns.resolver import RecursiveResolver, ResolutionResult
-from ..net.ipaddr import IPv4Address
 
 __all__ = ["DomainSnapshot", "DailySnapshot", "DnsRecordCollector"]
 
@@ -119,12 +118,6 @@ class DnsRecordCollector:
             )
         return snapshot
 
-    def collect_one(self, www: DomainName, day: int) -> DomainSnapshot:
-        """Collect A (with the CNAME chain) and apex NS for one site."""
-        result = self._resolver.resolve(www, RecordType.A)
-        ns_result = self._resolver.resolve(www.apex, RecordType.NS)
-        return self._snapshot_from_results(www, day, result, ns_result)
-
     @staticmethod
     def _snapshot_from_results(
         www: DomainName,
@@ -145,8 +138,3 @@ class DnsRecordCollector:
             rcode=result.rcode,
             measured=not (result.gave_up or ns_result.gave_up),
         )
-
-    @staticmethod
-    def addresses_of(snapshot: DomainSnapshot) -> List[IPv4Address]:
-        """Convenience accessor returning a mutable address list."""
-        return list(snapshot.a_records)

@@ -15,7 +15,7 @@ outside every studied provider's ranges — the attacker's shortlist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dns.name import DomainName
 from ..net.ipaddr import IPv4Address
@@ -53,11 +53,6 @@ class PassiveDnsDb:
                 continue  # unchanged since last observation
             entries.append(HistoryEntry(day=domain.day, addresses=addresses))
             self.observations += 1
-
-    def observe_all(self, snapshots: Iterable[DailySnapshot]) -> None:
-        """Ingest several days."""
-        for snapshot in snapshots:
-            self.observe(snapshot)
 
     # -- queries ------------------------------------------------------------
 

@@ -65,16 +65,6 @@ class DpsObservation:
     rerouting: Optional[ReroutingMethod] = None
 
     @property
-    def is_on(self) -> bool:
-        """Protection observed in effect."""
-        return self.status == DpsStatus.ON
-
-    @property
-    def is_delegated(self) -> bool:
-        """ON or OFF — the domain is attached to some platform."""
-        return self.status in (DpsStatus.ON, DpsStatus.OFF)
-
-    @property
     def is_measured(self) -> bool:
         """False for an UNMEASURED data hole."""
         return self.status != DpsStatus.UNMEASURED

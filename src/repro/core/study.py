@@ -20,12 +20,14 @@ figure, plus ground-truth comparisons that the paper could never make.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set
 
 from ..clock import DAYS_PER_WEEK
 from ..dps.portal import ReroutingMethod
 from ..markers import merge_point, pure_function, shard_entry
 from ..net.geo import PAPER_VANTAGE_REGIONS
+from ..net.ipaddr import IPv4Address
+from ..obs.metrics import MetricsRegistry
 from ..world.admin import BehaviorEvent, BehaviorKind
 from ..world.internet import SimulatedInternet
 from .behaviors import BehaviorDetector, MeasuredBehavior, MultiCdnFilter
@@ -35,7 +37,7 @@ from .htmlverify import HtmlVerifier
 from .ip_change import IpChangeExperiment, IpChangeResult
 from .matching import ProviderMatcher
 from .pause import PauseAnalyzer
-from .pipeline import FilterPipeline, PipelineReport
+from .pipeline import FilterPipeline, PipelineReport, RetrievedRecord
 from .residual_scan import CloudflareScanner, IncapsulaScanner, NameserverHarvest
 from .status import DpsObservation, StatusDeterminer
 
@@ -43,6 +45,7 @@ __all__ = [
     "StudyConfig",
     "StudyReport",
     "StudyRuntime",
+    "WeeklyScan",
     "SixWeekStudy",
     "shard_bounds",
 ]
@@ -248,14 +251,38 @@ class StudyRuntime:
         return self.day_index >= self.report.config.study_days
 
 
+class WeeklyScan(NamedTuple):
+    """What one :meth:`SixWeekStudy.scan_day` swept, before filtering.
+
+    The report keeps only the filtered pipeline reports; a caller that
+    compares whole sweeps (``repro chaos``, ``repro bench``) reads the
+    raw retrievals here.
+    """
+
+    nameserver_addresses: List[IPv4Address]
+    cloudflare_retrieved: List[RetrievedRecord]
+    incapsula_retrieved: List[RetrievedRecord]
+
+
 class SixWeekStudy:
-    """Runs the whole campaign."""
+    """Runs the whole campaign.
+
+    ``metrics`` is one registry that every resolver, client and scanner
+    the study creates records into (``repro bench`` and ``repro chaos``
+    read their counters off it).  ``None`` gives each component its own
+    registry; the checkpoint and shard planes persist and merge the
+    collection resolver's.
+    """
 
     def __init__(
-        self, world: SimulatedInternet, config: Optional[StudyConfig] = None
+        self,
+        world: SimulatedInternet,
+        config: Optional[StudyConfig] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.world = world
         self.config = config or StudyConfig()
+        self.metrics = metrics
         self.matcher = ProviderMatcher(world.specs, world.routeviews)
         shared_ips = frozenset(
             ip
@@ -285,7 +312,7 @@ class SixWeekStudy:
         its dynamics are global and measurement-independent, so every
         shard replays the identical world and observes its own sites.
         """
-        world, config = self.world, self.config
+        world, config, metrics = self.world, self.config, self.metrics
         start, end = shard_bounds(len(world.population), shard_index, shard_count)
         report = StudyReport(
             config=config,
@@ -295,22 +322,28 @@ class SixWeekStudy:
 
         world.engine.run_days(config.warmup_days)
 
-        collection_resolver = world.make_resolver()
+        collection_resolver = world.make_resolver(metrics=metrics)
         verifier = HtmlVerifier(
-            world.http_client(config.vantage_regions[0]),
+            world.http_client(config.vantage_regions[0], metrics=metrics),
             strictness=config.verifier_strictness,
         )
 
         incap_scanner = None
         cf_pipeline = incap_pipeline = None
         if config.run_residual_scans and "incapsula" in world.providers:
-            incap_scanner = IncapsulaScanner(world.make_resolver(), self.matcher)
+            incap_scanner = IncapsulaScanner(
+                world.make_resolver(metrics=metrics), self.matcher
+            )
             incap_pipeline = FilterPipeline(
-                world.provider("incapsula").prefixes, world.make_resolver(), verifier
+                world.provider("incapsula").prefixes,
+                world.make_resolver(metrics=metrics),
+                verifier,
             )
         if config.run_residual_scans and "cloudflare" in world.providers:
             cf_pipeline = FilterPipeline(
-                world.provider("cloudflare").prefixes, world.make_resolver(), verifier
+                world.provider("cloudflare").prefixes,
+                world.make_resolver(metrics=metrics),
+                verifier,
             )
 
         hostnames = [str(site.www) for site in world.population]
@@ -325,7 +358,8 @@ class SixWeekStudy:
             harvest=NameserverHarvest(),
             exposure=ExposureTimeline(),
             vantage_clients=[
-                world.dns_client(region) for region in config.vantage_regions
+                world.dns_client(region, metrics=metrics)
+                for region in config.vantage_regions
             ],
             scan_pop_totals={},
             incap_scanner=incap_scanner,
@@ -379,7 +413,7 @@ class SixWeekStudy:
         if runtime.incap_scanner is not None:
             runtime.incap_scanner.ingest([snapshot])
 
-    def scan_day(self, runtime: StudyRuntime) -> None:
+    def scan_day(self, runtime: StudyRuntime) -> WeeklyScan:
         """Phase 2 (weekly): the §V residual-resolution sweeps."""
         world, config = self.world, self.config
         report = runtime.report
@@ -391,10 +425,12 @@ class SixWeekStudy:
             if runtime.scan_harvest is not None
             else runtime.harvest
         )
-        ns_ips: List = []
+        ns_ips: List[IPv4Address] = []
         if runtime.cf_pipeline is not None:
             if len(harvest) > 0:
-                ns_ips = harvest.resolve_addresses(world.make_resolver())
+                ns_ips = harvest.resolve_addresses(
+                    world.make_resolver(metrics=self.metrics)
+                )
             if not ns_ips:
                 # The sweep cannot run this week — either nothing has
                 # been harvested yet (no cloudflare delegation observed
@@ -403,15 +439,17 @@ class SixWeekStudy:
                 # paths record the skip; silently dropping the week
                 # made the weekly series lie about its own coverage.
                 report.skipped_scan_weeks.append(week)
+        cf_retrieved: List[RetrievedRecord] = []
         if ns_ips:
             scanner = CloudflareScanner(
                 ns_ips,
                 runtime.vantage_clients,
                 rng=world.rng.fork(f"cf-scan-week-{week}"),
+                metrics=self.metrics,
             )
             fleet = cf_provider.customer_fleet if cf_provider else None
             before = fleet.pop_query_counts() if fleet else {}
-            retrieved = scanner.scan(
+            cf_retrieved = scanner.scan(
                 runtime.hostnames, start_index=runtime.shard_offset
             )
             if scanner.queries_throttled:
@@ -431,14 +469,16 @@ class SixWeekStudy:
                         runtime.scan_pop_totals[pop] = (
                             runtime.scan_pop_totals.get(pop, 0) + delta
                         )
-            weekly = runtime.cf_pipeline.run(retrieved, "cloudflare", week)
+            weekly = runtime.cf_pipeline.run(cf_retrieved, "cloudflare", week)
             report.cloudflare_weekly.append(weekly)
             runtime.exposure.record_week(weekly.verified_websites())
+        incap_retrieved: List[RetrievedRecord] = []
         if runtime.incap_scanner is not None and runtime.incap_pipeline is not None:
-            retrieved = runtime.incap_scanner.scan()
+            incap_retrieved = runtime.incap_scanner.scan()
             report.incapsula_weekly.append(
-                runtime.incap_pipeline.run(retrieved, "incapsula", week)
+                runtime.incap_pipeline.run(incap_retrieved, "incapsula", week)
             )
+        return WeeklyScan(ns_ips, cf_retrieved, incap_retrieved)
 
     def advance_day(self, runtime: StudyRuntime) -> None:
         """Phase 3: advance the world and the day cursor."""

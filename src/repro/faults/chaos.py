@@ -23,12 +23,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Tuple
 
-from ..core.collector import DnsRecordCollector
-from ..core.htmlverify import HtmlVerifier
-from ..core.matching import ProviderMatcher
-from ..core.pipeline import FilterPipeline
-from ..core.residual_scan import CloudflareScanner, IncapsulaScanner, NameserverHarvest
-from ..net.geo import PAPER_VANTAGE_REGIONS
+from ..core.study import SixWeekStudy, StudyConfig
 from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry
 from ..scenario import Scenario
@@ -114,7 +109,8 @@ def _run_workloads(
     still produce byte-identical artifacts.  The install order is
     chaos's own, not :meth:`Scenario.install`'s: traffic, attacks (then
     a few soak days, so the workloads measure mid-campaign), and faults
-    last, wired to the workloads' metrics registry.
+    last, wired to the workloads' metrics registry.  The workloads are
+    the study's own first day: one collection and one weekly scan.
     """
     world = SimulatedInternet(
         WorldConfig(population_size=population, seed=seed)
@@ -128,68 +124,38 @@ def _run_workloads(
         world.engine.run_days(_ATTACK_SOAK_DAYS)
     if scenario.fault is not None:
         world.install_faults(scenario.fault, metrics)
-    hostnames = [str(site.www) for site in world.population]
 
-    # E1: one cache-purged daily collection pass.
-    resolver = world.make_resolver(metrics=metrics)
-    collector = DnsRecordCollector(resolver)
-    snapshot = collector.collect(hostnames, day=world.clock.day)
-    artifacts: Dict[str, object] = {"e1": _collection_artifact(snapshot)}
-
-    # E8: harvest, Cloudflare sweep, Incapsula tracker, filter pipeline.
-    matcher = ProviderMatcher(world.specs, world.routeviews)
-    verifier = HtmlVerifier(
-        world.http_client(PAPER_VANTAGE_REGIONS[0], metrics=metrics)
+    study = SixWeekStudy(
+        world, StudyConfig(warmup_days=0, study_days=1), metrics=metrics
     )
-    harvest = NameserverHarvest()
-    harvest.ingest([snapshot])
-    ns_ips = harvest.resolve_addresses(world.make_resolver(metrics=metrics))
+    runtime = study.begin()
+    study.collect_day(runtime)
+    scan = study.scan_day(runtime)
+    report = runtime.report
+    snapshot = report.snapshots[0]
 
     e8: Dict[str, object] = {
-        "harvested_nameservers": sorted(str(n) for n in harvest.hostnames),
-        "nameserver_addresses": sorted(str(ip) for ip in ns_ips),
+        "harvested_nameservers": runtime.harvest.state_dict(),
+        "nameserver_addresses": sorted(
+            str(ip) for ip in scan.nameserver_addresses
+        ),
     }
-    if ns_ips and "cloudflare" in world.providers:
-        scanner = CloudflareScanner(
-            ns_ips,
-            [world.dns_client(region, metrics=metrics)
-             for region in PAPER_VANTAGE_REGIONS],
-            rng=world.rng.fork("chaos-e8-scan"),
-            metrics=metrics,
-        )
-        retrieved = scanner.scan(hostnames)
+    if report.cloudflare_weekly:
         e8["cloudflare_retrieved"] = sorted(
             (record.www, sorted(str(ip) for ip in record.addresses))
-            for record in retrieved
+            for record in scan.cloudflare_retrieved
         )
-        pipeline = FilterPipeline(
-            world.provider("cloudflare").prefixes,
-            world.make_resolver(metrics=metrics),
-            verifier,
-        )
-        e8["cloudflare"] = _pipeline_artifact(
-            pipeline.run(retrieved, "cloudflare", week=0)
-        )
-    if "incapsula" in world.providers:
-        incap = IncapsulaScanner(world.make_resolver(metrics=metrics), matcher)
-        incap.ingest([snapshot])
-        incap_records = incap.scan()
-        incap_pipeline = FilterPipeline(
-            world.provider("incapsula").prefixes,
-            world.make_resolver(metrics=metrics),
-            verifier,
-        )
-        e8["incapsula"] = _pipeline_artifact(
-            incap_pipeline.run(incap_records, "incapsula", week=0)
-        )
-    artifacts["e8"] = e8
+        e8["cloudflare"] = _pipeline_artifact(report.cloudflare_weekly[0])
+    if report.incapsula_weekly:
+        e8["incapsula"] = _pipeline_artifact(report.incapsula_weekly[0])
+    artifacts = {"e1": _collection_artifact(snapshot), "e8": e8}
 
-    unmeasured = snapshot.unmeasured_count
     observability = {
         "counters": metrics.snapshot(),
-        "unmeasured_sites": unmeasured,
+        "unmeasured_sites": snapshot.unmeasured_count,
         "quarantined_nameservers": [
-            address for address, _, _ in resolver.quarantine.snapshot()
+            address
+            for address, _, _ in runtime.collection_resolver.quarantine.snapshot()
         ],
     }
     return artifacts, observability

@@ -1,9 +1,11 @@
 """The ``repro bench`` harness: E1/E8 workloads with query-plane counters.
 
 Runs the two hot workloads every experiment in the paper funnels
-through, against a fully wired world, with a shared
-:class:`~repro.obs.metrics.MetricsRegistry` threaded through every
-resolver and scanner:
+through — the study's own first day,
+:meth:`~repro.core.study.SixWeekStudy.collect_day` then
+:meth:`~repro.core.study.SixWeekStudy.scan_day` — against a fully wired
+world, with a shared :class:`~repro.obs.metrics.MetricsRegistry`
+threaded through every resolver, client and scanner:
 
 * **E1 — daily collection** (§IV-B-1): one cache-purged A/CNAME/NS
   collection pass over the whole population, batched through
@@ -24,14 +26,9 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..core.collector import DnsRecordCollector
-from ..core.htmlverify import HtmlVerifier
-from ..core.matching import ProviderMatcher
-from ..core.pipeline import FilterPipeline
-from ..core.residual_scan import CloudflareScanner, IncapsulaScanner, NameserverHarvest
+from ..core.study import SixWeekStudy, StudyConfig
 from ..dns.name import DomainName
 from ..dns.records import RecordType
-from ..net.geo import PAPER_VANTAGE_REGIONS
 from ..obs.metrics import MetricsRegistry
 from ..world.internet import SimulatedInternet
 
@@ -123,73 +120,38 @@ def run_bench(  # repro: allow[REP040] -- timing real hardware is the bench's pu
     with metrics.timer("bench.warmup", world.clock):
         world.engine.run_days(warmup_days)
 
-    hostnames = [str(site.www) for site in world.population]
+    study = SixWeekStudy(
+        world, StudyConfig(warmup_days=0, study_days=1), metrics=metrics
+    )
+    runtime = study.begin()
 
     # -- E1: daily collection ------------------------------------------
     e1_started = _wall_now()
-    collector = DnsRecordCollector(world.make_resolver(metrics=metrics))
-    snapshot = collector.collect(hostnames, day=world.clock.day)
+    study.collect_day(runtime)
+    snapshot = runtime.report.snapshots[0]
+    e1_counters = metrics.snapshot()
     e1 = {
-        "hostnames": len(hostnames),
+        "hostnames": len(runtime.hostnames),
         "resolved": sum(1 for domain in snapshot if domain.resolved),
-        "counters": metrics.snapshot(),
+        "counters": e1_counters,
         "wall_seconds": _wall_now() - e1_started,
     }
 
     # -- E8: residual scan ---------------------------------------------
     e8_started = _wall_now()
-    scan_metrics = MetricsRegistry()
-    matcher = ProviderMatcher(world.specs, world.routeviews)
-    verifier = HtmlVerifier(world.http_client(PAPER_VANTAGE_REGIONS[0]))
-
-    harvest = NameserverHarvest()
-    harvest.ingest([snapshot])
-    ns_ips = harvest.resolve_addresses(
-        world.make_resolver(metrics=scan_metrics)
+    scan = study.scan_day(runtime)
+    report = runtime.report
+    incap_canonicals: List[DomainName] = (
+        list(runtime.incap_scanner.known_canonicals)
+        if runtime.incap_scanner is not None
+        else []
     )
-
-    cf_retrieved = cf_hidden = 0
-    if ns_ips and "cloudflare" in world.providers:
-        scanner = CloudflareScanner(
-            ns_ips,
-            [world.dns_client(region) for region in PAPER_VANTAGE_REGIONS],
-            rng=world.rng.fork("bench-e8-scan"),
-            metrics=scan_metrics,
-        )
-        retrieved = scanner.scan(hostnames)
-        cf_retrieved = len(retrieved)
-        pipeline = FilterPipeline(
-            world.provider("cloudflare").prefixes,
-            world.make_resolver(metrics=scan_metrics),
-            verifier,
-        )
-        cf_report = pipeline.run(retrieved, "cloudflare", week=0)
-        cf_hidden = cf_report.hidden_count
-
-    incap_retrieved = incap_hidden = 0
-    incap_canonicals: List[DomainName] = []
-    if "incapsula" in world.providers:
-        incap_scanner = IncapsulaScanner(
-            world.make_resolver(metrics=scan_metrics), matcher
-        )
-        incap_scanner.ingest([snapshot])
-        incap_canonicals = list(incap_scanner.known_canonicals)
-        incap_records = incap_scanner.scan()
-        incap_retrieved = len(incap_records)
-        incap_pipeline = FilterPipeline(
-            world.provider("incapsula").prefixes,
-            world.make_resolver(metrics=scan_metrics),
-            verifier,
-        )
-        incap_hidden = incap_pipeline.run(
-            incap_records, "incapsula", week=0
-        ).hidden_count
 
     # The scan's recursive-resolution name set: harvested nameserver
     # hostnames plus collected canonicals — sibling-heavy, exactly where
     # the zone-cut memo pays off.  Both paths resolve the same names.
     comparison_pairs = [
-        (hostname, RecordType.A) for hostname in harvest.hostnames
+        (hostname, RecordType.A) for hostname in runtime.harvest.hostnames
     ] + [(canonical, RecordType.A) for canonical in incap_canonicals]
     comparison = (
         compare_query_paths(world, comparison_pairs)
@@ -197,14 +159,24 @@ def run_bench(  # repro: allow[REP040] -- timing real hardware is the bench's pu
         else {}
     )
 
+    # E8's counters are what the sweep added to the shared registry.
+    totals = metrics.snapshot()
     e8 = {
-        "harvested_nameservers": len(harvest),
-        "cloudflare_retrieved": cf_retrieved,
-        "cloudflare_hidden": cf_hidden,
+        "harvested_nameservers": len(runtime.harvest),
+        "cloudflare_retrieved": len(scan.cloudflare_retrieved),
+        "cloudflare_hidden": sum(
+            weekly.hidden_count for weekly in report.cloudflare_weekly
+        ),
         "incapsula_canonicals": len(incap_canonicals),
-        "incapsula_retrieved": incap_retrieved,
-        "incapsula_hidden": incap_hidden,
-        "counters": scan_metrics.snapshot(),
+        "incapsula_retrieved": len(scan.incapsula_retrieved),
+        "incapsula_hidden": sum(
+            weekly.hidden_count for weekly in report.incapsula_weekly
+        ),
+        "counters": {
+            name: count - e1_counters.get(name, 0)
+            for name, count in totals.items()
+            if count != e1_counters.get(name, 0)
+        },
         "query_path_comparison": comparison,
         "wall_seconds": _wall_now() - e8_started,
     }

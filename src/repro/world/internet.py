@@ -243,10 +243,6 @@ class SimulatedInternet:
         self.fabric.fault_plan = plan
         return plan
 
-    def clear_faults(self) -> None:
-        """Remove any installed fault plan (deliveries become perfect)."""
-        self.fabric.fault_plan = None
-
     def install_traffic(
         self,
         profile: "TrafficProfile | TrafficPlane | str",
@@ -272,10 +268,6 @@ class SimulatedInternet:
             plane = profile
         self.fabric.traffic_plane = plane
         return plane
-
-    def clear_traffic(self) -> None:
-        """Remove any installed traffic plane (background load stops)."""
-        self.fabric.traffic_plane = None
 
     def install_attacks(
         self,
@@ -312,10 +304,6 @@ class SimulatedInternet:
             )
         self.fabric.attack_plane = plane
         return plane
-
-    def clear_attacks(self) -> None:
-        """Remove any installed attack plane (the campaign stops)."""
-        self.fabric.attack_plane = None
 
     def vantage_point(self, region_name: str) -> VantagePoint:
         """One of the five measurement vantage points (Fig. 7)."""

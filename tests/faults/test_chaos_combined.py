@@ -100,6 +100,19 @@ class TestAttackOffBaseline:
             for name in observability["counters"]
         )
 
+    def test_artifacts_carry_every_compared_field(self):
+        artifacts, _ = _run_workloads(POPULATION, SEED, WARMUP, Scenario())
+        assert set(artifacts) == {"e1", "e8"}
+        assert len(artifacts["e1"]) == POPULATION
+        assert set(artifacts["e8"]) == {
+            "harvested_nameservers",
+            "nameserver_addresses",
+            "cloudflare_retrieved",
+            "cloudflare",
+            "incapsula",
+        }
+        assert artifacts["e8"]["cloudflare_retrieved"]
+
     def test_payload_records_attacks_off_as_none(self):
         payload = run_chaos(
             Scenario.of(fault_profile="lossy-default"),

@@ -12,6 +12,25 @@ from repro.world import SimulatedInternet, WorldConfig
 _POPULATION = 80
 _WARMUP_DAYS = 3
 
+#: E1 counters at the CI bench-smoke shape (p400, seed 3, warm-up 3).
+#: They are a pure function of (population, seed, warm-up), so a drift
+#: means the collection path does different work.
+_CI_SMOKE_E1_COUNTERS = {
+    "bench.warmup.activations": 1,
+    "bench.warmup.sim_seconds": 259200,
+    "cache.hits": 1013,
+    "cache.misses": 1844,
+    "cache.purges": 1,
+    "resolver.batch_names": 800,
+    "resolver.batches": 2,
+    "resolver.cname_links": 16,
+    "resolver.ns_fallback_lookups": 45,
+    "resolver.queries_sent": 879,
+    "resolver.referrals": 418,
+    "resolver.resolutions": 800,
+    "resolver.zonecut_hits": 454,
+}
+
 
 @pytest.fixture(scope="module")
 def bench_result():
@@ -70,3 +89,11 @@ class TestRunBench:
         assert batched["resolved"] == naive["resolved"]  # identical outcomes
         assert batched["queries_sent"] < naive["queries_sent"]
         assert batched["queries_per_resolved"] < naive["queries_per_resolved"]
+
+
+class TestPinnedE1Counters:
+    def test_ci_smoke_shape(self):
+        world = SimulatedInternet(WorldConfig(population_size=400, seed=3))
+        e1 = run_bench(world, warmup_days=3)["e1_collection"]
+        assert e1["counters"] == _CI_SMOKE_E1_COUNTERS
+        assert (e1["hostnames"], e1["resolved"]) == (400, 400)

@@ -15,10 +15,55 @@ from repro.checkpoint import canonical_json, study_artifact
 from repro.core.study import SixWeekStudy, StudyConfig
 from repro.errors import SimulatedCrash
 from repro.faults.crash import CrashPlan
+from repro.scenario import Scenario
 from repro.shard import resume_sharded_study, run_sharded_study
+from repro.shard.runner import run_campaign
 from repro.world import SimulatedInternet, WorldConfig
 
 from .conftest import POPULATION, SEED, small_config
+
+
+#: Scenarios whose sharded artifacts equal the monolithic one at this
+#: shape (docs/SCALING.md lists the profiles and shapes where they do not).
+PLANE_SCENARIOS = {
+    "lossy-default": Scenario.of(fault_profile="lossy-default"),
+    "surge+campaign": Scenario.of(traffic_profile="surge", attack_profile="campaign"),
+}
+
+
+def _monolithic_under(scenario: Scenario):
+    """The hook-less study with ``scenario``'s planes installed post-warm-up."""
+    world = SimulatedInternet(WorldConfig(population_size=POPULATION, seed=SEED))
+    study = SixWeekStudy(world, small_config())
+    runtime = study.begin()
+    scenario.install(world)
+    while not runtime.finished:
+        study.run_day(runtime)
+    return world, study.finalise(runtime)
+
+
+class TestShardedEquivalenceUnderPlanes:
+    @pytest.mark.parametrize("name", sorted(PLANE_SCENARIOS))
+    def test_two_inline_shards_match_the_monolithic_run(self, name):
+        scenario = PLANE_SCENARIOS[name]
+        world, monolithic = _monolithic_under(scenario)
+        # The planes must bite, or the comparison proves nothing.
+        if scenario.fault is not None:
+            assert world.fabric.fault_plan.metrics.snapshot(prefix="faults")
+        else:
+            assert monolithic.total_unmeasured > 0
+            assert monolithic.attack_events
+        sharded = run_campaign(
+            scenario=scenario,
+            population=POPULATION,
+            seed=SEED,
+            config=small_config(),
+            shard_count=2,
+            mode="inline",
+        )
+        assert canonical_json(study_artifact(sharded)) == canonical_json(
+            study_artifact(monolithic)
+        )
 
 
 class TestShardedEquivalence:
