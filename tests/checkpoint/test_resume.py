@@ -8,14 +8,17 @@ from repro.checkpoint import (
     run_checkpointed_study,
     study_artifact,
 )
+from repro.checkpoint.serde import restore_runtime, serialize_runtime
 from repro.core.study import SixWeekStudy, StudyConfig
 from repro.errors import (
+    CheckpointCorruptError,
     CheckpointError,
     CheckpointMismatchError,
     ConfigurationError,
     SimulatedCrash,
 )
 from repro.faults.crash import CrashPlan
+from repro.scenario import Scenario
 from repro.world import SimulatedInternet, WorldConfig
 
 from .conftest import POPULATION, SEED, STUDY_DAYS, small_config
@@ -175,3 +178,36 @@ class TestCrashPlan:
         plan.fire_if_due(2, "before-commit")
         with pytest.raises(SimulatedCrash, match="barrier 2"):
             plan.fire_if_due(2, "after-commit")
+
+
+class TestSnapshotPlaneRefusals:
+    """A snapshot restores only onto a world with the same planes."""
+
+    @staticmethod
+    def _begun(scenario):
+        world = SimulatedInternet(WorldConfig(population_size=40, seed=3))
+        study = SixWeekStudy(world, StudyConfig(warmup_days=2, study_days=2))
+        runtime = study.begin()
+        scenario.install(world)
+        return study, runtime
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario(fault="lossy-default"),
+            Scenario(traffic="surge"),
+            Scenario(attacks="campaign"),
+        ],
+        ids=["fault", "traffic", "attacks"],
+    )
+    @pytest.mark.parametrize("planed_side", ["snapshot", "rebuilt"])
+    def test_plane_mismatch_refused(self, scenario, planed_side):
+        snapshot_side = scenario if planed_side == "snapshot" else Scenario()
+        rebuilt_side = scenario if planed_side == "rebuilt" else Scenario()
+        state = serialize_runtime(*self._begun(snapshot_side))
+        study, runtime = self._begun(rebuilt_side)
+        with pytest.raises(
+            CheckpointCorruptError,
+            match="snapshot and rebuilt world disagree about whether",
+        ):
+            restore_runtime(study, runtime, state)

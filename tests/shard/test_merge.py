@@ -6,8 +6,9 @@ import pytest
 
 from repro.core.study import SixWeekStudy, StudyConfig
 from repro.errors import ShardError
+from repro.scenario import Scenario
 from repro.shard import merge_payloads, overlay_merged
-from repro.shard.merge import PAYLOAD_VERSION
+from repro.shard.merge import PAYLOAD_VERSION, worker_payload
 from repro.shard.runner import InlineExecutor, WorkerSpec, _drive_lockstep
 from repro.world import SimulatedInternet, WorldConfig
 
@@ -129,4 +130,80 @@ class TestOverlayRefusals:
         runtime = study.begin()
         merged = {"study_start_day": runtime.study_start_day + 1}
         with pytest.raises(ShardError, match="starts its study"):
+            overlay_merged(study, runtime, merged)
+
+
+#: ``(scenario field, profile, fabric view)`` for each world-side plane
+#: the merge must agree on.
+PLANE_PROFILES = [
+    ("traffic", "surge", "traffic_plane"),
+    ("attacks", "campaign", "attack_plane"),
+]
+
+
+def _planed_study(shard_index=0, shard_count=1, plane=None, redrive=False):
+    """A tiny begun study, optionally with one plane installed.
+
+    ``redrive`` drives the plane one extra day without moving the clock,
+    so its drive state drifts away from an identically built replica's.
+    """
+    world = SimulatedInternet(WorldConfig(population_size=40, seed=3))
+    study = SixWeekStudy(world, StudyConfig(warmup_days=2, study_days=2))
+    runtime = study.begin(shard_index, shard_count)
+    if plane is not None:
+        field, profile, view = plane
+        Scenario(**{field: profile}).install(world)
+        if redrive:
+            getattr(world.fabric, view).drive_day()
+    return study, runtime
+
+
+class TestPlaneAgreementRefusals:
+    """Workers and the coordinator must agree on every installed plane."""
+
+    @pytest.mark.parametrize("plane", PLANE_PROFILES, ids=lambda p: p[0])
+    def test_workers_disagreeing_on_whether_a_plane_is_installed(self, plane):
+        payloads = [
+            worker_payload(*_planed_study(0, 2, plane)),
+            worker_payload(*_planed_study(1, 2)),
+        ]
+        with pytest.raises(ShardError, match=r"workers disagree on the \w+ plane's state"):
+            merge_payloads(payloads)
+
+    @pytest.mark.parametrize("plane", PLANE_PROFILES, ids=lambda p: p[0])
+    def test_workers_disagreeing_on_a_plane_s_drive_state(self, plane):
+        payloads = [
+            worker_payload(*_planed_study(0, 2, plane)),
+            worker_payload(*_planed_study(1, 2, plane, redrive=True)),
+        ]
+        with pytest.raises(ShardError, match=r"workers disagree on the \w+ plane's state"):
+            merge_payloads(payloads)
+
+    @pytest.mark.parametrize("plane", PLANE_PROFILES, ids=lambda p: p[0])
+    def test_coordinator_without_the_workers_plane(self, plane):
+        merged = merge_payloads([worker_payload(*_planed_study(plane=plane))])
+        study, runtime = _planed_study()
+        with pytest.raises(
+            ShardError,
+            match="workers and the coordinator disagree about whether",
+        ):
+            overlay_merged(study, runtime, merged)
+
+    @pytest.mark.parametrize("plane", PLANE_PROFILES, ids=lambda p: p[0])
+    def test_coordinator_with_a_plane_the_workers_lack(self, plane):
+        merged = merge_payloads([worker_payload(*_planed_study())])
+        study, runtime = _planed_study(plane=plane)
+        with pytest.raises(
+            ShardError,
+            match="workers and the coordinator disagree about whether",
+        ):
+            overlay_merged(study, runtime, merged)
+
+    @pytest.mark.parametrize("plane", PLANE_PROFILES, ids=lambda p: p[0])
+    def test_coordinator_plane_drifted_from_the_workers(self, plane):
+        merged = merge_payloads([worker_payload(*_planed_study(plane=plane))])
+        study, runtime = _planed_study(plane=plane, redrive=True)
+        with pytest.raises(
+            ShardError, match="plane diverged from the workers'"
+        ):
             overlay_merged(study, runtime, merged)
