@@ -46,7 +46,8 @@ __all__ = ["LintCache", "content_hash", "decode", "encode", "ruleset_signature"]
 #: per-name first-read lines).
 #: v4: one generic codec replaced the per-class ``to_dict``/``from_dict``
 #: pairs; findings are stored by field name.
-CACHE_SCHEMA_VERSION = 4
+#: v5: calls on annotated locals (``x: T``) are recorded as typed calls.
+CACHE_SCHEMA_VERSION = 5
 
 _Codec = Tuple[Callable[[Any], Any], Callable[[Any], Any]]
 

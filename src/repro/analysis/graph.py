@@ -634,6 +634,9 @@ class _FunctionCollector:
         elif isinstance(node, ast.AnnAssign):
             if node.value is not None:
                 self._record_store_effects([node.target], node, "store")
+            annotated = _annotation_names(node.annotation)
+            if isinstance(node.target, ast.Name) and annotated:
+                self.local_types[node.target.id] = annotated[-1]
         elif isinstance(node, ast.AugAssign):
             self._record_store_effects([node.target], node, "store")
         elif isinstance(node, ast.Delete):
@@ -1456,12 +1459,29 @@ class ProjectGraph:
             class_key = self._resolve_class(module, type_name)
             if class_key is None:
                 continue
-            found = self._method_key(class_key, method)
-            if found is not None:
-                targets.append(found)
+            for owner in self._implementers(class_key):
+                found = self._method_key(owner, method)
+                if found is not None:
+                    targets.append(found)
         if targets:
             return targets
         return self._fallback(method)
+
+    def _implementers(self, class_key: Tuple[str, str]) -> List[Tuple[str, str]]:
+        """The classes a receiver typed ``class_key`` may be: the class
+        itself, or for a ``typing.Protocol`` every other project class
+        defining all of the protocol's methods (structural typing)."""
+        klass = self.class_summary(class_key)
+        if klass is None or "Protocol" not in klass.bases:
+            return [class_key]
+        wanted = [name for name in sorted(klass.methods) if not name.startswith("__")]
+        return [
+            candidate
+            for name in sorted(self._class_index)
+            for candidate in self._class_index[name]
+            if "Protocol" not in self.class_summary(candidate).bases
+            and all(self._method_key(candidate, method) for method in wanted)
+        ]
 
     def _resolve_param_call(self, module: ModuleSummary, fn: FunctionSummary,
                             call: CallRef):

@@ -10,12 +10,7 @@ plane and transient outage windows on the victim's infrastructure.
 
 from .events import AttackEvent, AttackKind, TargetKind
 from .plane import AttackPlane, AttackVerdict
-from .profiles import (
-    ATTACK_PROFILES,
-    AttackProfile,
-    attack_profile,
-    normalize_attack_profile,
-)
+from .profiles import ATTACK_PROFILES, AttackProfile
 
 __all__ = [
     "AttackEvent",
@@ -25,6 +20,4 @@ __all__ = [
     "AttackVerdict",
     "AttackProfile",
     "ATTACK_PROFILES",
-    "attack_profile",
-    "normalize_attack_profile",
 ]

@@ -116,13 +116,15 @@ class AttackPlane:
         """The floods running on the given day, in schedule order."""
         return [event for event in self.events if event.active_on(day)]
 
-    def drive_day(self) -> List[BehaviorEvent]:
+    def drive_day(self, load_surge: float = 1.0) -> List[BehaviorEvent]:
         """Play out one simulated day of attacks; returns wave events.
 
         Called from the world engine's day step, so every replica
         drives the identical sequence.  All per-site decisions go
         through the pure verdict functions — the shared admin RNG
-        stream is never touched.
+        stream is never touched.  Floods do not scale with background
+        load, so ``load_surge`` is ignored; the day's own surge is
+        :attr:`traffic_surge` afterwards.
         """
         day = self._clock.day
         self._bump("days")

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry
 from .events import AttackEvent, AttackKind, TargetKind, block_of
 from .plane import AttackPlane
@@ -38,8 +37,6 @@ from .plane import AttackPlane
 __all__ = [
     "AttackProfile",
     "ATTACK_PROFILES",
-    "attack_profile",
-    "normalize_attack_profile",
 ]
 
 
@@ -233,24 +230,3 @@ ATTACK_PROFILES: Dict[str, AttackProfile] = {
     ]
 }
 
-
-def attack_profile(name: str) -> AttackProfile:
-    """Look up a profile by name."""
-    try:
-        return ATTACK_PROFILES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown attack profile {name!r}; "
-            f"known: {', '.join(sorted(ATTACK_PROFILES))} (or 'none')"
-        ) from None
-
-
-def normalize_attack_profile(name: Optional[str]) -> Optional[str]:
-    """Map CLI/manifest spellings to a canonical profile name or None.
-
-    ``None`` and ``"none"`` both mean *no attacks*; anything else must
-    name a registered profile.
-    """
-    if name is None or name == "none":
-        return None
-    return attack_profile(name).name

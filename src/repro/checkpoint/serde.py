@@ -45,11 +45,11 @@ __all__ = [
 #: objects that live across ``run_day`` calls but are absent here would
 #: silently lose state on resume.
 SERDE_REGISTRY = frozenset({
-    # Carried transitively: TrafficPlane.state_dict embeds every
+    # Carried transitively: the traffic plane's state_dict embeds every
     # bucket level, breaker state, and the adaptive limiter's tier.
     "AdaptiveLimiter",
-    # Carried via AttackPlane.state_dict: the schedule (verified, not
-    # trusted), attacked-address sets, surge, tallies and counters.
+    # Carried via the attack plane's state_dict: the schedule (verified,
+    # not trusted), attacked-address sets, surge, tallies and counters.
     "AttackPlane",
     "CircuitBreaker",
     "DailySnapshot",
@@ -254,9 +254,6 @@ def serialize_runtime(study: SixWeekStudy, runtime: StudyRuntime) -> Dict[str, o
     restored state.
     """
     world = study.world
-    fault_plan = world.fabric.fault_plan
-    traffic_plane = world.fabric.traffic_plane
-    attack_plane = world.fabric.attack_plane
     return {
         "clock_now": world.clock.now,
         "day_index": runtime.day_index,
@@ -285,13 +282,9 @@ def serialize_runtime(study: SixWeekStudy, runtime: StudyRuntime) -> Dict[str, o
         "scan_pop_totals": sorted(
             [pop, count] for pop, count in runtime.scan_pop_totals.items()
         ),
-        "fault_plan": fault_plan.state_dict() if fault_plan is not None else None,
-        "traffic_plane": (
-            traffic_plane.state_dict() if traffic_plane is not None else None
-        ),
-        "attack_plane": (
-            attack_plane.state_dict() if attack_plane is not None else None
-        ),
+        "planes": {
+            name: plane.state_dict() for name, plane in world.fabric.planes.items()
+        },
     }
 
 
@@ -334,35 +327,16 @@ def restore_runtime(
         pop: int(count) for pop, count in state["scan_pop_totals"]
     }
 
-    fault_state = state["fault_plan"]
-    fault_plan = study.world.fabric.fault_plan
-    if (fault_state is None) != (fault_plan is None):
+    saved_planes = state["planes"]
+    planes = study.world.fabric.planes
+    mismatched = sorted(set(saved_planes) ^ set(planes))
+    if mismatched:
         raise CheckpointCorruptError(
-            "snapshot and rebuilt world disagree about whether a fault "
-            "plan is installed"
+            f"snapshot and rebuilt world disagree about whether a "
+            f"{mismatched[0]} plane is installed"
         )
-    if fault_plan is not None:
-        fault_plan.restore_state(fault_state)
-
-    traffic_state = state["traffic_plane"]
-    traffic_plane = study.world.fabric.traffic_plane
-    if (traffic_state is None) != (traffic_plane is None):
-        raise CheckpointCorruptError(
-            "snapshot and rebuilt world disagree about whether a traffic "
-            "plane is installed"
-        )
-    if traffic_plane is not None:
-        traffic_plane.restore_state(traffic_state)
-
-    attack_state = state["attack_plane"]
-    attack_plane = study.world.fabric.attack_plane
-    if (attack_state is None) != (attack_plane is None):
-        raise CheckpointCorruptError(
-            "snapshot and rebuilt world disagree about whether an attack "
-            "plane is installed"
-        )
-    if attack_plane is not None:
-        attack_plane.restore_state(attack_state)
+    for name, plane in planes.items():
+        plane.restore_state(saved_planes[name])
 
 
 def _restore_optional(obj: Optional[object], saved: Optional[object], name: str) -> None:

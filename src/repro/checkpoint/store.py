@@ -49,8 +49,9 @@ __all__ = [
 
 #: Bump on any incompatible change to manifest/journal/snapshot layout.
 #: Schema 2 records the scenario (all three profiles) as the manifest's
-#: identity; other versions are refused, never migrated.
-SCHEMA_VERSION = 2
+#: identity; schema 3 snapshots carry one ``planes`` map keyed by
+#: scenario field.  Other versions are refused, never migrated.
+SCHEMA_VERSION = 3
 
 MANIFEST_NAME = "MANIFEST.json"
 JOURNAL_NAME = "journal.jsonl"

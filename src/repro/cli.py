@@ -605,7 +605,8 @@ def _cmd_kill_matrix(args, scenario) -> int:
 def _cmd_traffic(args) -> int:
     from .errors import ConfigurationError
     from .obs.metrics import MetricsRegistry
-    from .traffic import TRAFFIC_PROFILES, normalize_traffic_profile
+    from .scenario import Scenario
+    from .traffic import TRAFFIC_PROFILES
 
     if args.profile is None:
         print("background-traffic profiles:")
@@ -622,7 +623,7 @@ def _cmd_traffic(args) -> int:
         print("('none' disables background traffic)")
         return 0
     try:
-        name = normalize_traffic_profile(args.profile)
+        name = Scenario.of(traffic_profile=args.profile).traffic
     except ConfigurationError as exc:
         print(f"repro traffic: {exc}", file=sys.stderr)
         return 2
@@ -653,9 +654,10 @@ def _cmd_traffic(args) -> int:
 
 
 def _cmd_attacks(args) -> int:
-    from .attacks import ATTACK_PROFILES, normalize_attack_profile
+    from .attacks import ATTACK_PROFILES
     from .errors import ConfigurationError
     from .obs.metrics import MetricsRegistry
+    from .scenario import Scenario
 
     if args.profile is None:
         print("attack profiles:")
@@ -679,7 +681,7 @@ def _cmd_attacks(args) -> int:
         print("('none' disables attacks)")
         return 0
     try:
-        name = normalize_attack_profile(args.profile)
+        name = Scenario.of(attack_profile=args.profile).attacks
     except ConfigurationError as exc:
         print(f"repro attacks: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry
 from ..scenario import Scenario
 from ..world import SimulatedInternet, WorldConfig
-from .profiles import profile as lookup_profile
+from .profiles import PROFILES
 
 __all__ = ["run_chaos", "diff_artifacts"]
 
@@ -180,7 +180,7 @@ def run_chaos(
     """
     if scenario.fault is None:
         raise ConfigurationError("chaos needs a scenario with a fault profile")
-    fault_profile = lookup_profile(scenario.fault)
+    fault_profile = PROFILES[scenario.fault]
     baseline_artifacts, _ = _run_workloads(
         population, seed, warmup_days, replace(scenario, fault=None)
     )

@@ -241,9 +241,12 @@ class FaultPlan:
         ]
         self._day_active: Dict[int, bool] = {}
 
+    #: Faults never change the background load (see the fabric's Plane).
+    traffic_surge = 1.0
+
     # -- delivery hooks -------------------------------------------------
 
-    def intercept_dns(
+    def admit_dns(
         self,
         address: IPv4Address,
         query: DnsQuery,
@@ -252,7 +255,7 @@ class FaultPlan:
         """Verdict for one DNS delivery to ``address``."""
         return self._intercept("dns", address, query, region)
 
-    def intercept_http(
+    def admit_http(
         self,
         address: IPv4Address,
         host: Optional[DomainName],
@@ -374,6 +377,17 @@ class FaultPlan:
         if kind is FaultKind.RATE_LIMIT:
             return "rate-limited"
         return kind.value
+
+    # -- world side ------------------------------------------------------
+
+    def drive_day(self, surge: float = 1.0) -> Tuple[()]:
+        """Faults have no daily dynamics: windows read the clock."""
+        return ()
+
+    def drive_state(self) -> str:
+        """Only the profile name: the RNG and rate counters follow each
+        process's own query stream, so replicas differ on them."""
+        return self.name
 
     # -- checkpoint support ---------------------------------------------
 

@@ -19,14 +19,13 @@ degradation (UNMEASURED observations, quarantine, partial days).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from ..clock import DAYS_PER_WEEK
-from ..errors import ConfigurationError
 from ..obs.metrics import MetricsRegistry
 from .plan import FaultKind, FaultPlan, FaultRule
 
-__all__ = ["FaultProfile", "PROFILES", "profile"]
+__all__ = ["FaultProfile", "PROFILES"]
 
 #: Consecutive-failure cap used by equivalence profiles.  Strictly below
 #: the default RetryPolicy.max_attempts (4): every query gets through on
@@ -46,8 +45,12 @@ class FaultProfile:
     #: Plan-level consecutive-failure cap (None removes the guarantee).
     max_consecutive_failures: "int | None" = None
 
-    def build(self, world: object, metrics: MetricsRegistry) -> FaultPlan:
+    def build(
+        self, world: object, metrics: Optional[MetricsRegistry] = None
+    ) -> FaultPlan:
         """Materialise the plan against a built world, at install time."""
+        if metrics is None:
+            metrics = MetricsRegistry()
         return FaultPlan(
             rng=world.rng.fork(f"fault-plan-{self.name}"),
             clock=world.clock,
@@ -202,13 +205,3 @@ PROFILES: Dict[str, FaultProfile] = {
     ]
 }
 
-
-def profile(name: str) -> FaultProfile:
-    """Look up a profile by name."""
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown fault profile {name!r}; "
-            f"known: {', '.join(sorted(PROFILES))}"
-        ) from None

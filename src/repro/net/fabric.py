@@ -11,34 +11,38 @@ Handlers are duck-typed: DNS servers expose
 ``handle_query(query, client_region) -> DnsResponse`` and HTTP listeners
 expose ``handle_request(request) -> HttpResponse``.
 
-A :class:`~repro.faults.plan.FaultPlan` may be installed on the fabric
-(``fabric.fault_plan = plan``); the ``deliver_dns`` / ``deliver_http``
-paths then consult it on every delivery and can drop the packet, charge
-latency, or substitute a synthetic failure response.  The plan is
-duck-typed too (``intercept_dns`` / ``intercept_http`` returning a
-verdict with ``delivered`` / ``response`` / ``outcome`` / ``latency_ms``)
-so this module never imports the DNS layer.
+Optional *planes* — the fault plan, the attack plane, the
+background-traffic plane (:data:`repro.scenario.PLANES` lists them) —
+are installed with :meth:`NetworkFabric.install` and kept in
+:attr:`NetworkFabric.planes`, keyed by scenario field name, in rank
+order.  ``deliver_dns`` / ``deliver_http`` consult them in that order
+on every delivery; the world engine drives them, checkpoint snapshots
+carry them and shard merging compares them by looping over the same
+collection.  Every plane meets the duck-typed :class:`Plane` contract,
+so this module never imports the DNS layer or a plane package.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Dict, Mapping, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 from ..errors import ConfigurationError, RoutingError
 from .anycast import AnycastNetwork
 from .geo import Region
 from .ipaddr import IPv4Address
 
-__all__ = ["NetworkFabric", "Delivery"]
+__all__ = ["NetworkFabric", "Delivery", "Plane"]
 
 
 class Delivery(NamedTuple):
-    """Result of one fault-aware delivery through the fabric.
+    """Result of one plane-aware delivery through the fabric.
 
-    ``response`` is the server's (or the fault plan's synthetic) answer,
-    None for a timeout.  ``outcome`` says what happened: ``delivered``,
+    ``response`` is the server's (or a plane's synthetic) answer, None
+    for a timeout.  ``outcome`` says what happened: ``delivered``,
     ``dark`` (no handler at the address), a fault-plan outcome
     (``loss``, ``outage``, ``rate-limited``, ``servfail``, ``lame``),
+    an attack outcome (``attack-outage``, a timeout),
     or a traffic-defense outcome (``throttled`` — rate-limit drop, the
     client sees a timeout; ``shed`` — breaker open / load shedding, the
     client sees a synthetic REFUSED).  ``latency_ms`` is injected
@@ -49,6 +53,42 @@ class Delivery(NamedTuple):
     response: Optional[object]
     outcome: str
     latency_ms: int = 0
+
+
+class Plane(Protocol):
+    """The contract every installed plane meets.
+
+    A *verdict* is any object with ``outcome``, ``response`` and
+    ``latency_ms``.  An ``admit_*`` method returns None to pass the
+    delivery on, or a verdict: one whose outcome is ``"deliver"`` passes
+    it on and only adds its latency; any other outcome ends the delivery
+    there, charged the latency of every plane consulted so far.
+    """
+
+    #: Multiplier this plane puts on the background load of the planes
+    #: driven after it on the same day (1.0: none).
+    traffic_surge: float
+
+    def admit_dns(self, address: IPv4Address, query: object,
+                  region: Optional[Region]) -> Optional[object]:
+        """Verdict for one DNS delivery, or None to pass."""
+
+    def admit_http(self, address: IPv4Address, host: Optional[object],
+                   region: Optional[Region]) -> Optional[object]:
+        """Verdict for one HTTP delivery, or None to pass."""
+
+    def drive_day(self, surge: float) -> Sequence[object]:
+        """One day of world dynamics, seeing the ``traffic_surge`` product
+        of the planes driven before this one; returns behaviour events."""
+
+    def drive_state(self) -> object:
+        """JSON state every replica of the world must agree on."""
+
+    def state_dict(self) -> Dict[str, object]:
+        """Full mutable state as JSON primitives (checkpoint snapshots)."""
+
+    def restore_state(self, state: Dict[str, object]) -> None:
+        """Reinstate state captured by :meth:`state_dict`."""
 
 
 class _AnycastBinding:
@@ -74,7 +114,7 @@ class _AnycastBinding:
         return self.servers[pop.pop_id]
 
 
-class NetworkFabric:
+class NetworkFabric:  # repro: allow[REP063] -- world-layer wiring; every replica reinstalls its planes through Scenario.install, and snapshots carry each plane's own state
     """Routes destination addresses to registered handlers."""
 
     def __init__(self) -> None:
@@ -82,21 +122,35 @@ class NetworkFabric:
         self._dns_anycast: Dict[IPv4Address, _AnycastBinding] = {}
         self._http_unicast: Dict[IPv4Address, object] = {}
         self._http_anycast: Dict[IPv4Address, _AnycastBinding] = {}
-        #: Optional fault-injection plan consulted by deliver_dns/_http.
-        self.fault_plan: Optional[object] = None
-        #: Optional background-traffic plane whose provider-side defense
-        #: stack (token buckets, load tiers, circuit breakers) may
-        #: throttle or shed DNS deliveries to provider nameservers.
-        #: Duck-typed like the fault plan: ``admit_dns(addr, query,
-        #: region)`` returns None to admit or a verdict with
-        #: ``response`` / ``outcome`` / ``latency_ms``.
-        self.traffic_plane: Optional[object] = None
-        #: Optional attack plane: active floods open transient outage
-        #: windows on the victim's nameservers (DNS) and origins
-        #: (HTTP).  Duck-typed: ``admit_dns(addr, query, region)`` /
-        #: ``admit_http(addr, host, region)`` return None to admit or
-        #: a verdict with ``response`` / ``outcome`` / ``latency_ms``.
-        self.attack_plane: Optional[object] = None
+        #: Installed planes by scenario field name, in rank order.
+        self.planes: Mapping[str, Plane] = MappingProxyType({})
+        self._ranks: Dict[str, int] = {}
+        self._chain: Tuple[Plane, ...] = ()
+
+    # -- planes ---------------------------------------------------------
+
+    def install(self, name: str, plane: Plane, rank: int) -> None:
+        """Install ``plane`` under ``name``, replacing any plane so named.
+
+        Planes are consulted and driven in ascending ``rank``; equal
+        ranks keep installation order.
+        """
+        planes = dict(self.planes)
+        planes[name] = plane
+        self._ranks[name] = rank
+        order = sorted(planes, key=self._ranks.__getitem__)
+        self.planes = MappingProxyType({key: planes[key] for key in order})
+        self._chain = tuple(self.planes.values())
+
+    @property
+    def traffic_plane(self) -> Optional[Plane]:
+        """The installed background-traffic plane, if any."""
+        return self.planes.get("traffic")
+
+    @property
+    def attack_plane(self) -> Optional[Plane]:
+        """The installed attack plane, if any."""
+        return self.planes.get("attacks")
 
     # -- DNS plane ------------------------------------------------------
 
@@ -149,41 +203,29 @@ class NetworkFabric:
         query: object,
         client_region: Optional[Region] = None,
     ) -> Delivery:
-        """Deliver one DNS query through the (possibly faulty) fabric.
+        """Deliver one DNS query through the fabric and its planes.
 
-        The fault plan, when installed, rules first: it may drop the
-        packet or substitute a synthetic SERVFAIL/REFUSED.  The traffic
-        plane's defense stack rules next: an overloaded provider may
-        throttle the query or shed it with a synthetic REFUSED.
-        Otherwise the query reaches the server bound at ``ip`` (``dark``
-        outcome when nothing listens there).
+        Each installed plane may drop the query, substitute a synthetic
+        answer (a fault plan's SERVFAIL, a shedding provider's REFUSED)
+        or charge latency; the first plane that stops the delivery
+        decides it.  Otherwise the query reaches the server bound at
+        ``ip`` (``dark`` outcome when nothing listens there).
         """
         # Hot path: resolvers pass IPv4Address values already; skip the
         # re-wrapping allocation for those.
         addr = ip if type(ip) is IPv4Address else IPv4Address(ip)
         latency = 0
-        plan = self.fault_plan
-        if plan is not None:
-            verdict = plan.intercept_dns(addr, query, client_region)
-            if not verdict.delivered:
-                return Delivery(verdict.response, verdict.outcome, verdict.latency_ms)
-            latency = verdict.latency_ms
-        attacks = self.attack_plane
-        if attacks is not None:
-            flood = attacks.admit_dns(addr, query, client_region)
-            if flood is not None:
-                return Delivery(
-                    flood.response, flood.outcome, latency + flood.latency_ms
-                )
-        traffic = self.traffic_plane
-        if traffic is not None:
-            defense = traffic.admit_dns(addr, query, client_region)
-            if defense is not None:
-                return Delivery(
-                    defense.response,
-                    defense.outcome,
-                    latency + defense.latency_ms,
-                )
+        plane: Plane
+        for plane in self._chain:
+            verdict = plane.admit_dns(addr, query, client_region)
+            if verdict is not None:
+                if verdict.outcome != "deliver":
+                    return Delivery(
+                        verdict.response,
+                        verdict.outcome,
+                        latency + verdict.latency_ms,
+                    )
+                latency += verdict.latency_ms
         server = self.dns_server_at(addr, client_region)
         if server is None:
             return Delivery(None, "dark", latency)
@@ -236,26 +278,25 @@ class NetworkFabric:
         request: object,
         client_region: Optional[Region] = None,
     ) -> Delivery:
-        """Deliver one HTTP request through the (possibly faulty) fabric.
+        """Deliver one HTTP request through the fabric and its planes.
 
-        Mirrors :meth:`deliver_dns`; HTTP faults have no synthetic
-        response — a dropped request looks like a connection timeout.
+        Mirrors :meth:`deliver_dns`, except that HTTP has no synthetic
+        responses: a request a plane stops looks like a connection
+        timeout.
         """
         addr = ip if type(ip) is IPv4Address else IPv4Address(ip)
         latency = 0
-        plan = self.fault_plan
-        if plan is not None:
+        if self._chain:
             host = getattr(request, "host", None)
-            verdict = plan.intercept_http(addr, host, client_region)
-            if not verdict.delivered:
-                return Delivery(None, verdict.outcome, verdict.latency_ms)
-            latency = verdict.latency_ms
-        attacks = self.attack_plane
-        if attacks is not None:
-            host = getattr(request, "host", None)
-            flood = attacks.admit_http(addr, host, client_region)
-            if flood is not None:
-                return Delivery(None, flood.outcome, latency + flood.latency_ms)
+            plane: Plane
+            for plane in self._chain:
+                verdict = plane.admit_http(addr, host, client_region)
+                if verdict is not None:
+                    if verdict.outcome != "deliver":
+                        return Delivery(
+                            None, verdict.outcome, latency + verdict.latency_ms
+                        )
+                    latency += verdict.latency_ms
         handler = self.http_handler_at(addr, client_region)
         if handler is None:
             return Delivery(None, "dark", latency)

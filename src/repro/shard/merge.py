@@ -37,7 +37,7 @@ from ..markers import pure_function
 __all__ = ["worker_payload", "merge_payloads", "overlay_merged"]
 
 #: Bump on any incompatible change to the worker payload layout.
-PAYLOAD_VERSION = 3
+PAYLOAD_VERSION = 4
 
 
 def worker_payload(study: SixWeekStudy, runtime: StudyRuntime) -> Dict[str, object]:
@@ -49,8 +49,6 @@ def worker_payload(study: SixWeekStudy, runtime: StudyRuntime) -> Dict[str, obje
     """
     report = runtime.report
     resolver = runtime.collection_resolver
-    traffic_plane = study.world.fabric.traffic_plane
-    attack_plane = study.world.fabric.attack_plane
     return {
         "payload_version": PAYLOAD_VERSION,
         "shard": {"index": runtime.shard_index, "count": runtime.shard_count},
@@ -66,18 +64,14 @@ def worker_payload(study: SixWeekStudy, runtime: StudyRuntime) -> Dict[str, obje
         ),
         "quarantine": [list(entry) for entry in resolver.quarantine.snapshot()],
         "metrics": resolver.metrics.snapshot(),
-        # World-side state: the plane is driven identically by every
-        # replica, so this merges by agreement (see _validate_topology),
-        # never by summation — summing replicated tallies would inflate
-        # the background load by the shard count.
-        "traffic": (
-            traffic_plane.drive_state() if traffic_plane is not None else None
-        ),
-        # Attack state is world-side too: the schedule and its waves are
-        # replicated per worker, merged by agreement, never summed.
-        "attacks": (
-            attack_plane.drive_state() if attack_plane is not None else None
-        ),
+        # World-side state: every replica drives the planes identically,
+        # so this merges by agreement (see _validate_topology), never by
+        # summation — summing replicated tallies would inflate the
+        # background load by the shard count.
+        "planes": {
+            name: plane.drive_state()
+            for name, plane in study.world.fabric.planes.items()
+        },
     }
 
 
@@ -133,8 +127,7 @@ def merge_payloads(payloads: Sequence[Dict[str, object]]) -> Dict[str, object]:
         "scan_pop_totals": sorted([pop, pop_totals[pop]] for pop in pop_totals),
         "quarantine": [list(entry) for entry in quarantine],
         "metrics": {name: metrics[name] for name in sorted(metrics)},
-        "traffic": first["traffic"],
-        "attacks": first["attacks"],
+        "planes": first["planes"],
     }
 
 
@@ -173,30 +166,20 @@ def overlay_merged(
         for address, at, due in merged["quarantine"]
     )
     resolver.metrics.restore(merged["metrics"])
-    traffic_state = merged["traffic"]
-    traffic_plane = study.world.fabric.traffic_plane
-    if (traffic_state is None) != (traffic_plane is None):
+    saved_planes = merged["planes"]
+    planes = study.world.fabric.planes
+    mismatched = sorted(set(saved_planes) ^ set(planes))
+    if mismatched:
         raise ShardError(
-            "workers and the coordinator disagree about whether a traffic "
-            "plane is installed"
+            f"workers and the coordinator disagree about whether a "
+            f"{mismatched[0]} plane is installed"
         )
-    if traffic_plane is not None and traffic_plane.drive_state() != traffic_state:
-        raise ShardError(
-            "the coordinator's replayed traffic plane diverged from the "
-            "workers'; the replicas cannot have driven the same load"
-        )
-    attack_state = merged["attacks"]
-    attack_plane = study.world.fabric.attack_plane
-    if (attack_state is None) != (attack_plane is None):
-        raise ShardError(
-            "workers and the coordinator disagree about whether an attack "
-            "plane is installed"
-        )
-    if attack_plane is not None and attack_plane.drive_state() != attack_state:
-        raise ShardError(
-            "the coordinator's replayed attack plane diverged from the "
-            "workers'; the replicas cannot have driven the same campaign"
-        )
+    for name, plane in planes.items():
+        if plane.drive_state() != saved_planes[name]:
+            raise ShardError(
+                f"the coordinator's replayed {name} plane diverged from the "
+                "workers'; the replicas cannot have driven the same world"
+            )
 
 
 # -- internals -------------------------------------------------------------
@@ -233,22 +216,16 @@ def _validate_topology(
                 f"workers disagree on {key}: {sorted(values)}; they cannot "
                 "have replayed the same world in lockstep"
             )
-    # The traffic plane is world-side state every replica drives in
-    # lockstep; its drive_state joins the must-agree family.
-    traffic_states = [p["traffic"] for p in ordered]
-    if any(state != traffic_states[0] for state in traffic_states[1:]):
-        raise ShardError(
-            "workers disagree on the traffic plane's state; they cannot "
-            "have driven the same background load in lockstep"
-        )
-    # Same agreement rule for the attack plane: every replica drives the
-    # identical schedule, waves and attacked-address sets.
-    attack_states = [p["attacks"] for p in ordered]
-    if any(state != attack_states[0] for state in attack_states[1:]):
-        raise ShardError(
-            "workers disagree on the attack plane's state; they cannot "
-            "have driven the same attack campaign in lockstep"
-        )
+    # The planes are world-side state every replica drives in lockstep;
+    # their drive states join the must-agree family.
+    planes = ordered[0]["planes"]
+    for payload in ordered[1:]:
+        for name in sorted(set(planes) | set(payload["planes"])):
+            if payload["planes"].get(name) != planes.get(name):
+                raise ShardError(
+                    f"workers disagree on the {name} plane's state; they "
+                    "cannot have driven the same world in lockstep"
+                )
     return ordered
 
 

@@ -13,12 +13,7 @@ limit tiers, per-nameserver circuit breakers and load shedding
 
 from .defense import AdaptiveLimiter, CircuitBreaker, TokenBucket
 from .plane import TrafficPlane, TrafficVerdict
-from .profiles import (
-    TRAFFIC_PROFILES,
-    TrafficProfile,
-    normalize_traffic_profile,
-    traffic_profile,
-)
+from .profiles import TRAFFIC_PROFILES, TrafficProfile
 
 __all__ = [
     "AdaptiveLimiter",
@@ -28,6 +23,4 @@ __all__ = [
     "TrafficVerdict",
     "TrafficProfile",
     "TRAFFIC_PROFILES",
-    "traffic_profile",
-    "normalize_traffic_profile",
 ]

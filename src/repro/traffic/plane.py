@@ -140,6 +140,9 @@ class TrafficPlane:
         #: region, served/shed per provider, tier-day and breaker counts).
         self.tallies: Dict[str, int] = {}
 
+    #: Background load does not feed back into itself.
+    traffic_surge = 1.0
+
     @property
     def tier(self) -> str:
         """The current fleet-wide load tier."""
@@ -151,7 +154,7 @@ class TrafficPlane:
 
     # -- world side: the daily background load -------------------------
 
-    def drive_day(self, attack_surge: float = 1.0) -> None:
+    def drive_day(self, attack_surge: float = 1.0) -> Tuple[()]:
         """Play out one simulated day of background load.
 
         Called from the world engine's day step, so every replica of the
@@ -160,10 +163,11 @@ class TrafficPlane:
         plane's base stream — position-independent, so a resumed process
         regenerates the same draws without serialising stream state.
 
-        ``attack_surge`` couples the attack plane in: active floods
-        multiply the day's offered volume (post-attack query waves).
-        The default of 1.0 is an exact float identity, so an
-        attack-free world computes byte-identical volumes.
+        ``attack_surge`` (the engine passes the ``traffic_surge`` of the
+        planes driven before this one) couples the attack plane in:
+        active floods multiply the day's offered volume (post-attack
+        query waves).  The default of 1.0 is an exact float identity,
+        so an attack-free world computes byte-identical volumes.
         """
         day = self._clock.day
         self._bump("days")
@@ -223,6 +227,7 @@ class TrafficPlane:
             self.ns_capacity_per_day * self._total_addresses
         )
         self._limiter.update(utilization)
+        return ()
 
     def _bump(self, key: str, amount: int = 1) -> None:
         if amount:
@@ -270,6 +275,12 @@ class TrafficPlane:
                 return TrafficVerdict(
                     "throttled", None, self.profile.retry_after_ms
                 )
+        return None
+
+    @pure_function
+    def admit_http(self, address: IPv4Address, host: Optional[object],
+                   region: Optional[Region]) -> None:
+        """The defense stack fronts nameservers only: HTTP always passes."""
         return None
 
     # -- checkpoint / shard support ------------------------------------

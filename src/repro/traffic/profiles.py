@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..errors import ConfigurationError
 from ..net.geo import PAPER_VANTAGE_REGIONS
 from ..obs.metrics import MetricsRegistry
 from .plane import TrafficPlane
@@ -34,8 +33,6 @@ from .plane import TrafficPlane
 __all__ = [
     "TrafficProfile",
     "TRAFFIC_PROFILES",
-    "traffic_profile",
-    "normalize_traffic_profile",
 ]
 
 _PAPER_REGIONS = tuple(PAPER_VANTAGE_REGIONS)
@@ -139,24 +136,3 @@ TRAFFIC_PROFILES: Dict[str, TrafficProfile] = {
     ]
 }
 
-
-def traffic_profile(name: str) -> TrafficProfile:
-    """Look up a profile by name."""
-    try:
-        return TRAFFIC_PROFILES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown traffic profile {name!r}; "
-            f"known: {', '.join(sorted(TRAFFIC_PROFILES))} (or 'none')"
-        ) from None
-
-
-def normalize_traffic_profile(name: Optional[str]) -> Optional[str]:
-    """Map CLI/manifest spellings to a canonical profile name or None.
-
-    ``None`` and ``"none"`` both mean *no background traffic*; anything
-    else must name a registered profile.
-    """
-    if name is None or name == "none":
-        return None
-    return traffic_profile(name).name

@@ -20,6 +20,7 @@ from ..rng import SeededRng
 from .admin import AdminBehaviorModel, BehaviorEvent, BehaviorKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from ..net.fabric import Plane
     from .internet import SimulatedInternet
 
 __all__ = ["WorldEngine"]
@@ -66,23 +67,15 @@ class WorldEngine:
             todays.extend(self.admin.step_site(site, day, rate_scale))
             site.rotate_public_address(day)
         self._flip_multicdn(day)
-        # Attacks are part of the day's world dynamics: active floods
-        # emit emergent JOIN/LEAVE/SWITCH waves (pure verdicts, never
-        # the admin RNG stream) and surge the background-traffic load.
-        # Every replica drives the identical sequence.
-        attacks = self.world.fabric.attack_plane
-        attack_surge = 1.0
-        if attacks is not None:
-            todays.extend(attacks.drive_day())
-            attack_surge = attacks.traffic_surge
+        # The planes are part of the day's world dynamics, driven in the
+        # fabric's order by every replica alike; each sees the load surge
+        # of those before it (traffic sees the day's attack surge).
+        surge = 1.0
+        plane: Plane
+        for plane in self.world.fabric.planes.values():
+            todays.extend(plane.drive_day(surge))
+            surge *= plane.traffic_surge
         self.events.extend(todays)
-        # Background traffic is part of the day's world dynamics: every
-        # replica of this world (shard workers, checkpoint replays)
-        # drives the identical load sequence, so the plane's buckets,
-        # breakers and load tier stay byte-identical everywhere.
-        traffic = self.world.fabric.traffic_plane
-        if traffic is not None:
-            traffic.drive_day(attack_surge)
         self.clock.advance(interval_hours * SECONDS_PER_HOUR)
         # Stale-record purging is a start-of-day platform job: records
         # whose horizon elapses on day N are gone before day N's queries.

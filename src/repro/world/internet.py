@@ -30,8 +30,6 @@ from ..dps.catalog import PAPER_PROVIDERS, ProviderSpec, build_providers
 from ..dps.multicdn import MultiCdnService
 from ..dps.provider import DpsProvider
 from ..errors import ConfigurationError
-from ..faults.plan import FaultPlan
-from ..faults.profiles import FaultProfile, profile as lookup_profile
 from ..net.asn import AsRegistry
 from ..net.fabric import NetworkFabric
 from ..net.geo import PAPER_VANTAGE_REGIONS, Region, VantagePoint, region as lookup_region
@@ -39,8 +37,6 @@ from ..net.ipaddr import AddressAllocator
 from ..net.routeviews import RouteViewsDb
 from ..obs.metrics import MetricsRegistry
 from ..rng import SeededRng
-from ..traffic.plane import TrafficPlane
-from ..traffic.profiles import TrafficProfile, traffic_profile as lookup_traffic
 from ..web.http import HttpClient
 from .admin import AdminBehaviorModel
 from .config import WorldConfig
@@ -218,92 +214,45 @@ class SimulatedInternet:
             metrics=metrics,
         )
 
-    def install_faults(
+    def install_plane(
         self,
-        profile: "FaultProfile | FaultPlan | str",
+        field: str,
+        profile: object,
         metrics: Optional[MetricsRegistry] = None,
-    ) -> FaultPlan:
-        """Install a fault plan on the fabric and return it.
+    ) -> object:
+        """Install one plane on the fabric and return it.
 
-        Accepts a profile name (see :data:`repro.faults.PROFILES`), a
-        :class:`~repro.faults.profiles.FaultProfile`, or a ready-built
-        :class:`~repro.faults.plan.FaultPlan`.  Profiles are built at
-        install time, so their day-windowed rules are relative to the
-        clock's current day.  The plan's RNG is forked from the world's
-        root RNG — installation never perturbs world dynamics.
+        ``field`` names the plane's :data:`repro.scenario.PLANES` row
+        (``"fault"``, ``"traffic"``, ``"attacks"``).  ``profile`` is a
+        registered profile name, a profile of that kind, or a
+        ready-built plane of that kind; anything else raises
+        :class:`~repro.errors.ConfigurationError`.  Profiles build at
+        install time, so day-windowed fault rules and attack schedules
+        are relative to the clock's current day.  Every plane forks its
+        RNG from the world's root by label, so installation never
+        perturbs world dynamics.
         """
-        if isinstance(profile, str):
-            profile = lookup_profile(profile)
-        if isinstance(profile, FaultProfile):
-            plan = profile.build(
-                self, metrics if metrics is not None else MetricsRegistry()
-            )
-        else:
-            plan = profile
-        self.fabric.fault_plan = plan
-        return plan
+        # Imported here, not at module top: the plane packages import
+        # world modules, and this module is part of the same package's
+        # init chain.
+        from ..scenario import PLANES, plane_kind
 
-    def install_traffic(
-        self,
-        profile: "TrafficProfile | TrafficPlane | str",
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> TrafficPlane:
-        """Install a background-traffic plane and return it.
-
-        Accepts a profile name (see
-        :data:`repro.traffic.TRAFFIC_PROFILES`), a
-        :class:`~repro.traffic.profiles.TrafficProfile`, or a ready-built
-        :class:`~repro.traffic.plane.TrafficPlane`.  From then on the
-        world engine drives one day of background load per day step, and
-        the provider defense stack may throttle or shed measurement
-        deliveries through the fabric.  The plane's RNG is forked from
-        the world's root RNG — installation never perturbs world
-        dynamics.
-        """
-        if isinstance(profile, str):
-            profile = lookup_traffic(profile)
-        if isinstance(profile, TrafficProfile):
-            plane = profile.build(self, metrics)
-        else:
-            plane = profile
-        self.fabric.traffic_plane = plane
+        kind = plane_kind(field)
+        plane = kind.build(self, profile, metrics)
+        self.fabric.install(field, plane, PLANES.index(kind))
         return plane
 
-    def install_attacks(
-        self,
-        profile: "object | str",
-        metrics: Optional[MetricsRegistry] = None,
-    ):
-        """Install an attack plane and return it.
+    def install_faults(self, profile: object, metrics: Optional[MetricsRegistry] = None):
+        """:meth:`install_plane` for the fault plan."""
+        return self.install_plane("fault", profile, metrics)
 
-        Accepts a profile name (see
-        :data:`repro.attacks.ATTACK_PROFILES`), an
-        :class:`~repro.attacks.profiles.AttackProfile`, or a ready-built
-        :class:`~repro.attacks.plane.AttackPlane`.  The schedule is
-        generated at install time from a label-forked RNG stream, so
-        event days are relative to the clock's current day and every
-        replica that installs at the same day rebuilds it
-        byte-identically.  Wave verdicts are pure hashes — installation
-        never perturbs baseline world dynamics.
-        """
-        # Imported here, not at module top: repro.attacks imports the
-        # world's admin/website modules, and this module is part of the
-        # same package's init chain.
-        from ..attacks.plane import AttackPlane
-        from ..attacks.profiles import AttackProfile, attack_profile as lookup_attack
+    def install_traffic(self, profile: object, metrics: Optional[MetricsRegistry] = None):
+        """:meth:`install_plane` for the background-traffic plane."""
+        return self.install_plane("traffic", profile, metrics)
 
-        if isinstance(profile, str):
-            profile = lookup_attack(profile)
-        if isinstance(profile, AttackProfile):
-            plane = profile.build(self, metrics)
-        elif isinstance(profile, AttackPlane):
-            plane = profile
-        else:
-            raise ConfigurationError(
-                f"cannot install attacks from {type(profile).__name__}"
-            )
-        self.fabric.attack_plane = plane
-        return plane
+    def install_attacks(self, profile: object, metrics: Optional[MetricsRegistry] = None):
+        """:meth:`install_plane` for the attack plane."""
+        return self.install_plane("attacks", profile, metrics)
 
     def vantage_point(self, region_name: str) -> VantagePoint:
         """One of the five measurement vantage points (Fig. 7)."""

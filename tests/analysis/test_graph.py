@@ -189,6 +189,79 @@ class TestCallGraph:
             ("pkg.use", "run"), ("pkg.svc", "Service.work")
         ) in edge_set(graph)
 
+    def test_method_dispatch_through_annotated_local(self, tmp_path):
+        graph = build_graph(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/svc.py": """
+                class Service:
+                    def work(self):
+                        return 1
+
+                class Other:
+                    def work(self):
+                        return 2
+            """,
+            "pkg/use.py": """
+                from pkg.svc import Service
+
+                def run(services):
+                    svc: Service
+                    for svc in services:
+                        svc.work()
+            """,
+        })
+        edges = edge_set(graph)
+        assert (("pkg.use", "run"), ("pkg.svc", "Service.work")) in edges
+        assert (("pkg.use", "run"), ("pkg.svc", "Other.work")) not in edges
+
+    def test_protocol_receiver_dispatches_to_every_implementer(self, tmp_path):
+        graph = build_graph(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/contract.py": """
+                from typing import Protocol
+
+                class Plane(Protocol):
+                    def admit(self, packet):
+                        ...
+
+                    def drive(self):
+                        ...
+
+                def deliver(planes, packet):
+                    plane: Plane
+                    for plane in planes:
+                        plane.admit(packet)
+            """,
+            "pkg/impl.py": """
+                class Loss:
+                    def admit(self, packet):
+                        return None
+
+                    def drive(self):
+                        return ()
+
+                class Flood:
+                    def admit(self, packet):
+                        return None
+
+                    def drive(self):
+                        return ()
+
+                class Bystander:
+                    def admit(self, packet):
+                        return None
+            """,
+        })
+        targets = {
+            callee
+            for caller, callee in edge_set(graph)
+            if caller == ("pkg.contract", "deliver")
+        }
+        assert targets == {
+            ("pkg.impl", "Loss.admit"),
+            ("pkg.impl", "Flood.admit"),
+        }
+
     def test_inherited_method_resolves_to_base(self, tmp_path):
         graph = build_graph(tmp_path, {
             "pkg/__init__.py": "",

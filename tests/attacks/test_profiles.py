@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.attacks import (
-    ATTACK_PROFILES,
-    attack_profile,
-    normalize_attack_profile,
-)
+from repro.attacks import ATTACK_PROFILES
 from repro.attacks.events import TargetKind
-from repro.errors import ConfigurationError
 from repro.world import SimulatedInternet, WorldConfig
 
 POPULATION = 200
@@ -41,17 +36,6 @@ class TestRegistry:
             if profile.expect_equivalence
         ]
         assert quiet == ["quiet"]
-
-    def test_unknown_profile_is_a_configuration_error(self):
-        with pytest.raises(ConfigurationError, match="unknown attack profile"):
-            attack_profile("tsunami")
-
-    def test_normalize_maps_none_spellings(self):
-        assert normalize_attack_profile(None) is None
-        assert normalize_attack_profile("none") is None
-        assert normalize_attack_profile("campaign") == "campaign"
-        with pytest.raises(ConfigurationError):
-            normalize_attack_profile("tsunami")
 
 
 class TestScheduleGeneration:

@@ -92,24 +92,24 @@ class TestFaultRuleMatching:
 class TestFaultPlanVerdicts:
     def test_no_rules_delivers(self):
         plan = make_plan([])
-        assert plan.intercept_dns(ADDR, QUERY, None).delivered
+        assert plan.admit_dns(ADDR, QUERY, None).delivered
 
     def test_loss_drops_with_no_response(self):
         plan = make_plan([FaultRule(FaultKind.LOSS)])
-        verdict = plan.intercept_dns(ADDR, QUERY, None)
+        verdict = plan.admit_dns(ADDR, QUERY, None)
         assert verdict.dropped and verdict.outcome == "loss"
         assert verdict.response is None
         assert plan.metrics.value("faults.dns.loss") == 1
 
     def test_servfail_synthesizes_response(self):
         plan = make_plan([FaultRule(FaultKind.SERVFAIL)])
-        verdict = plan.intercept_dns(ADDR, QUERY, None)
+        verdict = plan.admit_dns(ADDR, QUERY, None)
         assert not verdict.delivered and not verdict.dropped
         assert verdict.response.rcode is Rcode.SERVFAIL
 
     def test_lame_synthesizes_refused(self):
         plan = make_plan([FaultRule(FaultKind.LAME)])
-        verdict = plan.intercept_dns(ADDR, QUERY, None)
+        verdict = plan.admit_dns(ADDR, QUERY, None)
         assert verdict.response.rcode is Rcode.REFUSED
 
     def test_latency_is_cumulative_and_delivers(self):
@@ -119,7 +119,7 @@ class TestFaultPlanVerdicts:
                 FaultRule(FaultKind.LATENCY, latency_ms=20),
             ]
         )
-        verdict = plan.intercept_dns(ADDR, QUERY, None)
+        verdict = plan.admit_dns(ADDR, QUERY, None)
         assert verdict.delivered and verdict.latency_ms == 50
         assert plan.metrics.value("faults.dns.latency_ms") == 50
 
@@ -128,29 +128,29 @@ class TestFaultPlanVerdicts:
         plan = make_plan(
             [FaultRule(FaultKind.OUTAGE, from_day=1, until_day=2)], clock=clock
         )
-        assert plan.intercept_dns(ADDR, QUERY, None).delivered
+        assert plan.admit_dns(ADDR, QUERY, None).delivered
         clock.advance_days(1)
-        assert plan.intercept_dns(ADDR, QUERY, None).outcome == "outage"
+        assert plan.admit_dns(ADDR, QUERY, None).outcome == "outage"
         clock.advance_days(1)
-        assert plan.intercept_dns(ADDR, QUERY, None).delivered
+        assert plan.admit_dns(ADDR, QUERY, None).delivered
 
     def test_rate_limit_resets_per_day(self):
         clock = SimulationClock()
         plan = make_plan(
             [FaultRule(FaultKind.RATE_LIMIT, max_per_day=2)], clock=clock
         )
-        assert plan.intercept_dns(ADDR, QUERY, None).delivered
-        assert plan.intercept_dns(ADDR, QUERY, None).delivered
-        assert plan.intercept_dns(ADDR, QUERY, None).outcome == "rate-limited"
+        assert plan.admit_dns(ADDR, QUERY, None).delivered
+        assert plan.admit_dns(ADDR, QUERY, None).delivered
+        assert plan.admit_dns(ADDR, QUERY, None).outcome == "rate-limited"
         # A different destination has its own counter.
-        assert plan.intercept_dns(OTHER, QUERY, None).delivered
+        assert plan.admit_dns(OTHER, QUERY, None).delivered
         clock.advance_days(1)
-        assert plan.intercept_dns(ADDR, QUERY, None).delivered
+        assert plan.admit_dns(ADDR, QUERY, None).delivered
 
     def test_consecutive_cap_guarantees_delivery(self):
         plan = make_plan([FaultRule(FaultKind.LOSS, probability=1.0)], cap=2)
         outcomes = [
-            plan.intercept_dns(ADDR, QUERY, None).outcome for _ in range(6)
+            plan.admit_dns(ADDR, QUERY, None).outcome for _ in range(6)
         ]
         # Two failures, then the cap forces one delivery through, repeat.
         assert outcomes == ["loss", "loss", "deliver", "loss", "loss", "deliver"]
@@ -159,18 +159,18 @@ class TestFaultPlanVerdicts:
     def test_outage_bypasses_consecutive_cap(self):
         plan = make_plan([FaultRule(FaultKind.OUTAGE)], cap=1)
         outcomes = [
-            plan.intercept_dns(ADDR, QUERY, None).outcome for _ in range(4)
+            plan.admit_dns(ADDR, QUERY, None).outcome for _ in range(4)
         ]
         assert outcomes == ["outage"] * 4
 
     def test_http_plane_has_no_synthetic_dns_faults(self):
         plan = make_plan([FaultRule(FaultKind.SERVFAIL, plane="dns")])
-        verdict = plan.intercept_http(ADDR, DomainName("www.example.com"), None)
+        verdict = plan.admit_http(ADDR, DomainName("www.example.com"), None)
         assert verdict.delivered
 
     def test_http_loss_counted_on_http_counter(self):
         plan = make_plan([FaultRule(FaultKind.LOSS, plane="http")])
-        verdict = plan.intercept_http(ADDR, DomainName("www.example.com"), None)
+        verdict = plan.admit_http(ADDR, DomainName("www.example.com"), None)
         assert verdict.outcome == "loss"
         assert plan.metrics.value("faults.http.loss") == 1
 
@@ -182,7 +182,7 @@ class TestFaultPlanVerdicts:
         rules = [FaultRule(FaultKind.LOSS, probability=0.5)]
         plan_a = make_plan(rules)
         plan_b = make_plan(rules)
-        outcomes_a = [plan_a.intercept_dns(ADDR, QUERY, None).outcome for _ in range(32)]
-        outcomes_b = [plan_b.intercept_dns(ADDR, QUERY, None).outcome for _ in range(32)]
+        outcomes_a = [plan_a.admit_dns(ADDR, QUERY, None).outcome for _ in range(32)]
+        outcomes_b = [plan_b.admit_dns(ADDR, QUERY, None).outcome for _ in range(32)]
         assert outcomes_a == outcomes_b
         assert "loss" in outcomes_a and "deliver" in outcomes_a

@@ -57,7 +57,7 @@ def install(fabric, rules, cap=None):
         rules=rules,
         max_consecutive_failures=cap,
     )
-    fabric.fault_plan = plan
+    fabric.install("fault", plan, 0)
     return plan
 
 

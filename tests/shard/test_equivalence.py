@@ -49,7 +49,7 @@ class TestShardedEquivalenceUnderPlanes:
         world, monolithic = _monolithic_under(scenario)
         # The planes must bite, or the comparison proves nothing.
         if scenario.fault is not None:
-            assert world.fabric.fault_plan.metrics.snapshot(prefix="faults")
+            assert world.fabric.planes["fault"].metrics.snapshot(prefix="faults")
         else:
             assert monolithic.total_unmeasured > 0
             assert monolithic.attack_events

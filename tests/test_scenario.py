@@ -83,14 +83,8 @@ class _RecordingWorld:
     def __init__(self):
         self.calls = []
 
-    def install_faults(self, name):
-        self.calls.append(("faults", name))
-
-    def install_traffic(self, name):
-        self.calls.append(("traffic", name))
-
-    def install_attacks(self, name):
-        self.calls.append(("attacks", name))
+    def install_plane(self, field, name):
+        self.calls.append((field, name))
 
 
 class TestInstall:
@@ -102,7 +96,7 @@ class TestInstall:
             attack_profile="skirmish",
         ).install(world)
         assert world.calls == [
-            ("faults", "heavy-loss"),
+            ("fault", "heavy-loss"),
             ("traffic", "surge"),
             ("attacks", "skirmish"),
         ]

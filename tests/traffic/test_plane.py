@@ -17,12 +17,7 @@ from repro.net.geo import region
 from repro.net.ipaddr import IPv4Address
 from repro.obs.metrics import MetricsRegistry
 from repro.rng import SeededRng
-from repro.traffic import (
-    TRAFFIC_PROFILES,
-    TrafficPlane,
-    normalize_traffic_profile,
-    traffic_profile,
-)
+from repro.traffic import TRAFFIC_PROFILES, TrafficPlane
 
 FLEETS = {
     "cloudflare": [IPv4Address("10.1.0.1"), IPv4Address("10.1.0.2")],
@@ -58,17 +53,6 @@ class TestProfiles:
     def test_registry_names_match_profiles(self):
         for name, profile in TRAFFIC_PROFILES.items():
             assert profile.name == name
-
-    def test_lookup_unknown_profile_raises(self):
-        with pytest.raises(ConfigurationError):
-            traffic_profile("tsunami")
-
-    def test_normalize(self):
-        assert normalize_traffic_profile(None) is None
-        assert normalize_traffic_profile("none") is None
-        assert normalize_traffic_profile("surge") == "surge"
-        with pytest.raises(ConfigurationError):
-            normalize_traffic_profile("tsunami")
 
     def test_steady_is_the_equivalence_profile(self):
         assert TRAFFIC_PROFILES["steady"].expect_equivalence

@@ -75,7 +75,7 @@ class TestResolverUnderThrottle:
     def test_throttled_server_is_failed_over_not_quarantined(self, fabric):
         fabric.register_dns(THROTTLED_IP, NxdomainServer())
         fabric.register_dns(HEALTHY_IP, NxdomainServer())
-        fabric.traffic_plane = throttle(THROTTLED_IP)
+        fabric.install("traffic", throttle(THROTTLED_IP), 0)
         metrics = MetricsRegistry()
         resolver = make_resolver(fabric, metrics)
         response = resolver._query_any([THROTTLED_IP, HEALTHY_IP], WWW, RecordType.A)
@@ -94,7 +94,7 @@ class TestResolverUnderThrottle:
         # keeps its quarantine semantics even with a traffic plane up.
         fabric.register_dns(THROTTLED_IP, ServfailServer())
         fabric.register_dns(HEALTHY_IP, NxdomainServer())
-        fabric.traffic_plane = StubPlane({})
+        fabric.install("traffic", StubPlane({}), 0)
         metrics = MetricsRegistry()
         resolver = make_resolver(fabric, metrics)
         response = resolver._query_any([THROTTLED_IP, HEALTHY_IP], WWW, RecordType.A)
@@ -105,7 +105,7 @@ class TestResolverUnderThrottle:
     def test_everything_throttled_degrades_to_unknown(self, fabric):
         fabric.register_dns(THROTTLED_IP, NxdomainServer())
         fabric.register_dns(HEALTHY_IP, NxdomainServer())
-        fabric.traffic_plane = throttle(THROTTLED_IP, HEALTHY_IP)
+        fabric.install("traffic", throttle(THROTTLED_IP, HEALTHY_IP), 0)
         metrics = MetricsRegistry()
         resolver = make_resolver(fabric, metrics)
         before = resolver._transient_failures
@@ -120,7 +120,7 @@ class TestResolverUnderThrottle:
         # A genuine REFUSED is remembered as a last-resort answer in
         # _query_any; the defense stack's synthetic REFUSED must not be.
         fabric.register_dns(THROTTLED_IP, NxdomainServer())
-        fabric.traffic_plane = shed(THROTTLED_IP)
+        fabric.install("traffic", shed(THROTTLED_IP), 0)
         resolver = make_resolver(fabric, MetricsRegistry())
         response = resolver._query_any([THROTTLED_IP], WWW, RecordType.A)
         assert response is None
@@ -128,7 +128,7 @@ class TestResolverUnderThrottle:
 
     def test_shed_does_not_release_existing_quarantine(self, fabric):
         fabric.register_dns(THROTTLED_IP, NxdomainServer())
-        fabric.traffic_plane = shed(THROTTLED_IP)
+        fabric.install("traffic", shed(THROTTLED_IP), 0)
         resolver = make_resolver(fabric, MetricsRegistry())
         resolver.quarantine.quarantine(THROTTLED_IP)
         resolver._query_any([THROTTLED_IP], WWW, RecordType.A)
@@ -139,7 +139,7 @@ class TestResolverUnderThrottle:
 class TestClientUnderThrottle:
     def test_throttled_query_returns_none_and_flags(self, fabric):
         fabric.register_dns(THROTTLED_IP, NxdomainServer())
-        fabric.traffic_plane = throttle(THROTTLED_IP)
+        fabric.install("traffic", throttle(THROTTLED_IP), 0)
         metrics = MetricsRegistry()
         client = DnsClient(fabric, metrics=metrics)
         assert client.query(THROTTLED_IP, WWW, RecordType.A) is None
@@ -150,7 +150,7 @@ class TestClientUnderThrottle:
 
     def test_shed_refused_never_surfaces_as_a_response(self, fabric):
         fabric.register_dns(THROTTLED_IP, NxdomainServer())
-        fabric.traffic_plane = shed(THROTTLED_IP)
+        fabric.install("traffic", shed(THROTTLED_IP), 0)
         client = DnsClient(fabric, metrics=MetricsRegistry())
         # The verdict carries a synthetic REFUSED; handing it to the
         # caller would read as a residual-record purge observation.
@@ -160,7 +160,7 @@ class TestClientUnderThrottle:
     def test_flag_resets_on_the_next_clean_query(self, fabric):
         fabric.register_dns(THROTTLED_IP, NxdomainServer())
         fabric.register_dns(HEALTHY_IP, NxdomainServer())
-        fabric.traffic_plane = throttle(THROTTLED_IP)
+        fabric.install("traffic", throttle(THROTTLED_IP), 0)
         client = DnsClient(fabric, metrics=MetricsRegistry())
         client.query(THROTTLED_IP, WWW, RecordType.A)
         assert client.last_throttled
