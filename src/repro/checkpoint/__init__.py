@@ -2,13 +2,13 @@
 
 See :mod:`repro.checkpoint.store` for the on-disk format (manifest,
 content-hashed snapshots, write-ahead journal), :mod:`.runner` for the
-checkpointed entry points (one-worker runs of the study driver in
-:mod:`repro.shard.runner`, which owns the barrier loop and resume), and
+barrier model and the benchmark's entry point (the study driver in
+:mod:`repro.shard.runner` owns the barrier loop, run and resume), and
 :mod:`.killmatrix` for the crash-at-every-barrier equivalence harness.
 """
 
 from .killmatrix import run_kill_matrix, study_artifact
-from .runner import resume_study, run_checkpointed_study
+from .runner import run_checkpointed_study
 from .serde import config_to_dict, restore_runtime, serialize_runtime
 from .store import SCHEMA_VERSION, CheckpointStore, canonical_json, content_hash
 
@@ -21,7 +21,6 @@ __all__ = [
     "serialize_runtime",
     "restore_runtime",
     "run_checkpointed_study",
-    "resume_study",
     "run_kill_matrix",
     "study_artifact",
 ]

@@ -10,16 +10,16 @@ same equivalence discipline ``repro chaos`` applies to fault profiles,
 pointed at the checkpoint plane itself.
 
 The matrix also exercises the refusal paths on the reference
-directory: a mismatched seed or any mismatched scenario profile must
-raise
-:class:`CheckpointMismatchError`, a torn journal tail must be
-*tolerated* (resume from the previous barrier, still byte-identical),
-and a corrupted snapshot must raise :class:`CheckpointCorruptError`.
+directory: a mismatched seed, or a mismatched profile on any plane
+(one ``mismatched-<field>`` check per :data:`~repro.scenario.PLANES`
+kind), must raise :class:`CheckpointMismatchError`; a torn journal
+tail must be *tolerated* (resume from the previous barrier, still
+byte-identical); and a corrupted snapshot must raise
+:class:`CheckpointCorruptError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -52,11 +52,9 @@ def run_kill_matrix(
     population: int,
     seed: int,
     config: Optional[StudyConfig] = None,
-    fault_profile: Optional[str] = None,
-    traffic_profile: Optional[str] = None,
-    attack_profile: Optional[str] = None,
     shards: int = 1,
     shard_mode: str = "inline",
+    **profiles: Optional[str],
 ) -> Dict[str, object]:
     """Crash at every barrier in every mode; assert resumed == reference.
 
@@ -78,12 +76,10 @@ def run_kill_matrix(
 
     base = Path(base_dir)
     config = config if config is not None else StudyConfig()
-    scenario = Scenario.of(
-        fault_profile=fault_profile,
-        traffic_profile=traffic_profile,
-        attack_profile=attack_profile,
+    scenario = Scenario.of(**profiles)
+    inputs = dict(
+        population=population, seed=seed, config=config, **scenario.identity()
     )
-    inputs = dict(population=population, seed=seed, config=config, scenario=scenario)
 
     def launch(directory, crash_plan, run_inputs):
         return run_campaign(
@@ -181,7 +177,7 @@ def _refusal_checks(
 
     ``store_dir`` is where the journal and snapshots actually live: the
     reference directory itself for a one-worker run, shard 0's
-    subdirectory for a sharded campaign.  Each scenario profile in turn
+    subdirectory for a sharded campaign.  Each plane's profile in turn
     is swapped for another registered one, and the resume must refuse.
     """
     checks: List[Dict[str, object]] = []
@@ -196,19 +192,19 @@ def _refusal_checks(
             reopen,
         )
     )
-    scenario = inputs["scenario"]
-    for check, field in (
-        ("mismatched-profile", "fault"),
-        ("mismatched-traffic", "traffic"),
-        ("mismatched-attacks", "attacks"),
-    ):
+    for kind in Scenario.kinds():
         other = next(
-            name for name in Scenario.known(field) if name != getattr(scenario, field)
+            name
+            for name in Scenario.known(kind.field)
+            if name != inputs[kind.keyword]
         )
-        wrong = dict(inputs, scenario=replace(scenario, **{field: other}))
         checks.append(
             _expect_refusal(
-                check, reference_dir, wrong, CheckpointMismatchError, reopen
+                f"mismatched-{kind.field}",
+                reference_dir,
+                dict(inputs, **{kind.keyword: other}),
+                CheckpointMismatchError,
+                reopen,
             )
         )
 

@@ -4,35 +4,35 @@
 
     python -m repro study  [--population N] [--seed S] [--days D] [--warmup W]
                            [--shards N] [--shard-mode inline|process]
-                           [--checkpoint DIR] [--fault-profile NAME]
-                           [--traffic PROFILE] [--attacks PROFILE]
-    python -m repro scan   [--population N] [--seed S]
+                           [--checkpoint DIR] [--export PATH] [PLANE FLAGS]
+    python -m repro scan   [--population N] [--seed S] [--warmup W]
     python -m repro attack [--population N] [--seed S] [--gbps G]
     python -m repro purge-probe [--trials T] [--plan PLAN]
     python -m repro bench  [--population N] [--seed S] [--warmup W]
-                           [--label L] [--out PATH]
-                           [--traffic PROFILE] [--attacks PROFILE]
+                           [--label L] [--out PATH] [--traffic NAME]
+                           [--attacks NAME]
     python -m repro traffic [--profile NAME] [--population N] [--seed S]
                            [--days D]
     python -m repro attacks [--profile NAME] [--population N] [--seed S]
                            [--days D]
     python -m repro chaos  --profile NAME [--population N] [--seed S]
-                           [--warmup W] [--out PATH] [--traffic PROFILE]
-                           [--attacks PROFILE]
+                           [--warmup W] [--out PATH] [--traffic NAME]
+                           [--attacks NAME]
     python -m repro resume CHECKPOINT_DIR [--population N] [--seed S]
-                           [--days D] [--warmup W] [--fault-profile NAME]
-                           [--traffic PROFILE] [--attacks PROFILE]
-                           [--export PATH] [--shard-mode inline|process]
+                           [--days D] [--warmup W] [--export PATH]
+                           [--shard-mode inline|process] [PLANE FLAGS]
     python -m repro kill-matrix [--population N] [--seed S] [--days D]
-                           [--warmup W] [--fault-profile NAME]
-                           [--traffic PROFILE] [--attacks PROFILE]
-                           [--workdir DIR]
-                           [--out PATH] [--shards N]
-                           [--shard-mode inline|process]
+                           [--warmup W] [--workdir DIR] [--out PATH]
+                           [--shards N] [--shard-mode inline|process]
+                           [PLANE FLAGS]
     python -m repro lint   [paths] [--select IDS] [--ignore IDS]
                            [--format text|json|sarif] [--baseline PATH]
                            [--update-baseline] [--cache PATH] [--no-cache]
                            [--ignore-unused-suppressions] [--jobs N]
+
+``PLANE FLAGS`` are one flag per row of :data:`repro.scenario.PLANES`,
+generated from that table: ``--fault-profile NAME``, ``--traffic NAME``
+and ``--attacks NAME`` today.
 
 ``study`` runs the full six-week campaign and prints every table and
 figure; ``scan`` runs one §V residual-resolution sweep; ``attack``
@@ -62,11 +62,15 @@ detects the sharded layout from the coordinator manifest.
 ``kill-matrix --shards N`` runs the whole matrix through the sharded
 plane.  docs/SCALING.md documents the execution model.
 
-``--fault-profile``, ``--traffic`` and ``--attacks`` name the run's
-:class:`~repro.scenario.Scenario`; ``study``, ``resume`` and
-``kill-matrix`` take all three, ``bench`` and ``chaos`` the last two.
+The plane flags name the run's :class:`~repro.scenario.Scenario`;
+``study``, ``resume`` and ``kill-matrix`` take every one, ``bench`` and
+``chaos`` all but the fault flag (``chaos --profile`` names its fault).
+Every command maps a configuration error (an out-of-range flag, an
+unknown profile) to exit 2 and a refused checkpoint or failed shard to
+exit 1, printing one line.
+
 ``--fault-profile NAME`` installs a named fault profile after warm-up.
-``--traffic PROFILE`` installs a named background-load profile after
+``--traffic NAME`` installs a named background-load profile after
 warm-up: the provider fleets serve Zipf-distributed client traffic and
 their defense stack (token buckets, adaptive limit tiers, circuit breakers, load
 shedding) may throttle the measurement plane, which degrades gracefully
@@ -74,7 +78,7 @@ shedding) may throttle the measurement plane, which degrades gracefully
 transitions).  ``repro traffic`` lists the profiles or dry-drives one
 and prints its tallies.  docs/ROBUSTNESS.md documents the semantics.
 
-``--attacks PROFILE`` schedules a deterministic DDoS campaign after
+``--attacks NAME`` schedules a deterministic DDoS campaign after
 warm-up: volumetric and amplification events strike
 site origins, provider fleets, and co-located hosting blocks, drive
 emergency JOIN / post-attack LEAVE/SWITCH waves through the world's
@@ -99,7 +103,9 @@ from .core.report import render_full_report
 from .core.study import SixWeekStudy, StudyConfig
 from .dps.plans import PlanTier
 from .dps.portal import ReroutingMethod
+from .errors import CheckpointError, ConfigurationError, ShardError
 from .io import atomic_write_json
+from .scenario import Scenario, plane_kind
 from .world import SimulatedInternet, WorldConfig
 
 __all__ = ["main", "build_parser"]
@@ -120,18 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="world seed (default 2018)")
 
     def add_scenario_args(
-        sub: argparse.ArgumentParser, faults: bool = True
+        sub: argparse.ArgumentParser, omit: Optional[str] = None
     ) -> None:
-        if faults:
-            sub.add_argument("--fault-profile", metavar="NAME", default=None,
-                             help="install a named fault profile after "
-                                  "warm-up ('none' disables)")
-        sub.add_argument("--traffic", metavar="PROFILE", default=None,
-                         help="drive background load under a named traffic "
-                              "profile ('none' disables; see 'repro traffic')")
-        sub.add_argument("--attacks", metavar="PROFILE", default=None,
-                         help="schedule a named DDoS campaign after warm-up "
-                              "('none' disables; see 'repro attacks')")
+        for kind in Scenario.kinds():
+            if kind.field != omit:
+                sub.add_argument(kind.flag, dest=kind.field, metavar="NAME",
+                                 default=None, help=kind.help)
 
     study = subparsers.add_parser("study", help="run the full six-week campaign")
     add_world_args(study)
@@ -183,15 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trajectory label (default: p<population>)")
     bench.add_argument("--out", metavar="PATH", default=None,
                        help="output path (default: BENCH_<label>.json)")
-    add_scenario_args(bench, faults=False)
+    add_scenario_args(bench, omit="fault")
 
     chaos = subparsers.add_parser(
         "chaos",
         help="E1/E8 under a fault profile, diffed against a fault-free run",
     )
-    from .faults.profiles import PROFILES
-
-    chaos.add_argument("--profile", required=True, choices=sorted(PROFILES),
+    chaos.add_argument("--profile", dest="fault", required=True,
+                       choices=Scenario.known("fault"),
                        help="named fault profile to inject")
     chaos.add_argument("--population", type=int, default=400,
                        help="number of websites (default 400)")
@@ -202,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 21)")
     chaos.add_argument("--out", metavar="PATH", default=None,
                        help="output path (default: CHAOS_<profile>.json)")
-    add_scenario_args(chaos, faults=False)
+    add_scenario_args(chaos, omit="fault")
 
     resume = subparsers.add_parser(
         "resume", help="continue a crashed checkpointed study"
@@ -391,57 +390,62 @@ def _cmd_lint(args) -> int:
     return 1 if new else 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:  # repro: allow[REP040] -- reaches run_bench's sanctioned wall-clock reporting; simulation commands stay seeded
-    """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "traffic":
-        return _cmd_traffic(args)
-    if args.command == "attacks":
-        return _cmd_attacks(args)
-    if args.command in ("study", "resume", "kill-matrix", "bench", "chaos"):
-        from .errors import ConfigurationError
-        from .scenario import Scenario
+def main(argv: Optional[List[str]] = None) -> int:
+    """Entry point; returns a process exit code.
 
-        # chaos names its fault profile with --profile.
-        fault_profile = (
-            args.profile if args.command == "chaos"
-            else getattr(args, "fault_profile", None)
-        )
-        try:
-            scenario = Scenario.of(
-                fault_profile=fault_profile,
-                traffic_profile=args.traffic,
-                attack_profile=args.attacks,
-            )
-        except ConfigurationError as exc:
-            print(f"repro {args.command}: {exc}", file=sys.stderr)
-            return 2
-        if args.command == "study":
-            return _cmd_study(args, scenario)
-        if args.command == "resume":
-            return _cmd_resume(args, scenario)
-        if args.command == "kill-matrix":
-            return _cmd_kill_matrix(args, scenario)
-        if args.command == "chaos":
-            return _cmd_chaos(args, scenario)
-        return _cmd_bench(args, scenario)
-    world = SimulatedInternet(
+    Every command shares one error mapping: a configuration error (an
+    out-of-range flag, an unknown profile) exits 2, a refused checkpoint
+    or a failed shard exits 1, each with one line on stderr.
+    """
+    args = build_parser().parse_args(argv)
+    command = {
+        "study": _cmd_study,
+        "scan": _cmd_scan,
+        "attack": _cmd_attack,
+        "purge-probe": _cmd_purge_probe,
+        "bench": _cmd_bench,
+        "traffic": _cmd_traffic,
+        "attacks": _cmd_attacks,
+        "chaos": _cmd_chaos,
+        "resume": _cmd_resume,
+        "kill-matrix": _cmd_kill_matrix,
+        "lint": _cmd_lint,
+    }[args.command]
+    try:
+        return command(args)
+    except ConfigurationError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except (CheckpointError, ShardError) as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 1
+
+
+def _world(args) -> SimulatedInternet:
+    return SimulatedInternet(
         WorldConfig(population_size=args.population, seed=args.seed)
     )
-    if args.command == "scan":
-        return _cmd_scan(world, args)
-    if args.command == "attack":
-        return _cmd_attack(world, args)
-    return _cmd_purge_probe(world, args)
 
 
-def _cmd_chaos(args, scenario) -> int:
+def _config(args) -> StudyConfig:
+    return StudyConfig(warmup_days=args.warmup, study_days=args.days)
+
+
+def _scenario(args) -> Scenario:
+    """The planes named on the command line; a flag a command lacks is off."""
+    return Scenario.of(
+        **{
+            kind.keyword: getattr(args, kind.field, None)
+            for kind in Scenario.kinds()
+        }
+    )
+
+
+def _cmd_chaos(args) -> int:
     from .faults.chaos import run_chaos
 
     report = run_chaos(
-        scenario,
+        _scenario(args),
         population=args.population,
         seed=args.seed,
         warmup_days=args.warmup,
@@ -469,13 +473,12 @@ def _cmd_chaos(args, scenario) -> int:
     return 0
 
 
-def _cmd_bench(args, scenario) -> int:  # repro: allow[REP040] -- run_bench's wall-clock reads are the bench's output, not simulation state
+def _cmd_bench(args) -> int:  # repro: allow[REP040] -- run_bench's wall-clock reads are the bench's output, not simulation state
     from .obs.bench import run_bench
 
+    scenario = _scenario(args)
     result = run_bench(
-        SimulatedInternet(
-            WorldConfig(population_size=args.population, seed=args.seed)
-        ),
+        _world(args),
         warmup_days=args.warmup,
         label=args.label,
         traffic=scenario.traffic,
@@ -512,27 +515,18 @@ def _cmd_bench(args, scenario) -> int:  # repro: allow[REP040] -- run_bench's wa
     return 0
 
 
-def _cmd_study(args, scenario) -> int:
-    from .errors import CheckpointError, ConfigurationError, ShardError
+def _cmd_study(args) -> int:
     from .shard.runner import run_campaign
 
-    config = StudyConfig(warmup_days=args.warmup, study_days=args.days)
-    try:
-        report = run_campaign(
-            scenario=scenario,
-            population=args.population,
-            seed=args.seed,
-            config=config,
-            shard_count=args.shards,
-            mode=args.shard_mode,
-            checkpoint_dir=args.checkpoint,
-        )
-    except ConfigurationError as exc:
-        print(f"repro study: {exc}", file=sys.stderr)
-        return 2
-    except (CheckpointError, ShardError) as exc:
-        print(f"repro study: {exc}", file=sys.stderr)
-        return 1
+    report = run_campaign(
+        population=args.population,
+        seed=args.seed,
+        config=_config(args),
+        shard_count=args.shards,
+        mode=args.shard_mode,
+        checkpoint_dir=args.checkpoint,
+        **_scenario(args).identity(),
+    )
     return _print_study_report(report, args.export)
 
 
@@ -546,34 +540,30 @@ def _print_study_report(report, export: Optional[str]) -> int:
     return 0
 
 
-def _cmd_resume(args, scenario) -> int:
-    from .errors import CheckpointError, ShardError
+def _cmd_resume(args) -> int:
     from .shard.runner import resume_campaign
 
-    config = StudyConfig(warmup_days=args.warmup, study_days=args.days)
-    try:
-        # The manifest says whether this is a one-worker run or a
-        # sharded campaign; the operator never passes a shard count.
-        report = resume_campaign(
-            args.checkpoint,
-            scenario=scenario,
-            population=args.population,
-            seed=args.seed,
-            config=config,
-            mode=args.shard_mode,
-        )
-    except (CheckpointError, ShardError) as exc:
-        print(f"repro resume: {exc}", file=sys.stderr)
-        return 1
+    # The manifest says whether this is a one-worker run or a sharded
+    # campaign; the operator never passes a shard count.
+    report = resume_campaign(
+        args.checkpoint,
+        population=args.population,
+        seed=args.seed,
+        config=_config(args),
+        mode=args.shard_mode,
+        **_scenario(args).identity(),
+    )
     return _print_study_report(report, args.export)
 
 
-def _cmd_kill_matrix(args, scenario) -> int:
+def _cmd_kill_matrix(args) -> int:
     import tempfile
 
     from .checkpoint import run_kill_matrix
 
-    config = StudyConfig(warmup_days=args.warmup, study_days=args.days)
+    # Validated before the temp dir exists, so a refusal leaves nothing.
+    config = _config(args)
+    scenario = _scenario(args)
     workdir = args.workdir or tempfile.mkdtemp(prefix="repro-killmatrix-")
     payload = run_kill_matrix(
         workdir,
@@ -581,8 +571,8 @@ def _cmd_kill_matrix(args, scenario) -> int:
         seed=args.seed,
         config=config,
         shards=args.shards,
-        **scenario.identity(),
         shard_mode=args.shard_mode,
+        **scenario.identity(),
     )
     atomic_write_json(args.out, payload)
     failed = [c for c in payload["cases"] if not c["passed"]]
@@ -603,9 +593,7 @@ def _cmd_kill_matrix(args, scenario) -> int:
 
 
 def _cmd_traffic(args) -> int:
-    from .errors import ConfigurationError
     from .obs.metrics import MetricsRegistry
-    from .scenario import Scenario
     from .traffic import TRAFFIC_PROFILES
 
     if args.profile is None:
@@ -622,17 +610,11 @@ def _cmd_traffic(args) -> int:
             print(f"           {profile.description}")
         print("('none' disables background traffic)")
         return 0
-    try:
-        name = Scenario.of(traffic_profile=args.profile).traffic
-    except ConfigurationError as exc:
-        print(f"repro traffic: {exc}", file=sys.stderr)
-        return 2
+    name = plane_kind("traffic").normalize(args.profile)
     if name is None:
         print("profile 'none': no background traffic to drive")
         return 0
-    world = SimulatedInternet(
-        WorldConfig(population_size=args.population, seed=args.seed)
-    )
+    world = _world(args)
     metrics = MetricsRegistry()
     plane = world.install_traffic(name, metrics=metrics)
     world.engine.run_days(args.days)
@@ -655,9 +637,7 @@ def _cmd_traffic(args) -> int:
 
 def _cmd_attacks(args) -> int:
     from .attacks import ATTACK_PROFILES
-    from .errors import ConfigurationError
     from .obs.metrics import MetricsRegistry
-    from .scenario import Scenario
 
     if args.profile is None:
         print("attack profiles:")
@@ -680,17 +660,11 @@ def _cmd_attacks(args) -> int:
             print(f"            {profile.description}")
         print("('none' disables attacks)")
         return 0
-    try:
-        name = Scenario.of(attack_profile=args.profile).attacks
-    except ConfigurationError as exc:
-        print(f"repro attacks: {exc}", file=sys.stderr)
-        return 2
+    name = plane_kind("attacks").normalize(args.profile)
     if name is None:
         print("profile 'none': no attacks to drive")
         return 0
-    world = SimulatedInternet(
-        WorldConfig(population_size=args.population, seed=args.seed)
-    )
+    world = _world(args)
     metrics = MetricsRegistry()
     plane = world.install_attacks(name, metrics=metrics)
     print(f"profile {name}: schedule at population {args.population}, "
@@ -708,7 +682,8 @@ def _cmd_attacks(args) -> int:
     return 0
 
 
-def _cmd_scan(world: SimulatedInternet, args) -> int:
+def _cmd_scan(args) -> int:
+    world = _world(args)
     world.engine.run_days(args.warmup)
     study = SixWeekStudy(world, StudyConfig(warmup_days=0, study_days=1))
     runtime = study.begin()
@@ -727,7 +702,8 @@ def _cmd_scan(world: SimulatedInternet, args) -> int:
     return 0
 
 
-def _cmd_attack(world: SimulatedInternet, args) -> int:
+def _cmd_attack(args) -> int:
+    world = _world(args)
     cloudflare = world.provider("cloudflare")
     incapsula = world.provider("incapsula")
     matcher = ProviderMatcher(world.specs, world.routeviews)
@@ -757,8 +733,8 @@ def _cmd_attack(world: SimulatedInternet, args) -> int:
     return 0
 
 
-def _cmd_purge_probe(world: SimulatedInternet, args) -> int:
-    probe = PurgeProbe(world)
+def _cmd_purge_probe(args) -> int:
+    probe = PurgeProbe(_world(args))
     trials = probe.run_trials(count=args.trials, plan=PlanTier(args.plan))
     for trial in trials:
         purged = (

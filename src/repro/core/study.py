@@ -24,6 +24,7 @@ from typing import Dict, List, NamedTuple, Optional, Set
 
 from ..clock import DAYS_PER_WEEK
 from ..dps.portal import ReroutingMethod
+from ..errors import ConfigurationError
 from ..markers import merge_point, pure_function, shard_entry
 from ..net.geo import PAPER_VANTAGE_REGIONS
 from ..net.ipaddr import IPv4Address
@@ -96,6 +97,16 @@ class StudyConfig:
     #: dynamic meta; admits false positives) — the ablation DESIGN.md
     #: calls out.
     verifier_strictness: str = "title-and-meta"
+
+    def __post_init__(self) -> None:
+        for name, low in (
+            ("warmup_days", 0),
+            ("study_days", 0),
+            ("scan_every_days", 1),
+        ):
+            value = getattr(self, name)
+            if value < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass

@@ -8,8 +8,9 @@ public entry points carries one validated value instead of loose names.
 :meth:`Scenario.identity` is what a checkpoint manifest records, and
 :meth:`Scenario.install` puts the planes on a warmed-up world.
 
-:data:`PLANES` is the one table of plane kinds.  It drives ``Scenario``
-and :meth:`~repro.world.internet.SimulatedInternet.install_plane`; below
+:data:`PLANES` is the one table of plane kinds.  It drives ``Scenario``,
+the command-line flags, the runners' profile keywords and
+:meth:`~repro.world.internet.SimulatedInternet.install_plane`; below
 them the fabric, the world engine, checkpoint snapshots and shard
 merging handle whatever is installed through the fabric's
 :class:`~repro.net.fabric.Plane` contract, without naming a plane.
@@ -40,6 +41,9 @@ class PlaneKind(NamedTuple):
     field: str
     #: The :meth:`Scenario.of` keyword, and the key in the identity.
     keyword: str
+    #: The command-line flag that names the profile, and its help text.
+    flag: str
+    help: str
     #: Registered profiles by name; each builds a plane at install time.
     profiles: Mapping[str, object]
     profile_type: type
@@ -83,12 +87,34 @@ class PlaneKind(NamedTuple):
 #: attack surge.  (Installation follows :class:`Scenario`'s field order
 #: instead.)
 PLANES = (
-    PlaneKind("fault", "fault_profile", PROFILES, FaultProfile, FaultPlan),
     PlaneKind(
-        "attacks", "attack_profile", ATTACK_PROFILES, AttackProfile, AttackPlane
+        "fault",
+        "fault_profile",
+        "--fault-profile",
+        "install a named fault profile after warm-up ('none' disables)",
+        PROFILES,
+        FaultProfile,
+        FaultPlan,
     ),
     PlaneKind(
-        "traffic", "traffic_profile", TRAFFIC_PROFILES, TrafficProfile, TrafficPlane
+        "attacks",
+        "attack_profile",
+        "--attacks",
+        "schedule a named DDoS campaign after warm-up "
+        "('none' disables; see 'repro attacks')",
+        ATTACK_PROFILES,
+        AttackProfile,
+        AttackPlane,
+    ),
+    PlaneKind(
+        "traffic",
+        "traffic_profile",
+        "--traffic",
+        "drive background load under a named traffic profile "
+        "('none' disables; see 'repro traffic')",
+        TRAFFIC_PROFILES,
+        TrafficProfile,
+        TrafficPlane,
     ),
 )
 
@@ -116,12 +142,17 @@ class Scenario:
     attacks: Optional[str] = None
 
     @classmethod
+    def kinds(cls) -> List[PlaneKind]:
+        """The :data:`PLANES` rows in field order: faults, traffic, attacks."""
+        return [plane_kind(field.name) for field in fields(cls)]
+
+    @classmethod
     def of(cls, **profiles: Optional[str]) -> "Scenario":
         """Validate and normalise profile names given by ``keyword``."""
-        values = {}
-        for field in fields(cls):
-            kind = plane_kind(field.name)
-            values[field.name] = kind.normalize(profiles.pop(kind.keyword, None))
+        values = {
+            kind.field: kind.normalize(profiles.pop(kind.keyword, None))
+            for kind in cls.kinds()
+        }
         if profiles:
             raise TypeError(
                 f"Scenario.of() got unexpected keyword(s): {', '.join(sorted(profiles))}"
@@ -135,10 +166,7 @@ class Scenario:
 
     def identity(self) -> Dict[str, Optional[str]]:
         """The recorded identity, keyed like :meth:`of`'s arguments."""
-        return {
-            plane_kind(field.name).keyword: getattr(self, field.name)
-            for field in fields(self)
-        }
+        return {kind.keyword: getattr(self, kind.field) for kind in self.kinds()}
 
     @property
     def hash(self) -> str:
@@ -153,7 +181,7 @@ class Scenario:
         shard worker, merge replay) regenerate the same day-windowed
         fault rules, background load and attack schedule.
         """
-        for field in fields(self):
-            name = getattr(self, field.name)
+        for kind in self.kinds():
+            name = getattr(self, kind.field)
             if name is not None:
-                world.install_plane(field.name, name)
+                world.install_plane(kind.field, name)

@@ -52,6 +52,7 @@ from ..errors import (
     CheckpointCorruptError,
     CheckpointError,
     CheckpointMismatchError,
+    ConfigurationError,
     ShardError,
     ShardWorkerError,
     SimulatedCrash,
@@ -62,7 +63,6 @@ from ..scenario import Scenario
 from ..world.config import WorldConfig
 from ..world.internet import SimulatedInternet
 from .merge import merge_payloads, overlay_merged, worker_payload
-from .plan import ShardPlan
 
 __all__ = [
     "DEFAULT_OP_TIMEOUT",
@@ -76,7 +76,6 @@ __all__ = [
     "run_campaign",
     "resume_campaign",
     "run_sharded_study",
-    "resume_sharded_study",
 ]
 
 SHARD_MODES = ("inline", "process")
@@ -517,89 +516,8 @@ def _worker_main(connection, spec: WorkerSpec, inherited: Sequence) -> None:
 # -- the coordinator --------------------------------------------------------
 
 
-def run_sharded_study(
-    *,
-    population: int,
-    seed: int,
-    config: Optional[StudyConfig] = None,
-    fault_profile: Optional[str] = None,
-    traffic_profile: Optional[str] = None,
-    attack_profile: Optional[str] = None,
-    shard_count: int = 1,
-    mode: str = "inline",
-    checkpoint_dir: "Path | str | None" = None,
-    crash_plan: Optional[CrashPlan] = None,
-    op_timeout: Optional[float] = None,
-) -> StudyReport:
-    """Run the campaign over ``shard_count`` lockstep workers and merge.
-
-    With ``checkpoint_dir`` the campaign is crash-safe: each worker
-    keeps a full checkpoint store (see :func:`shard_directory`; with
-    more than one worker the coordinator's manifest sits on top), and
-    :func:`resume_sharded_study` continues a killed campaign on the
-    identical trajectory.
-    ``crash_plan`` arms the same :class:`~repro.faults.crash.CrashPlan`
-    in *every* worker — the sharded kill-matrix's fault kind.
-    """
-    return run_campaign(
-        scenario=Scenario.of(
-            fault_profile=fault_profile,
-            traffic_profile=traffic_profile,
-            attack_profile=attack_profile,
-        ),
-        population=population,
-        seed=seed,
-        config=config,
-        shard_count=shard_count,
-        mode=mode,
-        checkpoint_dir=checkpoint_dir,
-        crash_plan=crash_plan,
-        op_timeout=op_timeout,
-    )
-
-
-def resume_sharded_study(
-    checkpoint_dir: "Path | str",
-    *,
-    population: int,
-    seed: int,
-    config: Optional[StudyConfig] = None,
-    fault_profile: Optional[str] = None,
-    traffic_profile: Optional[str] = None,
-    attack_profile: Optional[str] = None,
-    mode: str = "inline",
-    shard_count: Optional[int] = None,
-    crash_plan: Optional[CrashPlan] = None,
-    op_timeout: Optional[float] = None,
-) -> StudyReport:
-    """Continue a killed campaign on its exact trajectory.
-
-    The shard count is read from the manifest (and cross-checked
-    against ``shard_count`` when supplied).  Every worker seeks to the
-    lowest barrier committed by *any* shard — workers that got further
-    replay deterministically up to their journals' existing records
-    without re-appending them.
-    """
-    return resume_campaign(
-        checkpoint_dir,
-        scenario=Scenario.of(
-            fault_profile=fault_profile,
-            traffic_profile=traffic_profile,
-            attack_profile=attack_profile,
-        ),
-        population=population,
-        seed=seed,
-        config=config,
-        mode=mode,
-        shard_count=shard_count,
-        crash_plan=crash_plan,
-        op_timeout=op_timeout,
-    )
-
-
 def run_campaign(
     *,
-    scenario: Scenario,
     population: int,
     seed: int,
     config: Optional[StudyConfig] = None,
@@ -608,16 +526,30 @@ def run_campaign(
     checkpoint_dir: "Path | str | None" = None,
     crash_plan: Optional[CrashPlan] = None,
     op_timeout: Optional[float] = None,
+    **profiles: Optional[str],
 ) -> StudyReport:
-    """Run a study from scratch: the driver behind every public runner.
+    """Run a study from scratch over ``shard_count`` lockstep workers.
 
+    ``profiles`` name the planes by :meth:`Scenario.of` keyword; an
+    unknown name or keyword is refused before anything touches disk.
     With ``checkpoint_dir`` every worker commits a barrier per day into
     its store (:func:`shard_directory`); a campaign of more than one
-    worker also writes the coordinator's manifest at the top.
+    worker also writes the coordinator's manifest at the top, and
+    :func:`resume_campaign` continues a killed run on the identical
+    trajectory.  ``crash_plan`` arms the same
+    :class:`~repro.faults.crash.CrashPlan` in *every* worker — the kill
+    matrix's fault kind.
     """
+    scenario = Scenario.of(**profiles)
     config = config if config is not None else StudyConfig()
     _require_mode(mode)
-    ShardPlan(population, shard_count)  # validates the topology
+    if shard_count < 1:
+        raise ConfigurationError(f"shard_count must be >= 1, got {shard_count}")
+    if shard_count > population:
+        raise ConfigurationError(
+            f"cannot split a population of {population} over {shard_count} "
+            "shard(s); every shard needs at least one site"
+        )
     base = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if base is not None and shard_count > 1:
         CheckpointStore.create(
@@ -643,34 +575,33 @@ def run_campaign(
 def resume_campaign(
     checkpoint_dir: "Path | str",
     *,
-    scenario: Scenario,
     population: int,
     seed: int,
     config: Optional[StudyConfig] = None,
     mode: str = "inline",
-    shard_count: Optional[int] = None,
     crash_plan: Optional[CrashPlan] = None,
     op_timeout: Optional[float] = None,
+    **profiles: Optional[str],
 ) -> StudyReport:
     """Continue a crashed study, one-worker or sharded, from its manifest.
 
-    Refuses loudly when the supplied inputs differ from the manifest
-    (:class:`CheckpointMismatchError`), when no journal holds a
+    The shard count is read from the manifest.  Every worker seeks to the
+    lowest barrier committed by *any* shard — workers that got further
+    replay up to their journals' existing records without re-appending
+    them.  Refuses loudly when the supplied inputs differ from the
+    manifest (:class:`CheckpointMismatchError`), when no journal holds a
     committed barrier, when a snapshot or mid-journal record is damaged
     (:class:`CheckpointCorruptError`), or when the replayed world's
-    clock drifts from the snapshot's recorded position.
+    clock drifts from the snapshot's recorded position — drift means
+    world dynamics were not reproduced and the resumed measurements
+    would silently diverge.
     """
+    scenario = Scenario.of(**profiles)
     config = config if config is not None else StudyConfig()
     _require_mode(mode)
     base = Path(checkpoint_dir)
     top = CheckpointStore.open(base)
     count = _recorded_shard_count(top)
-    if shard_count is not None and shard_count != count:
-        raise CheckpointMismatchError(
-            f"campaign at {base} ran with {count} shard(s); the resume "
-            f"asked for {shard_count} — the partition is part of the "
-            "trajectory and cannot change mid-campaign"
-        )
     top.verify_inputs(
         seed=seed,
         population=population,
@@ -702,6 +633,10 @@ def resume_campaign(
     return _drive(
         _fan_out(template, base), mode, max(seek_barrier, 0), op_timeout
     )
+
+
+#: The name the frozen campaign benchmark calls; the same driver.
+run_sharded_study = run_campaign
 
 
 # -- internals -------------------------------------------------------------

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from ..errors import ConfigurationError
+
 __all__ = ["BehaviorRates", "DepartureProfile", "WorldConfig"]
 
 #: The population size the paper's absolute numbers refer to.
@@ -149,6 +151,12 @@ class WorldConfig:
             "enterprise": 0.05,
         }
     )
+
+    def __post_init__(self) -> None:
+        if self.population_size < 1:
+            raise ConfigurationError(
+                f"population must be >= 1, got {self.population_size}"
+            )
 
     def departure_profile(self, provider_name: str) -> DepartureProfile:
         """The departure profile for a provider (falling back to default)."""

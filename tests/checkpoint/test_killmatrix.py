@@ -24,7 +24,7 @@ class TestKillMatrix:
         }
         assert refusal_verdicts == {
             "mismatched-seed": True,
-            "mismatched-profile": True,
+            "mismatched-fault": True,
             "mismatched-traffic": True,
             "mismatched-attacks": True,
             "torn-journal-tail": True,

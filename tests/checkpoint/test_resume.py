@@ -4,7 +4,6 @@ import pytest
 
 from repro.checkpoint import (
     canonical_json,
-    resume_study,
     run_checkpointed_study,
     study_artifact,
 )
@@ -19,6 +18,7 @@ from repro.errors import (
 )
 from repro.faults.crash import CrashPlan
 from repro.scenario import Scenario
+from repro.shard import resume_campaign
 from repro.world import SimulatedInternet, WorldConfig
 
 from .conftest import POPULATION, SEED, STUDY_DAYS, small_config
@@ -32,7 +32,7 @@ def crash_then_resume(directory, inputs, barrier, mode):
             crash_plan=CrashPlan(at_barrier=barrier, mode=mode),
             **inputs,
         )
-    return canonical_json(study_artifact(resume_study(directory, **inputs)))
+    return canonical_json(study_artifact(resume_campaign(directory, **inputs)))
 
 
 class TestCheckpointedRun:
@@ -84,7 +84,7 @@ class TestCrashResume:
         self, tmp_path, study_inputs, reference_artifact
     ):
         run_checkpointed_study(tmp_path / "ckpt", **study_inputs)
-        resumed = resume_study(tmp_path / "ckpt", **study_inputs)
+        resumed = resume_campaign(tmp_path / "ckpt", **study_inputs)
         assert canonical_json(study_artifact(resumed)) == reference_artifact
 
     def test_fault_profile_crash_resume_identical(self, tmp_path):
@@ -116,22 +116,22 @@ class TestResumeRefusals:
 
     def test_wrong_seed_refused(self, crashed_dir, study_inputs):
         with pytest.raises(CheckpointMismatchError, match="seed"):
-            resume_study(crashed_dir, **dict(study_inputs, seed=SEED + 1))
+            resume_campaign(crashed_dir, **dict(study_inputs, seed=SEED + 1))
 
     def test_wrong_population_refused(self, crashed_dir, study_inputs):
         with pytest.raises(CheckpointMismatchError, match="population"):
-            resume_study(
+            resume_campaign(
                 crashed_dir, **dict(study_inputs, population=POPULATION + 1)
             )
 
     def test_wrong_config_refused(self, crashed_dir, study_inputs):
         other = StudyConfig(warmup_days=8, study_days=STUDY_DAYS + 1)
         with pytest.raises(CheckpointMismatchError, match="config"):
-            resume_study(crashed_dir, **dict(study_inputs, config=other))
+            resume_campaign(crashed_dir, **dict(study_inputs, config=other))
 
     def test_wrong_profile_refused(self, crashed_dir, study_inputs):
         with pytest.raises(CheckpointMismatchError, match="fault_profile"):
-            resume_study(
+            resume_campaign(
                 crashed_dir, **dict(study_inputs, fault_profile="heavy-loss")
             )
 
@@ -142,7 +142,7 @@ class TestResumeRefusals:
             checkpoint_dir=tmp_path / "campaign", shard_count=2, **study_inputs
         )
         with pytest.raises(CheckpointMismatchError, match="campaign directory"):
-            resume_study(tmp_path / "campaign" / "shard-0-of-2", **study_inputs)
+            resume_campaign(tmp_path / "campaign" / "shard-0-of-2", **study_inputs)
 
     def test_empty_journal_refused(self, tmp_path, study_inputs):
         from repro.checkpoint import CheckpointStore, config_to_dict
@@ -156,7 +156,7 @@ class TestResumeRefusals:
             scenario=Scenario(),
         )
         with pytest.raises(CheckpointError, match="no committed barriers"):
-            resume_study(tmp_path / "ckpt", **study_inputs)
+            resume_campaign(tmp_path / "ckpt", **study_inputs)
 
 
 class TestCrashPlan:

@@ -1,6 +1,6 @@
 """Report-layer regressions the sharded-merge audit surfaced.
 
-Three bugs, one test class each:
+Four bugs, one test class each:
 
 * the weekly Cloudflare sweep silently dropped a scan week when the
   harvest was *empty* (only the resolve-failure path recorded the skip);
@@ -8,13 +8,17 @@ Three bugs, one test class each:
   have zero adopters, even if adoption then grew from a later baseline;
 * the ground-truth event window included the final run-day's events —
   which no snapshot diff can ever observe — while the daily-average
-  divisor assumed ``study_days - 1`` observable days.
+  divisor assumed ``study_days - 1`` observable days;
+* an empty population died in ``WorldConfig.scale_factor`` and a zero
+  scan interval in ``scan_due``, while a negative study length ran and
+  reported nothing — each is now refused where it is configured.
 """
 
 import pytest
 
 from repro.core.status import DpsObservation, DpsStatus
 from repro.core.study import SixWeekStudy, StudyConfig, StudyReport
+from repro.errors import ConfigurationError
 from repro.world import SimulatedInternet, WorldConfig
 from repro.world.admin import BehaviorEvent, BehaviorKind
 
@@ -160,3 +164,22 @@ class TestGroundTruthWindow:
         average = report.ground_truth_daily_average()
         assert len(window_days) == config.study_days - 1
         assert average[BehaviorKind.LEAVE] == pytest.approx(1.0)
+
+
+class TestOutOfRangeConfigRefused:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("warmup_days", -1), ("study_days", -1), ("scan_every_days", 0)],
+    )
+    def test_study_lengths(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            StudyConfig(**{field: value})
+
+    def test_zero_day_study_stays_valid(self):
+        config = StudyConfig(warmup_days=0, study_days=0)
+        assert config.study_days == 0
+
+    @pytest.mark.parametrize("population", [0, -3])
+    def test_empty_population(self, population):
+        with pytest.raises(ConfigurationError, match="population must be >= 1"):
+            WorldConfig(population_size=population)

@@ -13,7 +13,6 @@ import pytest
 
 from repro.checkpoint import (
     canonical_json,
-    resume_study,
     run_checkpointed_study,
     study_artifact,
 )
@@ -21,7 +20,7 @@ from repro.core.export import report_to_dict
 from repro.core.study import SixWeekStudy, StudyConfig
 from repro.errors import CheckpointMismatchError, SimulatedCrash
 from repro.faults.crash import CrashPlan
-from repro.shard import run_sharded_study
+from repro.shard import resume_campaign, run_sharded_study
 from repro.world import SimulatedInternet, WorldConfig
 
 SMALL = dict(population=150, seed=11)
@@ -185,7 +184,7 @@ class TestCheckpointWithAttacks:
                 **self.INPUTS,
             )
         resumed = canonical_json(
-            study_artifact(resume_study(tmp_path / "crash", **self.INPUTS))
+            study_artifact(resume_campaign(tmp_path / "crash", **self.INPUTS))
         )
         assert resumed == reference
 
@@ -198,7 +197,7 @@ class TestCheckpointWithAttacks:
             )
         mismatched = dict(self.INPUTS, attack_profile=None)
         with pytest.raises(CheckpointMismatchError):
-            resume_study(tmp_path / "crash", **mismatched)
+            resume_campaign(tmp_path / "crash", **mismatched)
 
     def test_resume_under_a_different_profile_is_refused(self, tmp_path):
         with pytest.raises(SimulatedCrash):
@@ -209,4 +208,4 @@ class TestCheckpointWithAttacks:
             )
         mismatched = dict(self.INPUTS, attack_profile="blitz")
         with pytest.raises(CheckpointMismatchError):
-            resume_study(tmp_path / "crash", **mismatched)
+            resume_campaign(tmp_path / "crash", **mismatched)

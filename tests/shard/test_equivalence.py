@@ -16,8 +16,7 @@ from repro.core.study import SixWeekStudy, StudyConfig
 from repro.errors import SimulatedCrash
 from repro.faults.crash import CrashPlan
 from repro.scenario import Scenario
-from repro.shard import resume_sharded_study, run_sharded_study
-from repro.shard.runner import run_campaign
+from repro.shard import resume_campaign, run_campaign, run_sharded_study
 from repro.world import SimulatedInternet, WorldConfig
 
 from .conftest import POPULATION, SEED, small_config
@@ -54,7 +53,7 @@ class TestShardedEquivalenceUnderPlanes:
             assert monolithic.total_unmeasured > 0
             assert monolithic.attack_events
         sharded = run_campaign(
-            scenario=scenario,
+            **scenario.identity(),
             population=POPULATION,
             seed=SEED,
             config=small_config(),
@@ -104,7 +103,7 @@ class TestShardedEquivalence:
                 checkpoint_dir=directory,
                 crash_plan=CrashPlan(at_barrier=2, mode="after-commit"),
             )
-        report = resume_sharded_study(
+        report = resume_campaign(
             directory,
             population=POPULATION,
             seed=SEED,

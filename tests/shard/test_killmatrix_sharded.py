@@ -37,7 +37,7 @@ class TestShardedKillMatrix:
         }
         assert refusal_verdicts == {
             "mismatched-seed": True,
-            "mismatched-profile": True,
+            "mismatched-fault": True,
             "mismatched-traffic": True,
             "mismatched-attacks": True,
             "torn-journal-tail": True,

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.scenario import PLANES, Scenario
 
 
 class TestParser:
@@ -95,7 +96,7 @@ class TestCommands:
 class TestChaosCommand:
     def test_chaos_parser_defaults(self):
         args = build_parser().parse_args(["chaos", "--profile", "lossy-default"])
-        assert args.profile == "lossy-default"
+        assert args.fault == "lossy-default"
         assert args.population == 400
         assert args.seed == 2018
         assert args.warmup == 21
@@ -156,7 +157,7 @@ class TestCheckpointCommands:
         assert args.seed == 2018
         assert args.days == 42
         assert args.warmup == 56
-        assert args.fault_profile is None
+        assert args.fault is None
 
     def test_kill_matrix_parser_defaults(self):
         args = build_parser().parse_args(["kill-matrix"])
@@ -387,3 +388,106 @@ class TestAttackFlags:
         assert plain_payload.pop("attacks") is None
         assert quiet_payload.pop("attacks")["events"] == []
         assert plain_payload == quiet_payload
+
+
+class TestErrorMapping:
+    """Every command turns a refusal into one line and an exit code."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["study"],
+            ["scan"],
+            ["attack"],
+            ["purge-probe"],
+            ["bench"],
+            ["chaos", "--profile", "lossy-default"],
+            ["traffic", "--profile", "surge"],
+            ["attacks", "--profile", "skirmish"],
+            ["kill-matrix", "--workdir", "work"],
+        ],
+    )
+    def test_empty_population_exits_2(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        code = main(command + ["--population", "0"])
+        err = capsys.readouterr().err.strip()
+        assert code == 2
+        assert err.startswith(f"repro {command[0]}: ")
+        assert "population" in err and "\n" not in err
+
+    @pytest.mark.parametrize("command", ["study", "kill-matrix"])
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--days", "-1"], "study_days"),
+            (["--warmup", "-1"], "warmup_days"),
+        ],
+    )
+    def test_negative_study_length_exits_2(self, capsys, command, flags, field):
+        code = main([command, "--population", "60"] + flags)
+        err = capsys.readouterr().err.strip()
+        assert code == 2
+        assert err == f"repro {command}: {field} must be >= 0, got -1"
+
+    def test_negative_resume_length_exits_2(self, capsys, tmp_path):
+        code = main(["resume", str(tmp_path / "ckpt"), "--days", "-1"])
+        assert code == 2
+        assert "study_days must be >= 0" in capsys.readouterr().err
+
+    def test_kill_matrix_zero_shards_exits_2(self, capsys, tmp_path):
+        code = main([
+            "kill-matrix", "--population", "60", "--days", "1",
+            "--warmup", "1", "--shards", "0",
+            "--workdir", str(tmp_path / "work"),
+            "--out", str(tmp_path / "KILLMATRIX.json"),
+        ])
+        err = capsys.readouterr().err.strip()
+        assert code == 2
+        assert err == "repro kill-matrix: shard_count must be >= 1, got 0"
+        assert not (tmp_path / "KILLMATRIX.json").exists()
+
+    def test_kill_matrix_rerun_into_used_workdir_exits_1(self, capsys, tmp_path):
+        argv = [
+            "kill-matrix", "--population", "60", "--seed", "5",
+            "--days", "0", "--warmup", "1",
+            "--workdir", str(tmp_path / "work"),
+            "--out", str(tmp_path / "KILLMATRIX.json"),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err.strip()
+        assert code == 1
+        assert err.startswith("repro kill-matrix: ")
+        assert "already holds a manifest" in err
+
+
+def _field(kind):
+    return kind.field
+
+
+class TestPlaneFlags:
+    """The plane flags are generated from :data:`repro.scenario.PLANES`."""
+
+    @pytest.mark.parametrize("kind", PLANES, ids=_field)
+    @pytest.mark.parametrize(
+        "command", [["study"], ["resume", "ckpt"], ["kill-matrix"]]
+    )
+    def test_study_verbs_take_every_plane(self, command, kind):
+        name = Scenario.known(kind.field)[0]
+        assert getattr(build_parser().parse_args(command), kind.field) is None
+        args = build_parser().parse_args(command + [kind.flag, name])
+        assert getattr(args, kind.field) == name
+
+    @pytest.mark.parametrize("kind", PLANES, ids=_field)
+    @pytest.mark.parametrize(
+        "command", [["bench"], ["chaos", "--profile", "lossy-default"]]
+    )
+    def test_bench_and_chaos_take_every_plane_but_faults(self, command, kind):
+        name = Scenario.known(kind.field)[0]
+        if kind.field == "fault":
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + [kind.flag, name])
+        else:
+            args = build_parser().parse_args(command + [kind.flag, name])
+            assert getattr(args, kind.field) == name

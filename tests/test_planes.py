@@ -114,7 +114,17 @@ def stub_kind(monkeypatch):
         scenario_module,
         "PLANES",
         scenario_module.PLANES
-        + (PlaneKind("stub", "stub_profile", {"on": StubProfile()}, StubProfile, StubPlane),),
+        + (
+            PlaneKind(
+                "stub",
+                "stub_profile",
+                "--stub",
+                "install the stub plane",
+                {"on": StubProfile()},
+                StubProfile,
+                StubPlane,
+            ),
+        ),
     )
 
 

@@ -4,12 +4,12 @@ runners validating it before anything touches disk."""
 import pytest
 
 from repro.attacks import ATTACK_PROFILES
-from repro.checkpoint import CheckpointStore, run_checkpointed_study
+from repro.checkpoint import CheckpointStore, run_checkpointed_study, run_kill_matrix
 from repro.core.study import StudyConfig
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointMismatchError, ConfigurationError
 from repro.faults import PROFILES
-from repro.scenario import Scenario
-from repro.shard import run_sharded_study
+from repro.scenario import PLANES, Scenario
+from repro.shard import resume_campaign, run_campaign, run_sharded_study
 from repro.traffic import TRAFFIC_PROFILES
 
 TINY = dict(
@@ -140,3 +140,63 @@ class TestRunnersValidateFirst:
                 **TINY,
             )
         assert not (tmp_path / "campaign" / "MANIFEST.json").exists()
+
+
+#: Every public runner, called as ``(directory, **inputs)``.
+RUNNERS = {
+    "run_campaign": lambda directory, **inputs: run_campaign(
+        checkpoint_dir=directory, **inputs
+    ),
+    "run_checkpointed_study": run_checkpointed_study,
+    "run_sharded_study": lambda directory, **inputs: run_sharded_study(
+        checkpoint_dir=directory, shard_count=2, **inputs
+    ),
+    "resume_campaign": resume_campaign,
+    "run_kill_matrix": run_kill_matrix,
+}
+
+#: The runners that start a checkpointed study from scratch.
+STARTERS = ["run_campaign", "run_checkpointed_study", "run_sharded_study"]
+
+
+def _field(kind):
+    return kind.field
+
+
+class TestRunnersTakeEveryPlane:
+    """The runners take each :data:`PLANES` keyword without naming it."""
+
+    @pytest.mark.parametrize("kind", PLANES, ids=_field)
+    @pytest.mark.parametrize("runner", STARTERS)
+    def test_run_records_and_resume_checks_the_plane(self, tmp_path, runner, kind):
+        name = Scenario.known(kind.field)[0]
+        RUNNERS[runner](tmp_path / "ckpt", **{kind.keyword: name}, **TINY)
+        manifest = CheckpointStore.open(tmp_path / "ckpt").manifest
+        assert manifest["scenario"][kind.keyword] == name
+        resume_campaign(tmp_path / "ckpt", **{kind.keyword: name}, **TINY)
+        with pytest.raises(CheckpointMismatchError, match=kind.keyword):
+            resume_campaign(tmp_path / "ckpt", **TINY)
+
+    @pytest.mark.parametrize("kind", PLANES, ids=_field)
+    def test_kill_matrix_records_the_plane(self, tmp_path, kind):
+        name = Scenario.known(kind.field)[0]
+        payload = run_kill_matrix(
+            tmp_path,
+            population=60,
+            seed=5,
+            config=StudyConfig(warmup_days=2, study_days=0),
+            **{kind.keyword: name},
+        )
+        assert payload[kind.keyword] == name
+        assert payload["passed"] is True
+        assert f"mismatched-{kind.field}" in {
+            check["check"] for check in payload["refusals"]
+        }
+        manifest = CheckpointStore.open(tmp_path / "reference").manifest
+        assert manifest["scenario"][kind.keyword] == name
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_misspelled_keyword_is_a_type_error(self, tmp_path, runner):
+        with pytest.raises(TypeError, match="traffic_profle"):
+            RUNNERS[runner](tmp_path / "ckpt", traffic_profle="surge", **TINY)
+        assert not (tmp_path / "ckpt").exists()
