@@ -10,7 +10,7 @@ Everything *decided* in response to an event goes through the pure
 verdict functions below: whether a site joins in panic, whether a
 customer of an overwhelmed provider leaves or switches, which provider a
 wave migrant picks, what enrollment they buy.  Each verdict is a
-:func:`~repro.rng.stable_hash` function of (seed, event, day, subject) —
+:func:`~repro.rng.hash_fraction` draw keyed on (seed, event, day, subject) —
 no RNG stream, no clock writes, no mutable counters — so verdicts are
 independent of site iteration order and identical across shard counts
 (the REP06x order-free requirement, enforced by the REP07x purity gate).
@@ -27,14 +27,13 @@ from ..dps.plans import PlanTier
 from ..dps.portal import ReroutingMethod
 from ..markers import pure_function
 from ..net.ipaddr import IPv4Address
-from ..rng import stable_hash
+from ..rng import hash_fraction
 
 __all__ = [
     "AttackKind",
     "TargetKind",
     "AttackEvent",
     "block_of",
-    "hash_fraction",
     "wave_triggered",
     "weighted_pick",
     "choose_wave_enrollment",
@@ -109,12 +108,6 @@ def block_of(address: "IPv4Address | str") -> str:
 # ---------------------------------------------------------------------------
 # Pure wave verdicts
 # ---------------------------------------------------------------------------
-
-
-@pure_function
-def hash_fraction(*parts: object) -> float:
-    """A deterministic draw in [0, 1) keyed on the given parts."""
-    return (stable_hash(*parts) % 10_000) / 10_000.0
 
 
 @pure_function

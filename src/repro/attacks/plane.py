@@ -40,6 +40,7 @@ from ..markers import pure_function
 from ..net.geo import Region
 from ..net.ipaddr import IPv4Address
 from ..obs.metrics import MetricsRegistry
+from ..rng import hash_fraction
 from ..world.admin import BehaviorEvent, BehaviorKind
 from ..world.website import Website
 from .events import (
@@ -47,7 +48,6 @@ from .events import (
     TargetKind,
     block_of,
     choose_wave_enrollment,
-    hash_fraction,
     wave_triggered,
     weighted_pick,
 )
@@ -351,6 +351,7 @@ class AttackPlane:
         address: IPv4Address,
         query: object,
         region: Optional[Region],
+        attempt: int = 1,
     ) -> Optional[AttackVerdict]:
         """Outage verdict for a DNS delivery into a flooded fleet.
 
@@ -388,6 +389,7 @@ class AttackPlane:
         address: IPv4Address,
         host: Optional[object],
         region: Optional[Region],
+        attempt: int = 1,
     ) -> Optional[AttackVerdict]:
         """Outage verdict for an HTTP request into a flooded origin.
 

@@ -50,8 +50,10 @@ __all__ = [
 #: Bump on any incompatible change to manifest/journal/snapshot layout.
 #: Schema 2 records the scenario (all three profiles) as the manifest's
 #: identity; schema 3 snapshots carry one ``planes`` map keyed by
-#: scenario field.  Other versions are refused, never migrated.
-SCHEMA_VERSION = 3
+#: scenario field; schema 4 drops the fault plan's draw stream and
+#: counters and the clients' jitter streams (every draw is keyed).
+#: Other versions are refused, never migrated.
+SCHEMA_VERSION = 4
 
 MANIFEST_NAME = "MANIFEST.json"
 JOURNAL_NAME = "journal.jsonl"

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..faults.retry import RetryPolicy, default_retry_rng
+from ..faults.retry import RetryPolicy
 from ..net.fabric import NetworkFabric
 from ..net.geo import Region
 from ..net.ipaddr import IPv4Address
 from ..obs.metrics import MetricsRegistry
-from ..rng import SeededRng
 from .message import DnsQuery, DnsResponse, Rcode
 from .name import DomainName
 from .records import RecordType
@@ -40,13 +39,13 @@ class DnsClient:
         fabric: NetworkFabric,
         region: Optional[Region] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        retry_rng: Optional[SeededRng] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._fabric = fabric
         self.region = region
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self._retry_rng = retry_rng
+        #: Keys this client's retry jitter.
+        self._label = f"dns-client-{region.name if region is not None else 'global'}"
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.queries_sent = 0
         #: Whether the most recent :meth:`query` was throttled or shed
@@ -56,29 +55,16 @@ class DnsClient:
         #: the same (server, region) path that just refused them.
         self.last_throttled = False
 
-    def _jitter_rng(self) -> SeededRng:
-        if self._retry_rng is None:
-            label = self.region.name if self.region is not None else "global"
-            self._retry_rng = default_retry_rng(f"dns-client-{label}")
-        return self._retry_rng
-
     def state_dict(self) -> Dict[str, object]:
-        """Persistent mutable state (counters, jitter position, metrics)."""
+        """Persistent mutable state (counters and metrics)."""
         return {
             "queries_sent": self.queries_sent,
-            "retry_rng": (
-                self._retry_rng.getstate() if self._retry_rng is not None else None
-            ),
             "metrics": self.metrics.snapshot(),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Reinstate state captured by :meth:`state_dict`."""
         self.queries_sent = int(state["queries_sent"])
-        if state["retry_rng"] is None:
-            self._retry_rng = None
-        else:
-            self._jitter_rng().setstate(state["retry_rng"])
         self.metrics.restore(state["metrics"])
 
     def query(
@@ -91,7 +77,9 @@ class DnsClient:
 
         Returns None when every attempt times out (dark address, packet
         loss, outage) — the simulated equivalent of a timeout — or the
-        last response when the server keeps answering ``SERVFAIL``.
+        last response when the server keeps answering ``SERVFAIL``.  A
+        dark address or an ``attack-outage`` ends the query at once:
+        both are deterministic for the day, so a retry can never succeed.
 
         A provider-defense ``throttled``/``shed`` delivery also returns
         None, with :attr:`last_throttled` raised: the verdict is
@@ -109,12 +97,16 @@ class DnsClient:
         response: Optional[DnsResponse] = None
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
-                budget.charge(policy.backoff_ms(attempt - 1, self._jitter_rng()))
+                budget.charge(
+                    policy.backoff_ms(attempt - 1, self._label, server_ip, query.qname)
+                )
                 if budget.exhausted:
                     self.metrics.incr("client.budget_exhausted")
                     break
                 self.metrics.incr("client.retries")
-            delivery = self._fabric.deliver_dns(server_ip, query, self.region)
+            delivery = self._fabric.deliver_dns(
+                server_ip, query, self.region, attempt
+            )
             budget.charge(delivery.latency_ms)
             if delivery.outcome in ("throttled", "shed"):
                 self.last_throttled = True
@@ -124,9 +116,9 @@ class DnsClient:
             if response is not None and response.rcode is not Rcode.SERVFAIL:
                 self.metrics.incr("client.answered")
                 return response
-            if delivery.outcome == "dark":
-                # Nothing listens at this address — deterministic, so a
-                # retry can never succeed.
+            if delivery.outcome in ("dark", "attack-outage"):
+                # Nothing listens at this address, or a flood drowns it
+                # for the whole day — deterministic either way.
                 break
         if response is None:
             self.metrics.incr("client.unanswered")

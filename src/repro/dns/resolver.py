@@ -16,7 +16,7 @@ Two behaviours matter specifically for the paper:
 
 Transport goes through the fabric's fault-aware delivery path: each
 server is tried under a :class:`~repro.faults.retry.RetryPolicy`
-(timeouts and transient ``SERVFAIL`` retried with seeded-jitter
+(timeouts and transient ``SERVFAIL`` retried with keyed-jitter
 backoff), and a server that exhausts its budget triggers failover to the
 next server of the zone — timeout failover, not just the REFUSED
 failover real resolvers do on lame delegations.  Servers that give up
@@ -35,12 +35,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..clock import SimulationClock
 from ..errors import ResolutionError
 from ..faults.quarantine import NameserverQuarantine
-from ..faults.retry import RetryPolicy, default_retry_rng
+from ..faults.retry import RetryPolicy
 from ..net.fabric import NetworkFabric
 from ..net.geo import Region
 from ..net.ipaddr import IPv4Address
 from ..obs.metrics import MetricsRegistry
-from ..rng import SeededRng
 from .cache import DnsCache
 from .message import DnsQuery, DnsResponse, Rcode
 from .name import DomainName
@@ -130,7 +129,6 @@ class RecursiveResolver:
         cache: Optional[DnsCache] = None,
         metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        retry_rng: Optional[SeededRng] = None,
         quarantine: Optional[NameserverQuarantine] = None,
     ) -> None:
         if not root_hints:
@@ -144,7 +142,8 @@ class RecursiveResolver:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = cache if cache is not None else DnsCache(clock, self.metrics)
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self._retry_rng = retry_rng
+        #: Keys this resolver's retry jitter.
+        self._label = f"resolver-{region.name if region is not None else 'global'}"
         self.quarantine = (
             quarantine if quarantine is not None else NameserverQuarantine(clock)
         )
@@ -244,16 +243,12 @@ class RecursiveResolver:
         The TTL cache is deliberately absent: every study entry point
         (collector, pipeline, scanners) purges it before use, so it
         never carries across a checkpoint barrier.  What does carry is
-        the query counters, the quarantine roster, the jitter-stream
-        position (``None`` when no retry ever materialised it), and the
-        metrics registry.
+        the query counters, the quarantine roster and the metrics
+        registry.
         """
         return {
             "queries_sent": self.queries_sent,
             "transient_failures": self._transient_failures,
-            "retry_rng": (
-                self._retry_rng.getstate() if self._retry_rng is not None else None
-            ),
             "quarantine": self.quarantine.snapshot(),
             "metrics": self.metrics.snapshot(),
         }
@@ -262,10 +257,6 @@ class RecursiveResolver:
         """Reinstate state captured by :meth:`state_dict`."""
         self.queries_sent = int(state["queries_sent"])
         self._transient_failures = int(state["transient_failures"])
-        if state["retry_rng"] is None:
-            self._retry_rng = None
-        else:
-            self._jitter_rng().setstate(state["retry_rng"])
         self.quarantine.restore(state["quarantine"])
         self.metrics.restore(state["metrics"])
 
@@ -412,12 +403,6 @@ class RecursiveResolver:
 
     # -- transport ----------------------------------------------------------------------
 
-    def _jitter_rng(self) -> SeededRng:
-        if self._retry_rng is None:
-            label = self.region.name if self.region is not None else "global"
-            self._retry_rng = default_retry_rng(f"resolver-{label}")
-        return self._retry_rng
-
     def _query_any(
         self, servers: List[IPv4Address], name: DomainName, rtype: RecordType
     ) -> Optional[DnsResponse]:
@@ -464,12 +449,12 @@ class RecursiveResolver:
         saw_throttle = False
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
-                budget.charge(policy.backoff_ms(attempt - 1, self._jitter_rng()))
+                budget.charge(policy.backoff_ms(attempt - 1, self._label, ip, name))
                 if budget.exhausted:
                     self.metrics.incr("resolver.budget_exhausted")
                     break
                 self.metrics.incr("resolver.retries")
-            delivery = self._fabric.deliver_dns(ip, query, self.region)
+            delivery = self._fabric.deliver_dns(ip, query, self.region, attempt)
             budget.charge(delivery.latency_ms)
             if delivery.outcome == "dark":
                 # Nothing listens there — a deterministic condition, not

@@ -3,9 +3,10 @@
 ``repro.faults`` gives the simulation the one property the live
 Internet forced on the paper's measurement: the substrate can break.
 A :class:`FaultPlan` injects loss, latency, transient ``SERVFAIL``,
-lame delegations, rate limiting, and outage windows at the
-:class:`~repro.net.fabric.NetworkFabric`; a :class:`RetryPolicy`
-threads bounded, seeded-jitter retries through every network client;
+lame delegations and outage windows at the
+:class:`~repro.net.fabric.NetworkFabric`, each verdict a keyed draw on
+the delivery and its attempt; a :class:`RetryPolicy` threads bounded
+retries with keyed backoff jitter through every network client;
 and a :class:`NameserverQuarantine` deprioritises servers that stop
 responding until their scheduled re-probe.
 
@@ -19,7 +20,7 @@ from .crash import CRASH_MODES, CrashPlan
 from .plan import FaultKind, FaultPlan, FaultRule, FaultVerdict
 from .profiles import PROFILES, FaultProfile
 from .quarantine import NameserverQuarantine
-from .retry import RetryBudget, RetryPolicy, default_retry_rng
+from .retry import RetryBudget, RetryPolicy
 
 __all__ = [
     "CRASH_MODES",
@@ -33,5 +34,4 @@ __all__ = [
     "NameserverQuarantine",
     "RetryBudget",
     "RetryPolicy",
-    "default_retry_rng",
 ]

@@ -8,23 +8,25 @@ list and either lets the packet through (possibly with added latency),
 drops it, or substitutes a synthetic failure response (transient
 ``SERVFAIL``, lame-delegation ``REFUSED``).
 
-Everything is deterministic by construction:
+Every verdict is a pure function of the delivery:
 
-* probabilistic faults draw from an injected
-  :class:`~repro.rng.SeededRng` stream — delivery order is itself
-  deterministic, so the whole fault sequence replays bit-for-bit;
-* time-scoped faults (outage windows, per-day rate limits) read the
-  injected :class:`~repro.clock.SimulationClock`, never the wall clock;
-* ``max_consecutive_failures`` caps how many times in a row the plan
-  may fail deliveries to one destination.  A plan whose cap is below a
-  client's :class:`~repro.faults.retry.RetryPolicy` ``max_attempts`` is
-  *within the retry budget*: every query is guaranteed to get through
-  on some attempt, so measured artifacts are byte-identical to a
-  fault-free run (the ``repro chaos`` equivalence check).
+* probabilistic faults are keyed draws
+  (:func:`~repro.rng.hash_fraction`) on (plan seed, rule index, day,
+  plane, address, name, qtype, region, attempt) — no stream and no
+  counters, so a delivery's fate is the same however deliveries
+  interleave across shard workers or a checkpoint resume;
+* time-scoped faults (outage windows) read the injected
+  :class:`~repro.clock.SimulationClock`, never the wall clock;
+* ``max_failed_attempts`` caps the attempts the plan may fail: attempts
+  past the cap skip every probabilistic rule.  A plan whose cap is
+  below a client's :class:`~repro.faults.retry.RetryPolicy`
+  ``max_attempts`` is *within the retry budget*: every query gets
+  through on some attempt, so measured artifacts are byte-identical to
+  a fault-free run (the ``repro chaos`` equivalence check).
 
 Every injection lands in a :class:`~repro.obs.metrics.MetricsRegistry`
 counter (``faults.dns.loss``, ``faults.http.outage``, ...) so recovery
-overhead is observable.
+overhead is observable; the counters are the plan's only state.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ from ..clock import SimulationClock
 from ..dns.message import DnsQuery, DnsResponse
 from ..dns.name import DomainName
 from ..errors import ConfigurationError
+from ..markers import pure_function
 from ..net.geo import Region
 from ..net.ipaddr import IPv4Address, IPv4Prefix
 from ..obs.metrics import MetricsRegistry
-from ..rng import SeededRng
+from ..rng import hash_fraction
 
 __all__ = ["FaultKind", "FaultRule", "FaultVerdict", "FaultPlan"]
 
@@ -56,9 +59,6 @@ class FaultKind(enum.Enum):
     SERVFAIL = "servfail"
     #: Lame delegation: the server refuses the query (DNS only).
     LAME = "lame"
-    #: Destination answers at most N deliveries per simulated day,
-    #: dropping the rest (per-nameserver throttling).
-    RATE_LIMIT = "rate-limit"
     #: Scheduled unavailability window: every delivery dropped.
     OUTAGE = "outage"
     #: Process death at the Nth checkpoint barrier.  Not a fabric fault:
@@ -72,10 +72,7 @@ class FaultKind(enum.Enum):
 
 
 #: Verdict outcomes that mean the packet never reached a server.
-_DROP_OUTCOMES = frozenset({"loss", "outage", "rate-limited"})
-#: Fault kinds whose injection counts toward the consecutive-failure cap
-#: (deterministic faults like outages are *meant* to exceed the budget).
-_CAPPED_KINDS = frozenset({FaultKind.LOSS, FaultKind.SERVFAIL, FaultKind.LAME})
+_DROP_OUTCOMES = frozenset({"loss", "outage"})
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,6 @@ class FaultRule:
     #: Extra simulated milliseconds charged to the client's retry budget
     #: (LATENCY rules; the packet still goes through).
     latency_ms: int = 0
-    #: RATE_LIMIT only: deliveries answered per destination per sim-day.
-    max_per_day: Optional[int] = None
     #: Which delivery plane the rule applies to: "dns", "http", "both".
     plane: str = "dns"
     addresses: Optional[FrozenSet[IPv4Address]] = None
@@ -118,8 +113,6 @@ class FaultRule:
             )
         if self.plane not in ("dns", "http", "both"):
             raise ConfigurationError(f"unknown fault plane: {self.plane!r}")
-        if self.kind is FaultKind.RATE_LIMIT and not self.max_per_day:
-            raise ConfigurationError("RATE_LIMIT rules need max_per_day")
         if self.kind is FaultKind.LATENCY and self.latency_ms <= 0:
             raise ConfigurationError("LATENCY rules need latency_ms > 0")
         if self.kind in (FaultKind.SERVFAIL, FaultKind.LAME) and self.plane != "dns":
@@ -157,7 +150,7 @@ class FaultRule:
 class FaultVerdict:
     """What the plan decided for one delivery."""
 
-    #: "deliver", "loss", "outage", "rate-limited", "servfail", "lame".
+    #: "deliver", "loss", "outage", "servfail", "lame".
     outcome: str
     #: Synthetic failure response (injected SERVFAIL/REFUSED), if any.
     response: Optional[DnsResponse] = None
@@ -183,86 +176,80 @@ class FaultPlan:
 
     Parameters
     ----------
-    rng:
-        Seeded stream for probabilistic faults (fork it from the world's
-        root so installing a plan never perturbs world dynamics).
+    seed:
+        Keys every probabilistic draw (derive it from the world's root
+        seed so installing a plan never perturbs world dynamics).
     clock:
-        The simulation clock, for windows and per-day rate limits.
+        The simulation clock, for day windows.
     rules:
         Evaluated in order; the first rule that injects a failure wins.
         LATENCY rules are cumulative and never terminate evaluation.
-    max_consecutive_failures:
-        Plan-wide cap on consecutive probabilistic failures (loss /
-        servfail / lame) per destination and plane.  Once a destination
-        has failed that many deliveries in a row, the next probabilistic
-        injection is suppressed and the packet goes through.  ``None``
-        removes the guarantee (outage/rate-limit faults always bypass
-        the cap — they model scheduled unavailability).
+    max_failed_attempts:
+        Plan-wide cap on the attempts probabilistic faults (loss /
+        servfail / lame) may fail: attempts past it skip every
+        probabilistic rule and the packet goes through.  ``None``
+        removes the guarantee (outage faults always bypass the cap —
+        they model scheduled unavailability).
     metrics:
         Registry receiving ``faults.<plane>.<kind>`` injection counters.
     """
 
     def __init__(
         self,
-        rng: SeededRng,
+        seed: int,
         clock: SimulationClock,
         rules: Sequence[FaultRule],
-        max_consecutive_failures: Optional[int] = None,
+        max_failed_attempts: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         name: str = "custom",
     ) -> None:
-        if max_consecutive_failures is not None and max_consecutive_failures < 1:
-            raise ConfigurationError(
-                "max_consecutive_failures must be >= 1 when set"
-            )
-        self._rng = rng
+        if max_failed_attempts is not None and max_failed_attempts < 1:
+            raise ConfigurationError("max_failed_attempts must be >= 1 when set")
+        self.seed = int(seed)
         self._clock = clock
         self.rules: List[FaultRule] = list(rules)
-        self.max_consecutive_failures = max_consecutive_failures
+        self.max_failed_attempts = max_failed_attempts
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.name = name
-        #: (plane, address) -> consecutive capped failures.
-        self._consecutive: Dict[Tuple[str, IPv4Address], int] = {}
-        #: (rule index, address) -> (sim day, deliveries seen today).
-        self._rate_counts: Dict[Tuple[int, IPv4Address], Tuple[int, int]] = {}
-        # Precomputed at install time (rules are fixed for the plan's
-        # lifetime; a resume rebuilds the plan from the profile): days
-        # outside every rule's window skip rule evaluation entirely on
-        # the delivery hot path.  With only day-scoped rules installed,
-        # most study days never touch the rule list.
+        # Days outside every rule's window skip rule evaluation entirely
+        # on the delivery hot path.  With only day-scoped rules
+        # installed, most study days never touch the rule list.
         self._dateless_rules = any(
             rule.from_day is None and rule.until_day is None
             for rule in self.rules
         )
         self._day_windows: List[Tuple[Optional[int], Optional[int]]] = [
-            (rule.from_day, rule.until_day)
-            for rule in self.rules
-            if rule.from_day is not None or rule.until_day is not None
+            (rule.from_day, rule.until_day) for rule in self.rules
         ]
-        self._day_active: Dict[int, bool] = {}
 
     #: Faults never change the background load (see the fabric's Plane).
     traffic_surge = 1.0
 
     # -- delivery hooks -------------------------------------------------
 
+    @pure_function
     def admit_dns(
         self,
         address: IPv4Address,
         query: DnsQuery,
         region: Optional[Region],
+        attempt: int = 1,
     ) -> FaultVerdict:
         """Verdict for one DNS delivery to ``address``."""
-        return self._intercept("dns", address, query, region)
+        return self._intercept(
+            "dns", address, query.qname, query, region, attempt
+        )
 
+    @pure_function
     def admit_http(
         self,
         address: IPv4Address,
         host: Optional[DomainName],
         region: Optional[Region],
+        attempt: int = 1,
     ) -> FaultVerdict:
         """Verdict for one HTTP delivery to ``address``."""
-        return self._intercept("http", address, None, region, host=host)
+        return self._intercept("http", address, host, None, region, attempt)
 
     # -- evaluation -----------------------------------------------------
 
@@ -270,25 +257,25 @@ class FaultPlan:
         self,
         plane: str,
         address: IPv4Address,
+        qname: Optional[DomainName],
         query: Optional[DnsQuery],
         region: Optional[Region],
-        host: Optional[DomainName] = None,
+        attempt: int,
     ) -> FaultVerdict:
         if not self.rules:
             return _DELIVER
         day = self._clock.day
-        if not self._rules_active_on(day):
-            # No rule's window covers today: preserve the exact
-            # bookkeeping of a full scan that matched nothing (the
-            # consecutive-failure streak still resets on a clean
-            # delivery) without consulting any rule.
-            if self._consecutive:
-                self._consecutive.pop((plane, address), None)
+        if not self._dateless_rules and not any(
+            (lo is None or day >= lo) and (hi is None or day < hi)
+            for lo, hi in self._day_windows
+        ):
             return _DELIVER
-        qname = query.qname if query is not None else host
+        capped = (
+            self.max_failed_attempts is not None
+            and attempt > self.max_failed_attempts
+        )
         latency = 0
-        suppressed = False
-        failure: Optional[Tuple[FaultRule, int]] = None
+        failure: Optional[FaultRule] = None
         for index, rule in enumerate(self.rules):
             if not rule.matches(plane, address, qname, region, day):
                 continue
@@ -296,87 +283,44 @@ class FaultPlan:
                 latency += rule.latency_ms
                 continue
             if rule.kind is FaultKind.OUTAGE:
-                failure = (rule, index)
+                failure = rule
                 break
-            if rule.kind is FaultKind.RATE_LIMIT:
-                if self._over_rate_limit(index, rule, address, day):
-                    failure = (rule, index)
-                    break
+            # Probabilistic loss / servfail / lame: one keyed draw per
+            # (rule, delivery, attempt), waived past the attempt cap.
+            draw = hash_fraction(
+                self.seed,
+                index,
+                day,
+                plane,
+                str(address),
+                str(qname) if qname is not None else "",
+                query.qtype.value if query is not None else "",
+                region.name if region is not None else "",
+                attempt,
+            )
+            if draw >= rule.probability:
                 continue
-            # Probabilistic loss / servfail / lame.  Once the
-            # consecutive-failure cap suppresses one of these, the whole
-            # delivery is immune to every *other* capped rule too —
-            # otherwise a second probabilistic rule could re-fail the
-            # attempt the cap just guaranteed, and a query could exhaust
-            # its full retry budget under an equivalence profile.
-            if rule.probability > 0 and self._rng.bernoulli(rule.probability):
-                if suppressed or self._cap_reached(plane, address):
-                    self.metrics.incr(f"faults.{plane}.suppressed")
-                    self._consecutive[(plane, address)] = 0
-                    suppressed = True
-                    continue
-                failure = (rule, index)
-                break
+            if capped:
+                self.metrics.incr(f"faults.{plane}.suppressed")
+                continue
+            failure = rule
+            break
         if failure is None:
-            self._consecutive.pop((plane, address), None)
             if latency:
                 self.metrics.incr(f"faults.{plane}.latency_injections")
                 self.metrics.incr(f"faults.{plane}.latency_ms", latency)
-            return (
-                FaultVerdict(outcome="deliver", latency_ms=latency)
-                if latency
-                else _DELIVER
-            )
-        rule, _ = failure
-        if rule.kind in _CAPPED_KINDS:
-            key = (plane, address)
-            self._consecutive[key] = self._consecutive.get(key, 0) + 1
-        outcome = self._outcome_of(rule.kind)
-        self.metrics.incr(f"faults.{plane}.{rule.kind.value.replace('-', '_')}")
+                return FaultVerdict(outcome="deliver", latency_ms=latency)
+            return _DELIVER
+        self.metrics.incr(f"faults.{plane}.{failure.kind.value}")
         response = None
         if query is not None:
-            if rule.kind is FaultKind.SERVFAIL:
+            if failure.kind is FaultKind.SERVFAIL:
                 response = DnsResponse.servfail(query)
-            elif rule.kind is FaultKind.LAME:
+            elif failure.kind is FaultKind.LAME:
                 response = DnsResponse.refused(query)
-        return FaultVerdict(outcome=outcome, response=response, latency_ms=latency)
-
-    def _rules_active_on(self, day: int) -> bool:
-        """Whether any rule's day window covers ``day`` (memoized)."""
-        if self._dateless_rules:
-            return True
-        active = self._day_active.get(day)
-        if active is None:
-            active = any(
-                (lo is None or day >= lo) and (hi is None or day < hi)
-                for lo, hi in self._day_windows
-            )
-            self._day_active[day] = active
-        return active
-
-    def _cap_reached(self, plane: str, address: IPv4Address) -> bool:
-        cap = self.max_consecutive_failures
-        if cap is None:
-            return False
-        return self._consecutive.get((plane, address), 0) >= cap
-
-    def _over_rate_limit(
-        self, index: int, rule: FaultRule, address: IPv4Address, day: int
-    ) -> bool:
-        key = (index, address)
-        window_day, count = self._rate_counts.get(key, (day, 0))
-        if window_day != day:
-            count = 0
-        count += 1
-        self._rate_counts[key] = (day, count)
-        assert rule.max_per_day is not None
-        return count > rule.max_per_day
-
-    @staticmethod
-    def _outcome_of(kind: FaultKind) -> str:
-        if kind is FaultKind.RATE_LIMIT:
-            return "rate-limited"
-        return kind.value
+        return FaultVerdict(
+            outcome=failure.kind.value, response=response, latency_ms=latency
+        )
 
     # -- world side ------------------------------------------------------
 
@@ -385,42 +329,21 @@ class FaultPlan:
         return ()
 
     def drive_state(self) -> str:
-        """Only the profile name: the RNG and rate counters follow each
-        process's own query stream, so replicas differ on them."""
+        """Only the profile name: the plan keeps no state but its
+        counters, which each process keeps for its own deliveries."""
         return self.name
 
     # -- checkpoint support ---------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        """The plan's mutable state as JSON-compatible primitives.
+        """The plan's mutable state: its injection counters.
 
         Rules are *not* serialized — they are rebuilt deterministically
-        from the profile at resume time; what must survive is the RNG
-        position, the consecutive-failure counters, and the per-day rate
-        windows, so the resumed fault sequence replays bit-for-bit.
+        from the profile at resume time, and every verdict is a keyed
+        draw, so nothing else needs to survive a resume.
         """
-        return {
-            "rng": self._rng.getstate(),
-            "consecutive": sorted(
-                [plane, str(address), count]
-                for (plane, address), count in self._consecutive.items()
-            ),
-            "rate_counts": sorted(
-                [index, str(address), day, count]
-                for (index, address), (day, count) in self._rate_counts.items()
-            ),
-            "metrics": self.metrics.snapshot(),
-        }
+        return {"metrics": self.metrics.snapshot()}
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        """Reinstate mutable state captured by :meth:`state_dict`."""
-        self._rng.setstate(state["rng"])
-        self._consecutive = {
-            (plane, IPv4Address(address)): int(count)
-            for plane, address, count in state["consecutive"]
-        }
-        self._rate_counts = {
-            (int(index), IPv4Address(address)): (int(day), int(count))
-            for index, address, day, count in state["rate_counts"]
-        }
+        """Reinstate state captured by :meth:`state_dict`."""
         self.metrics.restore(state["metrics"])

@@ -2,14 +2,14 @@
 
 A :class:`FaultProfile` is a reproducible recipe: given a built world
 and a metrics registry it constructs a :class:`~repro.faults.plan.FaultPlan`
-whose randomness is forked from the world's root RNG (forks are
+whose draw seed is forked from the world's root RNG (forks are
 stateless with respect to the parent, so installing a plan never
 perturbs world dynamics).  ``build`` is called at *install* time —
 after warm-up, right before measurement starts — so day-windowed rules
 are expressed relative to the clock's current day.
 
 Profiles marked ``expect_equivalence`` keep every fault inside the
-retry budget (``max_consecutive_failures`` strictly below the default
+retry budget (``max_failed_attempts`` strictly below the default
 policy's ``max_attempts``, and only retryable fault kinds), so a study
 run under them must produce byte-identical artifacts to a fault-free
 run.  The rest deliberately exceed the budget to exercise graceful
@@ -27,8 +27,8 @@ from .plan import FaultKind, FaultPlan, FaultRule
 
 __all__ = ["FaultProfile", "PROFILES"]
 
-#: Consecutive-failure cap used by equivalence profiles.  Strictly below
-#: the default RetryPolicy.max_attempts (4): every query gets through on
+#: Failed-attempt cap used by equivalence profiles.  Strictly below the
+#: default RetryPolicy.max_attempts (4): every query gets through on
 #: some attempt, so artifacts match the fault-free run bit for bit.
 _EQUIVALENCE_CAP = 3
 
@@ -42,8 +42,8 @@ class FaultProfile:
     #: Whether a study under this profile must equal the fault-free run.
     expect_equivalence: bool
     _builder: Callable[[object, MetricsRegistry], List[FaultRule]]
-    #: Plan-level consecutive-failure cap (None removes the guarantee).
-    max_consecutive_failures: "int | None" = None
+    #: Plan-level failed-attempt cap (None removes the guarantee).
+    max_failed_attempts: "int | None" = None
 
     def build(
         self, world: object, metrics: Optional[MetricsRegistry] = None
@@ -52,10 +52,10 @@ class FaultProfile:
         if metrics is None:
             metrics = MetricsRegistry()
         return FaultPlan(
-            rng=world.rng.fork(f"fault-plan-{self.name}"),
+            seed=world.rng.fork(f"fault-plan-{self.name}").seed,
             clock=world.clock,
             rules=self._builder(world, metrics),
-            max_consecutive_failures=self.max_consecutive_failures,
+            max_failed_attempts=self.max_failed_attempts,
             metrics=metrics,
             name=self.name,
         )
@@ -92,16 +92,6 @@ def _ns_outage(world: object, metrics: MetricsRegistry) -> List[FaultRule]:
             until_day=start + DAYS_PER_WEEK,
         ),
         FaultRule(FaultKind.LOSS, probability=0.05, plane="dns"),
-    ]
-
-
-def _rate_limited(world: object, metrics: MetricsRegistry) -> List[FaultRule]:
-    """Cloudflare's nameserver fleet throttles direct probing hard."""
-    fleet = frozenset(world.provider("cloudflare").customer_fleet.all_addresses())
-    return [
-        FaultRule(
-            FaultKind.RATE_LIMIT, plane="dns", addresses=fleet, max_per_day=8
-        ),
     ]
 
 
@@ -166,7 +156,7 @@ PROFILES: Dict[str, FaultProfile] = {
             "the retry budget (equivalence guaranteed)",
             expect_equivalence=True,
             _builder=_lossy_default,
-            max_consecutive_failures=_EQUIVALENCE_CAP,
+            max_failed_attempts=_EQUIVALENCE_CAP,
         ),
         FaultProfile(
             "heavy-loss",
@@ -181,12 +171,6 @@ PROFILES: Dict[str, FaultProfile] = {
             "the study window",
             expect_equivalence=False,
             _builder=_ns_outage,
-        ),
-        FaultProfile(
-            "rate-limited",
-            "per-nameserver daily query caps on the Cloudflare fleet",
-            expect_equivalence=False,
-            _builder=_rate_limited,
         ),
         FaultProfile(
             "attack-collateral",

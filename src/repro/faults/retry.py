@@ -10,10 +10,12 @@ exactly the data a fault-free run measures — up to the point where the
 fault rate exceeds the retry budget and the measurement layer must
 degrade explicitly instead.
 
-Backoff jitter draws from an injected :class:`~repro.rng.SeededRng`
-stream, never ambient randomness, and all elapsed time is *accounting
-only* — simulated milliseconds charged against the per-destination
-budget.  Nothing here advances the world's
+Backoff jitter is a keyed draw (:func:`~repro.rng.hash_fraction`) on
+the client's label, the destination, the name and the attempt — no
+stream, so a retry's backoff depends only on the retry itself, never on
+how many retries the process made before.  All elapsed time is
+*accounting only* — simulated milliseconds charged against the
+per-destination budget.  Nothing here advances the world's
 :class:`~repro.clock.SimulationClock`, so installing a fault plan can
 never shift TTL expiry or purge horizons.
 
@@ -24,23 +26,11 @@ This module deliberately imports nothing from :mod:`repro.dns` or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..rng import SeededRng, stable_hash
+from ..rng import hash_fraction
 
-__all__ = ["RetryPolicy", "RetryBudget", "default_retry_rng"]
-
-
-def default_retry_rng(label: str) -> SeededRng:
-    """A private, reproducible jitter stream for one client instance.
-
-    Clients that are not handed a forked stream by their owner fall back
-    to this: the stream depends only on the label, so every run draws
-    the same jitter sequence.  Jitter is consumed *only* when a retry
-    actually happens, so a fault-free run never touches it.
-    """
-    return SeededRng(stable_hash("retry-jitter", label))
+__all__ = ["RetryPolicy", "RetryBudget"]
 
 
 @dataclass(frozen=True)
@@ -58,8 +48,8 @@ class RetryPolicy:
     backoff_multiplier:
         Exponential growth factor for successive backoffs.
     jitter_fraction:
-        Each backoff is stretched by up to this fraction, drawn from the
-        client's seeded jitter stream (0 disables jitter).
+        Each backoff is stretched by up to this fraction, a keyed draw
+        on the retry's key and attempt (0 disables jitter).
     budget_ms:
         Per-destination budget in simulated milliseconds.  Injected
         latency and backoff sleep both charge against it; once spent, no
@@ -93,13 +83,19 @@ class RetryPolicy:
         """A policy that makes exactly one attempt."""
         return cls(max_attempts=1)
 
-    def backoff_ms(self, attempt: int, rng: Optional[SeededRng] = None) -> int:
-        """Backoff charged before attempt ``attempt + 1`` (1-indexed)."""
+    def backoff_ms(self, attempt: int, *key: object) -> int:
+        """Backoff charged before attempt ``attempt + 1`` (1-indexed).
+
+        ``key`` names the retry — the client's label, the destination
+        and the name, each keyed by its ``str`` — and keys the jitter
+        draw together with ``attempt``.
+        """
         if attempt < 1:
             raise ConfigurationError(f"attempt must be >= 1, got {attempt}")
         base = self.base_backoff_ms * self.backoff_multiplier ** (attempt - 1)
-        if rng is not None and self.jitter_fraction > 0:
-            base += base * self.jitter_fraction * rng.random()
+        if self.jitter_fraction > 0:
+            draw = hash_fraction("retry-jitter", *map(str, key), attempt)
+            base += base * self.jitter_fraction * draw
         return int(base)
 
     def budget(self) -> "RetryBudget":
@@ -125,32 +121,3 @@ class RetryBudget:  # repro: allow[REP063] -- one budget per delivery attempt; e
     def exhausted(self) -> bool:
         """True once the destination's budget has been spent."""
         return self.spent_ms >= self.limit_ms
-
-    def snapshot(self) -> Tuple[int, int]:
-        """The budget's balance as ``(limit_ms, spent_ms)``."""
-        return (self.limit_ms, self.spent_ms)
-
-    def restore(self, state: "Tuple[int, int] | Sequence[int]") -> None:
-        """Reinstate a balance captured by :meth:`snapshot`.
-
-        Restoring mid-flight keeps every later :meth:`charge` /
-        :attr:`exhausted` decision identical to the uninterrupted
-        budget's — the property the checkpoint plane's round-trip tests
-        pin down.
-        """
-        limit_ms, spent_ms = state
-        if limit_ms <= 0 or spent_ms < 0:
-            raise ConfigurationError(
-                f"invalid budget state: limit={limit_ms}, spent={spent_ms}"
-            )
-        self.limit_ms = int(limit_ms)
-        self.spent_ms = int(spent_ms)
-
-    @classmethod
-    def from_snapshot(
-        cls, state: "Tuple[int, int] | Sequence[int]"
-    ) -> "RetryBudget":
-        """Build a budget directly from a :meth:`snapshot` value."""
-        budget = cls(int(state[0]))
-        budget.restore(state)
-        return budget

@@ -20,6 +20,12 @@ on every delivery; the world engine drives them, checkpoint snapshots
 carry them and shard merging compares them by looping over the same
 collection.  Every plane meets the duck-typed :class:`Plane` contract,
 so this module never imports the DNS layer or a plane package.
+
+Each delivery carries the client's 1-based retry ``attempt``.  Every
+plane verdict is a pure function of the delivery it is handed — the fault
+plan keys its draws on the attempt, the traffic and attack planes ignore
+it — so a delivery's fate never depends on which other deliveries the
+same process made before it.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ class Delivery(NamedTuple):
     ``response`` is the server's (or a plane's synthetic) answer, None
     for a timeout.  ``outcome`` says what happened: ``delivered``,
     ``dark`` (no handler at the address), a fault-plan outcome
-    (``loss``, ``outage``, ``rate-limited``, ``servfail``, ``lame``),
+    (``loss``, ``outage``, ``servfail``, ``lame``),
     an attack outcome (``attack-outage``, a timeout),
     or a traffic-defense outcome (``throttled`` — rate-limit drop, the
     client sees a timeout; ``shed`` — breaker open / load shedding, the
@@ -63,6 +69,7 @@ class Plane(Protocol):
     delivery on, or a verdict: one whose outcome is ``"deliver"`` passes
     it on and only adds its latency; any other outcome ends the delivery
     there, charged the latency of every plane consulted so far.
+    ``attempt`` is the client's 1-based retry attempt for the delivery.
     """
 
     #: Multiplier this plane puts on the background load of the planes
@@ -70,11 +77,13 @@ class Plane(Protocol):
     traffic_surge: float
 
     def admit_dns(self, address: IPv4Address, query: object,
-                  region: Optional[Region]) -> Optional[object]:
+                  region: Optional[Region],
+                  attempt: int = 1) -> Optional[object]:
         """Verdict for one DNS delivery, or None to pass."""
 
     def admit_http(self, address: IPv4Address, host: Optional[object],
-                   region: Optional[Region]) -> Optional[object]:
+                   region: Optional[Region],
+                  attempt: int = 1) -> Optional[object]:
         """Verdict for one HTTP delivery, or None to pass."""
 
     def drive_day(self, surge: float) -> Sequence[object]:
@@ -202,6 +211,7 @@ class NetworkFabric:  # repro: allow[REP063] -- world-layer wiring; every replic
         ip: "IPv4Address | str",
         query: object,
         client_region: Optional[Region] = None,
+        attempt: int = 1,
     ) -> Delivery:
         """Deliver one DNS query through the fabric and its planes.
 
@@ -217,7 +227,7 @@ class NetworkFabric:  # repro: allow[REP063] -- world-layer wiring; every replic
         latency = 0
         plane: Plane
         for plane in self._chain:
-            verdict = plane.admit_dns(addr, query, client_region)
+            verdict = plane.admit_dns(addr, query, client_region, attempt)
             if verdict is not None:
                 if verdict.outcome != "deliver":
                     return Delivery(
@@ -277,6 +287,7 @@ class NetworkFabric:  # repro: allow[REP063] -- world-layer wiring; every replic
         ip: "IPv4Address | str",
         request: object,
         client_region: Optional[Region] = None,
+        attempt: int = 1,
     ) -> Delivery:
         """Deliver one HTTP request through the fabric and its planes.
 
@@ -290,7 +301,7 @@ class NetworkFabric:  # repro: allow[REP063] -- world-layer wiring; every replic
             host = getattr(request, "host", None)
             plane: Plane
             for plane in self._chain:
-                verdict = plane.admit_http(addr, host, client_region)
+                verdict = plane.admit_http(addr, host, client_region, attempt)
                 if verdict is not None:
                     if verdict.outcome != "deliver":
                         return Delivery(

@@ -26,7 +26,7 @@ from .markers import pure_function
 
 T = TypeVar("T")
 
-__all__ = ["SeededRng", "stable_hash"]
+__all__ = ["SeededRng", "hash_fraction", "stable_hash"]
 
 
 @pure_function
@@ -41,6 +41,17 @@ def stable_hash(*parts: object) -> int:
         h.update(repr(part).encode("utf-8"))
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "big")
+
+
+@pure_function
+def hash_fraction(*parts: object) -> float:
+    """A deterministic draw in [0, 1) keyed on the given parts.
+
+    The stateless alternative to a stream: the draw depends only on its
+    key, never on how many draws came before, so verdicts keyed this way
+    are identical however deliveries interleave across processes.
+    """
+    return (stable_hash(*parts) % 10_000) / 10_000.0
 
 
 class SeededRng:

@@ -241,6 +241,7 @@ class TrafficPlane:
         address: IPv4Address,
         query: DnsQuery,
         region: Optional[Region],
+        attempt: int = 1,
     ) -> Optional[TrafficVerdict]:
         """Defense verdict for one measurement delivery, or None to admit.
 
@@ -279,7 +280,7 @@ class TrafficPlane:
 
     @pure_function
     def admit_http(self, address: IPv4Address, host: Optional[object],
-                   region: Optional[Region]) -> None:
+                   region: Optional[Region], attempt: int = 1) -> None:
         """The defense stack fronts nameservers only: HTTP always passes."""
         return None
 

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..dns.name import DomainName
-from ..faults.retry import RetryPolicy, default_retry_rng
+from ..faults.retry import RetryPolicy
 from ..net.fabric import NetworkFabric
 from ..net.geo import Region
 from ..net.ipaddr import IPv4Address
 from ..obs.metrics import MetricsRegistry
-from ..rng import SeededRng
 
 __all__ = ["HttpRequest", "HttpResponse", "HttpClient", "StatusCode"]
 
@@ -86,40 +85,27 @@ class HttpClient:
         source_ip: Optional["IPv4Address | str"] = None,
         region: Optional[Region] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        retry_rng: Optional[SeededRng] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._fabric = fabric
         self.source_ip = IPv4Address(source_ip) if source_ip is not None else None
         self.region = region
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self._retry_rng = retry_rng
+        #: Keys this client's retry jitter.
+        self._label = f"http-client-{region.name if region is not None else 'global'}"
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.requests_sent = 0
 
-    def _jitter_rng(self) -> SeededRng:
-        if self._retry_rng is None:
-            label = self.region.name if self.region is not None else "global"
-            self._retry_rng = default_retry_rng(f"http-client-{label}")
-        return self._retry_rng
-
     def state_dict(self) -> Dict[str, object]:
-        """Persistent mutable state (counters, jitter position, metrics)."""
+        """Persistent mutable state (counters and metrics)."""
         return {
             "requests_sent": self.requests_sent,
-            "retry_rng": (
-                self._retry_rng.getstate() if self._retry_rng is not None else None
-            ),
             "metrics": self.metrics.snapshot(),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
         """Reinstate state captured by :meth:`state_dict`."""
         self.requests_sent = int(state["requests_sent"])
-        if state["retry_rng"] is None:
-            self._retry_rng = None
-        else:
-            self._jitter_rng().setstate(state["retry_rng"])
         self.metrics.restore(state["metrics"])
 
     def get(
@@ -130,10 +116,11 @@ class HttpClient:
     ) -> Optional[HttpResponse]:
         """GET ``http://host{path}`` from the server at ``ip``.
 
-        Transient connection failures (injected loss, outages, rate
-        limiting) are retried under the client's retry policy.  Returns
-        None when nothing listens at the address or every attempt was
-        dropped — a connection timeout at the transport level.
+        Transient connection failures (injected loss, outages) are
+        retried under the client's retry policy.  Returns None when
+        nothing listens at the address, a flood drowns it for the day
+        (``attack-outage``, never retried) or every attempt was dropped
+        — a connection timeout at the transport level.
         """
         self.requests_sent += 1
         self.metrics.incr("http.requests")
@@ -147,15 +134,16 @@ class HttpClient:
         budget = policy.budget()
         for attempt in range(1, policy.max_attempts + 1):
             if attempt > 1:
-                budget.charge(policy.backoff_ms(attempt - 1, self._jitter_rng()))
+                budget.charge(policy.backoff_ms(attempt - 1, self._label, ip, host))
                 if budget.exhausted:
                     self.metrics.incr("http.budget_exhausted")
                     break
                 self.metrics.incr("http.retries")
-            delivery = self._fabric.deliver_http(ip, request, self.region)
+            delivery = self._fabric.deliver_http(ip, request, self.region, attempt)
             budget.charge(delivery.latency_ms)
-            if delivery.outcome == "dark":
-                # No listener bound — deterministic, never retried.
+            if delivery.outcome in ("dark", "attack-outage"):
+                # No listener bound, or a flood drowns the origin for the
+                # whole day — deterministic, never retried.
                 break
             if delivery.response is not None:
                 self.metrics.incr("http.answered")

@@ -8,7 +8,6 @@ from repro.attacks.events import (
     TargetKind,
     block_of,
     choose_wave_enrollment,
-    hash_fraction,
     wave_triggered,
     weighted_pick,
 )
@@ -16,6 +15,7 @@ from repro.dps.catalog import PAPER_PROVIDERS
 from repro.dps.plans import PlanTier
 from repro.dps.portal import ReroutingMethod
 from repro.net.ipaddr import IPv4Address
+from repro.rng import hash_fraction
 
 
 def make_event(**overrides):

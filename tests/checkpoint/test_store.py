@@ -64,6 +64,15 @@ class TestManifest:
         with pytest.raises(CheckpointSchemaError, match="rerun from scratch"):
             CheckpointStore.open(tmp_path / "ckpt")
 
+    def test_schema_3_checkpoint_refused_not_migrated(self, tmp_path):
+        # Schema 3 snapshots carry the fault plan's draw stream and the
+        # clients' jitter streams, which keyed draws no longer read.
+        store = make_store(tmp_path / "ckpt", profile="lossy-default")
+        manifest = dict(store.manifest, schema_version=3)
+        (tmp_path / "ckpt" / "MANIFEST.json").write_text(canonical_json(manifest))
+        with pytest.raises(CheckpointSchemaError, match="rerun from scratch"):
+            CheckpointStore.open(tmp_path / "ckpt")
+
     def test_manifest_records_the_scenario(self, tmp_path):
         store = make_store(tmp_path / "ckpt", profile="lossy-default")
         scenario = Scenario.of(fault_profile="lossy-default")

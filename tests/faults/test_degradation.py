@@ -55,7 +55,7 @@ class TestUnmeasuredStatus:
         world = world_factory(population_size=60, seed=13)
         world.install_faults(
             FaultPlan(
-                rng=world.rng.fork("degradation-test"),
+                seed=world.rng.fork("degradation-test").seed,
                 clock=world.clock,
                 rules=[FaultRule(FaultKind.OUTAGE, plane="dns")],
             )

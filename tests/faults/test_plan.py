@@ -10,7 +10,6 @@ from repro.errors import ConfigurationError
 from repro.faults import FaultKind, FaultPlan, FaultRule
 from repro.net.geo import region
 from repro.net.ipaddr import IPv4Address, IPv4Prefix
-from repro.rng import SeededRng
 
 ADDR = IPv4Address("10.1.2.3")
 OTHER = IPv4Address("10.9.9.9")
@@ -19,10 +18,10 @@ QUERY = DnsQuery(DomainName("www.example.com"), RecordType.A)
 
 def make_plan(rules, cap=None, clock=None):
     return FaultPlan(
-        rng=SeededRng(7).fork("plan"),
+        seed=7,
         clock=clock or SimulationClock(),
         rules=rules,
-        max_consecutive_failures=cap,
+        max_failed_attempts=cap,
     )
 
 
@@ -34,10 +33,6 @@ class TestFaultRuleValidation:
     def test_unknown_plane(self):
         with pytest.raises(ConfigurationError):
             FaultRule(FaultKind.LOSS, plane="smtp")
-
-    def test_rate_limit_needs_max_per_day(self):
-        with pytest.raises(ConfigurationError):
-            FaultRule(FaultKind.RATE_LIMIT)
 
     def test_latency_needs_positive_ms(self):
         with pytest.raises(ConfigurationError):
@@ -134,32 +129,30 @@ class TestFaultPlanVerdicts:
         clock.advance_days(1)
         assert plan.admit_dns(ADDR, QUERY, None).delivered
 
-    def test_rate_limit_resets_per_day(self):
-        clock = SimulationClock()
-        plan = make_plan(
-            [FaultRule(FaultKind.RATE_LIMIT, max_per_day=2)], clock=clock
-        )
-        assert plan.admit_dns(ADDR, QUERY, None).delivered
-        assert plan.admit_dns(ADDR, QUERY, None).delivered
-        assert plan.admit_dns(ADDR, QUERY, None).outcome == "rate-limited"
-        # A different destination has its own counter.
-        assert plan.admit_dns(OTHER, QUERY, None).delivered
-        clock.advance_days(1)
-        assert plan.admit_dns(ADDR, QUERY, None).delivered
-
     def test_consecutive_cap_guarantees_delivery(self):
-        plan = make_plan([FaultRule(FaultKind.LOSS, probability=1.0)], cap=2)
+        plan = make_plan(
+            [
+                FaultRule(FaultKind.LOSS, probability=1.0),
+                FaultRule(FaultKind.SERVFAIL, probability=1.0),
+            ],
+            cap=2,
+        )
         outcomes = [
-            plan.admit_dns(ADDR, QUERY, None).outcome for _ in range(6)
+            plan.admit_dns(ADDR, QUERY, None, attempt).outcome
+            for attempt in range(1, 5)
         ]
-        # Two failures, then the cap forces one delivery through, repeat.
-        assert outcomes == ["loss", "loss", "deliver", "loss", "loss", "deliver"]
-        assert plan.metrics.value("faults.dns.suppressed") == 2
+        # Attempts up to the cap fail; every later attempt skips both
+        # probabilistic rules, whoever asks and in whatever order.
+        assert outcomes == ["loss", "loss", "deliver", "deliver"]
+        assert plan.admit_dns(OTHER, QUERY, None, 3).delivered
+        assert plan.admit_dns(ADDR, QUERY, None, 1).outcome == "loss"
+        assert plan.metrics.value("faults.dns.suppressed") == 6
 
     def test_outage_bypasses_consecutive_cap(self):
         plan = make_plan([FaultRule(FaultKind.OUTAGE)], cap=1)
         outcomes = [
-            plan.admit_dns(ADDR, QUERY, None).outcome for _ in range(4)
+            plan.admit_dns(ADDR, QUERY, None, attempt).outcome
+            for attempt in range(1, 5)
         ]
         assert outcomes == ["outage"] * 4
 
@@ -182,7 +175,14 @@ class TestFaultPlanVerdicts:
         rules = [FaultRule(FaultKind.LOSS, probability=0.5)]
         plan_a = make_plan(rules)
         plan_b = make_plan(rules)
-        outcomes_a = [plan_a.admit_dns(ADDR, QUERY, None).outcome for _ in range(32)]
-        outcomes_b = [plan_b.admit_dns(ADDR, QUERY, None).outcome for _ in range(32)]
-        assert outcomes_a == outcomes_b
+        attempts = range(1, 33)
+        outcomes_a = [plan_a.admit_dns(ADDR, QUERY, None, n).outcome for n in attempts]
+        outcomes_b = [
+            plan_b.admit_dns(ADDR, QUERY, None, n).outcome for n in reversed(attempts)
+        ]
+        # The verdict is keyed on the attempt, not on the call count:
+        # asking in the opposite order replays the same fates.
+        assert outcomes_a == outcomes_b[::-1]
         assert "loss" in outcomes_a and "deliver" in outcomes_a
+        # The same delivery asked again gets the same verdict.
+        assert plan_a.admit_dns(ADDR, QUERY, None, 1).outcome == outcomes_a[0]

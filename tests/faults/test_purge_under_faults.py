@@ -44,7 +44,7 @@ def test_termination_during_ns_outage_still_purged_on_schedule(world_factory):
     fleet = frozenset(provider.customer_fleet.all_addresses())
     world.install_faults(
         FaultPlan(
-            rng=world.rng.fork("purge-outage-test"),
+            seed=world.rng.fork("purge-outage-test").seed,
             clock=world.clock,
             rules=[
                 FaultRule(
@@ -78,10 +78,10 @@ def test_refuse_after_termination_despite_injected_servfail(world_factory):
     # the retry through, where the provider's answer is REFUSED.
     world.install_faults(
         FaultPlan(
-            rng=world.rng.fork("refuse-servfail-test"),
+            seed=world.rng.fork("refuse-servfail-test").seed,
             clock=world.clock,
             rules=[FaultRule(FaultKind.SERVFAIL, probability=1.0, plane="dns")],
-            max_consecutive_failures=1,
+            max_failed_attempts=1,
         )
     )
     metrics = MetricsRegistry()

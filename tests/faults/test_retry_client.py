@@ -5,6 +5,7 @@ the MetricsRegistry, and retries are counted separately from first
 attempts (``queries_sent`` keeps its fault-free meaning).
 """
 
+from repro.attacks.plane import AttackVerdict
 from repro.clock import SimulationClock
 from repro.dns.client import DnsClient
 from repro.dns.message import DnsResponse, Rcode
@@ -15,7 +16,6 @@ from repro.faults import FaultKind, FaultPlan, FaultRule, RetryPolicy
 from repro.net.fabric import NetworkFabric
 from repro.net.ipaddr import IPv4Address
 from repro.obs.metrics import MetricsRegistry
-from repro.rng import SeededRng
 from repro.web.http import HttpClient, HttpResponse, StatusCode
 
 SERVER_IP = IPv4Address("10.0.0.53")
@@ -50,12 +50,24 @@ class OkHandler:
         return HttpResponse(StatusCode.OK, body="hello")
 
 
+class FloodedPlane:
+    """Drowns every delivery, as the attack plane does for a flood-day."""
+
+    traffic_surge = 1.0
+
+    def admit_dns(self, address, query, region, attempt=1):
+        return AttackVerdict("attack-outage", None, 90)
+
+    def admit_http(self, address, host, region, attempt=1):
+        return AttackVerdict("attack-outage", None, 90)
+
+
 def install(fabric, rules, cap=None):
     plan = FaultPlan(
-        rng=SeededRng(3).fork("test"),
+        seed=3,
         clock=SimulationClock(),
         rules=rules,
-        max_consecutive_failures=cap,
+        max_failed_attempts=cap,
     )
     fabric.install("fault", plan, 0)
     return plan
@@ -100,6 +112,20 @@ class TestDnsClientRetry:
         assert metrics.value("client.servfail") == 1
         assert metrics.value("client.retries") == client.retry_policy.max_attempts - 1
 
+    def test_attack_outage_not_retried(self, fabric):
+        server = NxdomainServer()
+        fabric.register_dns(SERVER_IP, server)
+        fabric.install("attacks", FloodedPlane(), 1)
+        metrics = MetricsRegistry()
+        client = DnsClient(fabric, metrics=metrics)
+        assert client.query(SERVER_IP, WWW) is None
+        # The flood's verdict holds for the whole day: no retries, and
+        # no throttle signal for the scanner's vantage rotation.
+        assert metrics.value("client.retries") == 0
+        assert not client.last_throttled
+        assert metrics.value("client.unanswered") == 1
+        assert server.queries == 0
+
     def test_no_retry_policy_gives_single_attempt(self, fabric):
         fabric.register_dns(SERVER_IP, NxdomainServer())
         install(fabric, [FaultRule(FaultKind.LOSS, probability=1.0)])
@@ -138,6 +164,17 @@ class TestHttpClientRetry:
         client = HttpClient(fabric, metrics=metrics)
         assert client.get(DARK_IP, WWW) is None
         assert metrics.value("http.retries") == 0
+
+    def test_attack_outage_not_retried(self, fabric):
+        handler = OkHandler()
+        fabric.register_http(SERVER_IP, handler)
+        fabric.install("attacks", FloodedPlane(), 1)
+        metrics = MetricsRegistry()
+        client = HttpClient(fabric, metrics=metrics)
+        assert client.get(SERVER_IP, WWW) is None
+        assert metrics.value("http.retries") == 0
+        assert metrics.value("http.unanswered") == 1
+        assert handler.requests == 0
 
 
 class TestResolverFailover:
@@ -182,7 +219,7 @@ class TestResolverFailover:
         world = world_factory(population_size=60, seed=9)
         world.install_faults(
             FaultPlan(
-                rng=world.rng.fork("gave-up-test"),
+                seed=world.rng.fork("gave-up-test").seed,
                 clock=world.clock,
                 rules=[FaultRule(FaultKind.OUTAGE, plane="dns")],
             )
@@ -200,3 +237,22 @@ class TestResolverFailover:
         assert not result.gave_up
         assert resolver.metrics.value("resolver.retries") == 0
         assert len(resolver.quarantine) == 0
+
+
+class TestKeyedBackoff:
+    def test_jitter_is_a_function_of_the_retry(self):
+        policy = RetryPolicy()
+        key = ("resolver-london", SERVER_IP, WWW)
+        backoffs = [policy.backoff_ms(n, *key) for n in (1, 2, 3)]
+        # The same retry gets the same backoff whatever was drawn before.
+        assert [policy.backoff_ms(n, *key) for n in (3, 2, 1)] == backoffs[::-1]
+        for n, ms in enumerate(backoffs, start=1):
+            base = policy.base_backoff_ms * 2 ** (n - 1)
+            assert base <= ms <= base * (1 + policy.jitter_fraction)
+        # Different destinations spread out (no thundering herd).
+        spread = {
+            policy.backoff_ms(1, "resolver-london", f"10.0.0.{low}", WWW)
+            for low in range(1, 30)
+        }
+        assert len(spread) > 1
+        assert RetryPolicy(jitter_fraction=0.0).backoff_ms(2, *key) == 400

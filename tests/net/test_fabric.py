@@ -158,11 +158,11 @@ class _StubPlane:
         self.verdict = verdict
         self.consulted = 0
 
-    def admit_dns(self, address, query, region):
+    def admit_dns(self, address, query, region, attempt=1):
         self.consulted += 1
         return self.verdict
 
-    def admit_http(self, address, host, region):
+    def admit_http(self, address, host, region, attempt=1):
         self.consulted += 1
         return self.verdict
 

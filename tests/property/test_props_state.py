@@ -10,39 +10,12 @@ from hypothesis import strategies as st
 
 from repro.clock import SimulationClock
 from repro.faults.quarantine import NameserverQuarantine
-from repro.faults.retry import RetryBudget
 from repro.net.ipaddr import IPv4Address
 from repro.rng import SeededRng
 
 _ADDRESSES = st.integers(min_value=1, max_value=40).map(
     lambda low: IPv4Address(f"10.0.0.{low}")
 )
-
-
-class TestRetryBudgetRoundTrip:
-    @given(
-        limit=st.integers(min_value=1, max_value=5_000),
-        charges=st.lists(st.integers(min_value=-50, max_value=2_000), max_size=30),
-        split=st.integers(min_value=0, max_value=30),
-    )
-    def test_snapshot_anywhere_preserves_future_behaviour(
-        self, limit, charges, split
-    ):
-        split = min(split, len(charges))
-        original = RetryBudget(limit)
-        for ms in charges[:split]:
-            original.charge(ms)
-
-        clone = RetryBudget.from_snapshot(original.snapshot())
-        trajectory_original = []
-        trajectory_clone = []
-        for ms in charges[split:]:
-            original.charge(ms)
-            clone.charge(ms)
-            trajectory_original.append((original.spent_ms, original.exhausted))
-            trajectory_clone.append((clone.spent_ms, clone.exhausted))
-        assert trajectory_clone == trajectory_original
-        assert clone.snapshot() == original.snapshot()
 
 
 class TestQuarantineRoundTrip:

@@ -19,21 +19,27 @@ from repro.scenario import Scenario
 from repro.shard import resume_campaign, run_campaign, run_sharded_study
 from repro.world import SimulatedInternet, WorldConfig
 
-from .conftest import POPULATION, SEED, small_config
+from .conftest import POPULATION, SEED, WARMUP_DAYS, small_config
 
 
 #: Scenarios whose sharded artifacts equal the monolithic one at this
 #: shape (docs/SCALING.md lists the profiles and shapes where they do not).
 PLANE_SCENARIOS = {
     "lossy-default": Scenario.of(fault_profile="lossy-default"),
+    "ns-outage": Scenario.of(fault_profile="ns-outage"),
+    "regional-blackout": Scenario.of(fault_profile="regional-blackout"),
     "surge+campaign": Scenario.of(traffic_profile="surge", attack_profile="campaign"),
 }
 
+#: Study lengths for scenarios whose fault window opens after the last
+#: day of ``small_config()`` (ns-outage darkens the fleet in week 3).
+_CONFIGS = {"ns-outage": StudyConfig(warmup_days=WARMUP_DAYS, study_days=16)}
 
-def _monolithic_under(scenario: Scenario):
+
+def _monolithic_under(scenario: Scenario, config: StudyConfig):
     """The hook-less study with ``scenario``'s planes installed post-warm-up."""
     world = SimulatedInternet(WorldConfig(population_size=POPULATION, seed=SEED))
-    study = SixWeekStudy(world, small_config())
+    study = SixWeekStudy(world, config)
     runtime = study.begin()
     scenario.install(world)
     while not runtime.finished:
@@ -45,7 +51,8 @@ class TestShardedEquivalenceUnderPlanes:
     @pytest.mark.parametrize("name", sorted(PLANE_SCENARIOS))
     def test_two_inline_shards_match_the_monolithic_run(self, name):
         scenario = PLANE_SCENARIOS[name]
-        world, monolithic = _monolithic_under(scenario)
+        config = _CONFIGS.get(name, small_config())
+        world, monolithic = _monolithic_under(scenario, config)
         # The planes must bite, or the comparison proves nothing.
         if scenario.fault is not None:
             assert world.fabric.planes["fault"].metrics.snapshot(prefix="faults")
@@ -56,7 +63,7 @@ class TestShardedEquivalenceUnderPlanes:
             **scenario.identity(),
             population=POPULATION,
             seed=SEED,
-            config=small_config(),
+            config=config,
             shard_count=2,
             mode="inline",
         )

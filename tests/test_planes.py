@@ -79,10 +79,10 @@ class StubPlane:
         self.days = 0
         self.surges = []
 
-    def admit_dns(self, address, query, region):
+    def admit_dns(self, address, query, region, attempt=1):
         return _StubVerdict() if address == BLOCKED else None
 
-    def admit_http(self, address, host, region):
+    def admit_http(self, address, host, region, attempt=1):
         return _StubVerdict() if address == BLOCKED else None
 
     def drive_day(self, surge):
@@ -152,7 +152,8 @@ class TestFourthPlane:
         assert list(world.fabric.planes) == ["fault", "stub"]
         query = DnsQuery(DomainName("www.example.com"), RecordType.A)
         outcomes = {
-            world.fabric.deliver_dns(BLOCKED, query).outcome for _ in range(40)
+            world.fabric.deliver_dns(BLOCKED, query, attempt=attempt).outcome
+            for attempt in range(1, 41)
         }
         # heavy-loss drops some deliveries first; the rest reach the stub.
         assert "stub-drop" in outcomes

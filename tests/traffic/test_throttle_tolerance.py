@@ -44,7 +44,7 @@ class StubPlane:
     def __init__(self, verdicts):
         self._verdicts = dict(verdicts)
 
-    def admit_dns(self, address, query, region):
+    def admit_dns(self, address, query, region, attempt=1):
         return self._verdicts.get(address)
 
 
