@@ -8,7 +8,9 @@ The E1 collection counters are pure functions of (population, seed,
 warmup) — byte-identical across machines and Python versions — so any
 difference means the query path's *work* changed, not just its speed,
 and the script exits 1.  Wall times vary with hardware; they are
-printed for the perf trajectory but never gated.
+printed for the perf trajectory but never gated.  So are the host
+fields a payload records, ``cpus`` and ``python`` (``unrecorded`` for
+payloads older than them): they say what a wall time was measured on.
 
 A payload may also carry a ``lint_wall`` section (``benchmarks/lint_wall.py
 --merge-into``): the self-lint's cold/warm wall time and cache speedup.
@@ -58,6 +60,12 @@ def compare(baseline: Dict[str, object], candidate: Dict[str, object]) -> int:
         f"bench-compare: E1 wall {base_wall:.3f}s -> {cand_wall:.3f}s "
         f"({ratio:.2f}x, reported only)"
     )
+
+    for key in ("cpus", "python"):
+        print(
+            f"bench-compare: host {key} baseline={baseline.get(key, 'unrecorded')} "
+            f"candidate={candidate.get(key, 'unrecorded')} (reported only)"
+        )
 
     _report_lint_wall("baseline", baseline)
     _report_lint_wall("candidate", candidate)

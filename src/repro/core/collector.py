@@ -131,7 +131,7 @@ class DnsRecordCollector:
             a_records=tuple(result.addresses),
             cnames=tuple(result.cname_targets),
             ns_targets=tuple(
-                record.target
+                record.rdata  # an NS record's target name
                 for record in ns_result.records
                 if record.rtype is RecordType.NS
             ),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..dns.name import DomainName
+from ..dns.name import ROOT, DomainName
 from ..dns.records import RecordType, ResourceRecord
 from ..errors import ZoneError
 from .message import DnsQuery, DnsResponse, Rcode
@@ -68,13 +68,16 @@ class AuthoritativeServer:
 
     def zone_for(self, name: "DomainName | str") -> Optional[Zone]:
         """The deepest hosted zone whose origin covers ``name``."""
-        for suffix in DomainName(name).suffixes():
-            zone = self._zones.get(suffix)
+        zones = self._zones
+        if type(name) is not DomainName:
+            name = DomainName(name)
+        for suffix in name.suffixes():
+            zone = zones.get(suffix)
             if zone is not None:
                 return zone
         # The root zone (empty origin) covers everything, but is not a
         # suffix produced above.
-        return self._zones.get(DomainName(""))
+        return zones.get(ROOT)
 
     @property
     def zones(self) -> List[Zone]:
@@ -105,12 +108,12 @@ class AuthoritativeServer:
             cnames = zone.lookup(query.qname, RecordType.CNAME)
             if cnames:
                 return DnsResponse(
-                    query=query, authoritative=True, answers=list(cnames)
+                    query=query, authoritative=True, answers=cnames
                 )
         # 3. Exact match.
         matches = zone.lookup(query.qname, query.qtype)
         if matches:
-            return DnsResponse(query=query, authoritative=True, answers=list(matches))
+            return DnsResponse(query=query, authoritative=True, answers=matches)
         # 4. NODATA vs NXDOMAIN.
         if zone.name_exists(query.qname):
             return DnsResponse(
@@ -124,14 +127,14 @@ class AuthoritativeServer:
             raise ZoneError(f"zone {zone.origin} lost NS records at cut {cut}")
         additional: List[ResourceRecord] = []
         for record in ns_records:
-            target = record.target
+            target = record.rdata  # an NS record's target name
             if target.is_subdomain_of(zone.origin):
                 additional.extend(zone.lookup(target, RecordType.A))
         return DnsResponse(
             query=query,
             rcode=Rcode.NOERROR,
             authoritative=False,
-            authority=list(ns_records),
+            authority=ns_records,
             additional=additional,
         )
 

@@ -47,6 +47,8 @@ class DnsClient:
         #: Keys this client's retry jitter.
         self._label = f"dns-client-{region.name if region is not None else 'global'}"
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._queries = self.metrics.counter("client.queries")
+        self._answered = self.metrics.counter("client.answered")
         self.queries_sent = 0
         #: Whether the most recent :meth:`query` was throttled or shed
         #: by provider-side defenses.  Deliberately per-query transient
@@ -89,7 +91,7 @@ class DnsClient:
         record-purge observation.
         """
         self.queries_sent += 1
-        self.metrics.incr("client.queries")
+        self._queries.incr()
         self.last_throttled = False
         query = DnsQuery(DomainName(qname), qtype, recursion_desired=False)
         policy = self.retry_policy
@@ -114,7 +116,7 @@ class DnsClient:
                 return None
             response = delivery.response
             if response is not None and response.rcode is not Rcode.SERVFAIL:
-                self.metrics.incr("client.answered")
+                self._answered.incr()
                 return response
             if delivery.outcome in ("dark", "attack-outage"):
                 # Nothing listens at this address, or a flood drowns it

@@ -93,7 +93,7 @@ class DnsResponse:
 
     def referral_nameservers(self) -> List[DomainName]:
         """Nameserver names from a referral's authority section."""
-        return [r.target for r in self.authority if r.rtype is RecordType.NS]
+        return [r.rdata for r in self.authority if r.rtype is RecordType.NS]
 
     def glue_for(self, nameserver: DomainName) -> List[IPv4Address]:
         """Glue addresses for a referral nameserver, from the additional section."""

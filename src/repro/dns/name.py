@@ -15,11 +15,16 @@ text, from its labels, via :meth:`DomainName.parent` or
 object.  Sites share nameserver and CNAME targets heavily, so a
 campaign constructs names two orders of magnitude more often than
 distinct names exist.
+
+Interning a name also interns its ancestors and stores them on it, as
+a tuple built from its parent's, so the zone walks of the resolver and
+the authoritative servers (:meth:`DomainName.suffixes`) allocate no
+names.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from ..errors import NameError_
 from ..rng import stable_hash
@@ -32,8 +37,10 @@ _MAX_LABEL_LENGTH = 63
 
 #: Interned names by their exact input text, and by normalised labels.
 #: Only valid names are ever entered; invalid text raises on every call.
-_BY_TEXT: Dict[str, "DomainName"] = {}  # repro: allow[REP060] -- holds immutable, value-equal names whose identity never reaches an output; the hash is process-stable
-_BY_LABELS: Dict[Tuple[str, ...], "DomainName"] = {}  # repro: allow[REP060] -- holds immutable, value-equal names whose identity never reaches an output; the hash is process-stable
+#: Per-process by design: they hold immutable, value-equal names whose
+#: identity never reaches an output, and the hash is process-stable.
+_BY_TEXT: Dict[str, "DomainName"] = {}
+_BY_LABELS: Dict[Tuple[str, ...], "DomainName"] = {}
 
 
 class DomainName:
@@ -42,7 +49,7 @@ class DomainName:
     Instances are immutable and shared: never assign to their slots.
     """
 
-    __slots__ = ("_labels", "_hash")
+    __slots__ = ("_labels", "_hash", "_ancestors")
 
     def __new__(cls, name: "str | DomainName | Iterable[str]") -> "DomainName":
         if isinstance(name, DomainName):
@@ -67,6 +74,14 @@ class DomainName:
             name = object.__new__(cls)
             name._labels = labels
             name._hash = stable_hash(labels)
+            # Proper ancestors, parent first, root excluded; built from
+            # the parent's chain (never holding the name itself, so
+            # interned names form no reference cycles).
+            if len(labels) > 1:
+                parent = cls._from_labels(labels[1:])
+                name._ancestors = (parent,) + parent._ancestors
+            else:
+                name._ancestors = ()
             _BY_LABELS[labels] = name
         return name
 
@@ -98,7 +113,7 @@ class DomainName:
         """The name with its leftmost label removed."""
         if self.is_root:
             raise NameError_("root has no parent")
-        return DomainName._from_labels(self._labels[1:])
+        return self._ancestors[0] if self._ancestors else ROOT
 
     def child(self, label: str) -> "DomainName":
         """Prepend a label: ``DomainName('example.com').child('www')``."""
@@ -106,27 +121,19 @@ class DomainName:
 
     def is_subdomain_of(self, other: "DomainName | str") -> bool:
         """True when ``self`` is equal to or below ``other``."""
-        parent = DomainName(other)
+        parent = other if type(other) is DomainName else DomainName(other)
         n = len(parent._labels)
         if n == 0:
             return True
         return self._labels[-n:] == parent._labels if len(self._labels) >= n else False
 
-    def suffixes(self) -> "List[DomainName]":
+    def suffixes(self) -> Tuple["DomainName", ...]:
         """Self and every ancestor, longest first (excluding the root)."""
-        labels = self._labels
-        return [
-            DomainName._from_labels(labels[i:]) for i in range(len(labels))
-        ]
+        return (self,) + self._ancestors if self._labels else ()
 
-    def ancestors(self) -> List["DomainName"]:
+    def ancestors(self) -> Tuple["DomainName", ...]:
         """All proper ancestors from parent up to (excluding) the root."""
-        result = []
-        current = self
-        while len(current._labels) > 1:
-            current = current.parent()
-            result.append(current)
-        return result
+        return self._ancestors
 
     # -- apex / www helpers ----------------------------------------------
 
@@ -139,7 +146,8 @@ class DomainName:
         """
         if len(self._labels) < 2:
             raise NameError_(f"{self} has no apex")
-        return DomainName._from_labels(self._labels[-2:])
+        # The second-to-last suffix: the chain ends at the TLD.
+        return self._ancestors[-2] if len(self._labels) > 2 else self
 
     @property
     def is_apex(self) -> bool:

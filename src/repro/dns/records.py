@@ -45,14 +45,28 @@ DEFAULT_NS_TTL = SECONDS_PER_DAY
 
 
 class RecordType(enum.Enum):
-    """DNS record types modelled by the simulation."""
+    """DNS record types modelled by the simulation.
 
-    A = "A"
-    CNAME = "CNAME"
-    NS = "NS"
-    MX = "MX"
-    TXT = "TXT"
-    SOA = "SOA"
+    The value is the mnemonic (``RecordType("A")``); :attr:`code` is the
+    RFC 1035 type code.  Hot-path dicts (the resolver cache, zone
+    stores) key on the code, which hashes in C, rather than on the
+    member, whose ``__hash__`` is Python-level.
+    """
+
+    code: int
+
+    A = ("A", 1)
+    CNAME = ("CNAME", 5)
+    NS = ("NS", 2)
+    MX = ("MX", 15)
+    TXT = ("TXT", 16)
+    SOA = ("SOA", 6)
+
+    def __new__(cls, mnemonic: str, code: int) -> "RecordType":
+        member = object.__new__(cls)
+        member._value_ = mnemonic
+        member.code = code
+        return member
 
     def __str__(self) -> str:
         return self.value
@@ -69,15 +83,15 @@ class SoaData:
 
 Rdata = Union[IPv4Address, DomainName, str, SoaData]
 
-#: The rdata class each record type requires.
+#: The rdata class each record type requires, by type code.
 _RDATA_TYPES = types.MappingProxyType(
     {
-        RecordType.A: IPv4Address,
-        RecordType.CNAME: DomainName,
-        RecordType.NS: DomainName,
-        RecordType.MX: DomainName,
-        RecordType.TXT: str,
-        RecordType.SOA: SoaData,
+        RecordType.A.code: IPv4Address,
+        RecordType.CNAME.code: DomainName,
+        RecordType.NS.code: DomainName,
+        RecordType.MX.code: DomainName,
+        RecordType.TXT.code: str,
+        RecordType.SOA.code: SoaData,
     }
 )
 
@@ -94,7 +108,7 @@ class ResourceRecord:
     def __post_init__(self) -> None:
         if self.ttl < 0:
             raise ZoneError(f"negative TTL on {self.name} {self.rtype}")
-        expected = _RDATA_TYPES[self.rtype]
+        expected = _RDATA_TYPES[self.rtype.code]
         if not isinstance(self.rdata, expected):
             raise ZoneError(
                 f"{self.rtype} record for {self.name} needs "

@@ -77,7 +77,7 @@ class ResolutionResult:
     @property
     def addresses(self) -> List[IPv4Address]:
         """A-record addresses in the final answer (qtype A only)."""
-        return [r.address for r in self.records if r.rtype is RecordType.A]
+        return [r.rdata for r in self.records if r.rtype is RecordType.A]
 
     @property
     def final_name(self) -> DomainName:
@@ -88,33 +88,6 @@ class ResolutionResult:
     def cname_targets(self) -> List[DomainName]:
         """Every CNAME target encountered, in chase order."""
         return [target for _, target in self.cname_chain]
-
-
-class _ZoneCutMemo:
-    """Per-batch deepest-known-delegation index (:meth:`resolve_many`).
-
-    Maps a zone-cut owner name to the server addresses its referral
-    handed out during the current batch.  Sibling names under an
-    already-walked zone start at that delegation directly — no repeated
-    root/TLD descent, no dependence on the referral records' TTLs being
-    long enough to survive in the TTL cache.
-    """
-
-    def __init__(self) -> None:
-        self._servers: Dict[DomainName, List[IPv4Address]] = {}
-
-    def record(self, cut: DomainName, servers: List[IPv4Address]) -> None:
-        """Remember the servers a referral handed out for ``cut``."""
-        if servers:
-            self._servers[cut] = list(servers)
-
-    def lookup(self, zone: DomainName) -> Optional[List[IPv4Address]]:
-        """Servers recorded for exactly ``zone``, or None."""
-        servers = self._servers.get(zone)
-        return list(servers) if servers else None
-
-    def __len__(self) -> int:
-        return len(self._servers)
 
 
 class RecursiveResolver:
@@ -141,6 +114,12 @@ class RecursiveResolver:
         #: keeps its own registry (it may be shared with other owners).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = cache if cache is not None else DnsCache(clock, self.metrics)
+        counter = self.metrics.counter
+        self._resolutions = counter("resolver.resolutions")
+        self._cname_links = counter("resolver.cname_links")
+        self._referrals = counter("resolver.referrals")
+        self._zonecut_hits = counter("resolver.zonecut_hits")
+        self._queries = counter("resolver.queries_sent")
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         #: Keys this resolver's retry jitter.
         self._label = f"resolver-{region.name if region is not None else 'global'}"
@@ -148,7 +127,14 @@ class RecursiveResolver:
             quarantine if quarantine is not None else NameserverQuarantine(clock)
         )
         self.queries_sent = 0
-        self._batch_memo: Optional[_ZoneCutMemo] = None
+        #: The per-batch zone-cut memo (:meth:`resolve_many`): each zone
+        #: cut walked during the batch → the (non-empty) server list its
+        #: referral handed out.  Sibling names under an already-walked
+        #: zone start at that delegation directly — no repeated root/TLD
+        #: descent, no dependence on the referral records' TTLs being
+        #: long enough to survive in the TTL cache.  Server lists are
+        #: never mutated once built, so they are shared, not copied.
+        self._batch_memo: Optional[Dict[DomainName, List[IPv4Address]]] = None
         #: Bumped each time a server exhausts its retry budget; resolve()
         #: uses it to tell fault-induced SERVFAILs from genuine ones.
         self._transient_failures = 0
@@ -169,15 +155,18 @@ class RecursiveResolver:
         (retry budget exhausted) is marked ``gave_up`` — the measurement
         layer treats it as *unknown* rather than a negative observation.
         """
+        return self._resolve(DomainName(name), rtype)
+
+    def _resolve(self, qname: DomainName, rtype: RecordType) -> ResolutionResult:
         before = self._transient_failures
-        result = self._resolve_chased(DomainName(name), rtype)
+        result = self._resolve_chased(qname, rtype)
         if result.rcode is Rcode.SERVFAIL and self._transient_failures > before:
             result.gave_up = True
             self.metrics.incr("resolver.gave_up")
         return result
 
     def _resolve_chased(self, qname: DomainName, rtype: RecordType) -> ResolutionResult:
-        self.metrics.incr("resolver.resolutions")
+        self._resolutions.incr()
         chain: List[Tuple[DomainName, DomainName]] = []
         current = qname
         records: List[ResourceRecord] = []
@@ -201,7 +190,7 @@ class RecursiveResolver:
                 if len(chain) >= _MAX_CNAME_DEPTH:
                     return ResolutionResult(qname, rtype, Rcode.SERVFAIL, [], chain)
                 chain.append((current, target))
-                self.metrics.incr("resolver.cname_links")
+                self._cname_links.incr()
                 current = target
                 continue
             # NODATA
@@ -224,9 +213,9 @@ class RecursiveResolver:
         self.metrics.incr("resolver.batch_names", len(batch))
         fresh_memo = self._batch_memo is None
         if fresh_memo:
-            self._batch_memo = _ZoneCutMemo()
+            self._batch_memo = {}
         try:
-            return [self.resolve(n, rt) for n, rt in batch]
+            return [self._resolve(n, rt) for n, rt in batch]
         finally:
             if fresh_memo:
                 self._batch_memo = None
@@ -266,14 +255,9 @@ class RecursiveResolver:
         self, name: DomainName, rtype: RecordType
     ) -> Tuple[List[ResourceRecord], Rcode]:
         """Records at exactly ``name`` (of rtype, or a CNAME), plus rcode."""
-        cached = self.cache.get(name, rtype)
-        if cached:
+        cached, negative = self.cache.probe(name, rtype)
+        if cached is not None:
             return cached, Rcode.NOERROR
-        if rtype is not RecordType.CNAME:
-            cached_cname = self.cache.get(name, RecordType.CNAME)
-            if cached_cname:
-                return cached_cname, Rcode.NOERROR
-        negative = self.cache.get_negative(name, rtype)
         if negative == "NXDOMAIN":
             return [], Rcode.NXDOMAIN
         if negative == "NODATA":
@@ -304,11 +288,9 @@ class RecursiveResolver:
                 next_servers = self._servers_from_referral(response, depth)
                 if not next_servers:
                     return [], Rcode.SERVFAIL
-                self.metrics.incr("resolver.referrals")
+                self._referrals.incr()
                 if self._batch_memo is not None:
-                    self._batch_memo.record(
-                        self._referral_cut(response), next_servers
-                    )
+                    self._batch_memo[self._referral_cut(response)] = next_servers
                 servers = next_servers
                 continue
             # NODATA
@@ -346,27 +328,16 @@ class RecursiveResolver:
         delegations live on until their (long) TTLs expire.
         """
         memo = self._batch_memo
-        for ancestor in self._zones_towards_root(name):
+        for zone in name.suffixes():
             if memo is not None:
-                memoised = memo.lookup(ancestor)
-                if memoised:
-                    self.metrics.incr("resolver.zonecut_hits")
+                memoised = memo.get(zone)
+                if memoised is not None:
+                    self._zonecut_hits.incr()
                     return memoised
-            ns_records = self.cache.get(ancestor, RecordType.NS) or []
-            if not ns_records:
-                continue
-            addresses = self._nameserver_addresses(
-                [r.target for r in ns_records], depth, allow_network=False
-            )
+            addresses = self.cache.delegation_addresses(zone)
             if addresses:
                 return addresses
         return list(self._root_hints)
-
-    @staticmethod
-    def _zones_towards_root(name: DomainName) -> List[DomainName]:
-        zones = [name]
-        zones.extend(name.ancestors())
-        return zones
 
     def _servers_from_referral(
         self, response: DnsResponse, depth: int
@@ -377,16 +348,15 @@ class RecursiveResolver:
             glue.extend(response.glue_for(ns_name))
         if glue:
             return glue
-        return self._nameserver_addresses(ns_names, depth, allow_network=True)
+        return self._nameserver_addresses(ns_names, depth)
 
     def _nameserver_addresses(
-        self, ns_names: List[DomainName], depth: int, allow_network: bool
+        self, ns_names: List[DomainName], depth: int
     ) -> List[IPv4Address]:
-        addresses: List[IPv4Address] = []
-        for ns_name in ns_names:
-            cached = self.cache.get(ns_name, RecordType.A) or []
-            addresses.extend(r.address for r in cached)
-        if addresses or not allow_network:
+        """Addresses of ``ns_names``: cached, else looked up (glueless
+        delegation)."""
+        addresses = self.cache.addresses(ns_names)
+        if addresses:
             return addresses
         if depth >= _MAX_NS_LOOKUP_DEPTH:
             return []
@@ -462,7 +432,7 @@ class RecursiveResolver:
                 return None
             if attempt == 1:
                 self.queries_sent += 1
-                self.metrics.incr("resolver.queries_sent")
+                self._queries.incr()
             if delivery.outcome in ("throttled", "shed"):
                 # Provider defenses, not server failure.  The verdict is
                 # deterministic per (day, server, name) — retry-after

@@ -30,15 +30,7 @@ __all__ = [
     "decode_response",
 ]
 
-_TYPE_CODES: Dict[RecordType, int] = {
-    RecordType.A: 1,
-    RecordType.NS: 2,
-    RecordType.CNAME: 5,
-    RecordType.SOA: 6,
-    RecordType.MX: 15,
-    RecordType.TXT: 16,
-}
-_CODE_TYPES = {code: rtype for rtype, code in _TYPE_CODES.items()}
+_CODE_TYPES = {rtype.code: rtype for rtype in RecordType}
 
 _RCODE_CODES: Dict[Rcode, int] = {
     Rcode.NOERROR: 0,
@@ -153,7 +145,7 @@ class _Reader:
 
 def _encode_record(writer: _Writer, record: ResourceRecord) -> None:
     writer.write_name(record.name)
-    writer.write(struct.pack("!HHI", _TYPE_CODES[record.rtype], _CLASS_IN, record.ttl))
+    writer.write(struct.pack("!HHI", record.rtype.code, _CLASS_IN, record.ttl))
     length_at = len(writer.buffer)
     writer.write(b"\x00\x00")  # rdlength placeholder
     start = len(writer.buffer)
@@ -251,7 +243,7 @@ def encode_query(query: DnsQuery, txid: int = 0) -> bytes:
     writer.write(struct.pack("!HHHHHH", txid,
                              _flags(None, query.recursion_desired), 1, 0, 0, 0))
     writer.write_name(query.qname)
-    writer.write(struct.pack("!HH", _TYPE_CODES[query.qtype], _CLASS_IN))
+    writer.write(struct.pack("!HH", query.qtype.code, _CLASS_IN))
     return bytes(writer.buffer)
 
 
@@ -286,7 +278,7 @@ def encode_response(response: DnsResponse, txid: int = 0) -> bytes:
         len(response.additional),
     ))
     writer.write_name(response.query.qname)
-    writer.write(struct.pack("!HH", _TYPE_CODES[response.query.qtype], _CLASS_IN))
+    writer.write(struct.pack("!HH", response.query.qtype.code, _CLASS_IN))
     for section in (response.answers, response.authority, response.additional):
         for record in section:
             _encode_record(writer, record)

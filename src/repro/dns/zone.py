@@ -28,7 +28,8 @@ from .records import (
 
 __all__ = ["Zone"]
 
-_Key = Tuple[DomainName, RecordType]
+#: (owner name, :attr:`RecordType.code`).
+_Key = Tuple[DomainName, int]
 
 
 class Zone:
@@ -98,7 +99,7 @@ class Zone:
             raise ZoneError("set the SOA via the constructor, not add()")
         if record.rtype is RecordType.CNAME:
             self._check_cname_constraints(record.name)
-        bucket = self._records.setdefault((record.name, record.rtype), [])
+        bucket = self._records.setdefault((record.name, record.rtype.code), [])
         if any(existing.rdata == record.rdata for existing in bucket):
             raise ZoneError(f"duplicate record: {record}")
         bucket.append(record)
@@ -110,7 +111,7 @@ class Zone:
     def _check_cname_constraints(self, name: DomainName) -> None:
         # A CNAME cannot coexist with other data at the same name.
         for rtype in RecordType:
-            if self._records.get((name, rtype)):
+            if self._records.get((name, rtype.code)):
                 raise ZoneError(f"CNAME at {name} conflicts with existing data")
 
     def replace(self, record: ResourceRecord) -> None:
@@ -120,12 +121,12 @@ class Zone:
 
     def remove_all(self, name: "DomainName | str", rtype: RecordType) -> int:
         """Remove every record of (name, type); returns how many vanished."""
-        key = (DomainName(name), rtype)
-        bucket = self._records.pop(key, [])
+        target = DomainName(name)
+        bucket = self._records.pop((target, rtype.code), [])
         if rtype is RecordType.NS:
-            self._delegations.discard(key[0])
+            self._delegations.discard(target)
         if bucket:
-            self._index_remove(key[0], len(bucket))
+            self._index_remove(target, len(bucket))
             self._bump_serial()
         return len(bucket)
 
@@ -134,7 +135,7 @@ class Zone:
         target = DomainName(name)
         removed = 0
         for rtype in RecordType:
-            bucket = self._records.pop((target, rtype), None)
+            bucket = self._records.pop((target, rtype.code), None)
             if bucket:
                 removed += len(bucket)
                 self._index_remove(target, len(bucket))
@@ -197,9 +198,11 @@ class Zone:
 
     def lookup(self, name: "DomainName | str", rtype: RecordType) -> List[ResourceRecord]:
         """Exact-match lookup; empty list when absent."""
-        if rtype is RecordType.SOA and DomainName(name) == self.origin:
+        if type(name) is not DomainName:
+            name = DomainName(name)
+        if rtype is RecordType.SOA and name == self.origin:
             return [self._soa]
-        return list(self._records.get((DomainName(name), rtype), []))
+        return list(self._records.get((name, rtype.code), ()))
 
     def records_at(self, name: "DomainName | str") -> List[ResourceRecord]:
         """Every record at a name, all types."""
@@ -219,13 +222,14 @@ class Zone:
 
     def delegation_covering(self, name: "DomainName | str") -> Optional[DomainName]:
         """The deepest zone cut at-or-above ``name``, if one exists."""
-        if not self._delegations:
+        delegations = self._delegations
+        if not delegations:
             return None
-        origin_depth = len(self.origin)
-        for suffix in DomainName(name).suffixes():
-            if len(suffix) <= origin_depth:
-                return None
-            if suffix in self._delegations:
+        target = name if type(name) is DomainName else DomainName(name)
+        # Suffixes come longest first; only those below the origin count.
+        below_origin = max(0, len(target) - len(self.origin))
+        for suffix in target.suffixes()[:below_origin]:
+            if suffix in delegations:
                 return suffix
         return None
 

@@ -67,7 +67,8 @@ class NameserverQuarantine:
 
     def release(self, address: IPv4Address) -> None:
         """Remove a server from quarantine after a successful probe."""
-        self._entries.pop(address, None)
+        if self._entries:
+            self._entries.pop(address, None)
 
     def reprobe_due(self, address: IPv4Address) -> bool:
         """Whether a quarantined server's re-probe time has passed."""
@@ -84,6 +85,8 @@ class NameserverQuarantine:
         resolver walks the first list, then the second, so a fully
         quarantined zone is still probed rather than abandoned.
         """
+        if not self._entries:
+            return list(servers), []
         preferred: List[IPv4Address] = []
         deferred: List[IPv4Address] = []
         now = self._clock.now

@@ -9,14 +9,19 @@ five different catchments (Fig. 7).
 great-circle-distance, which is the standard first-order approximation of
 BGP anycast routing and preserves the property the experiment needs —
 distinct, stable catchments for geographically distinct clients.
+
+The PoPs are fixed at construction, so the catchment of every region in
+:data:`~repro.net.geo.WELL_KNOWN_REGIONS` is computed once, there, into
+a table; only a region outside that catalog pays the distance scan per
+query.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..errors import ConfigurationError, RoutingError
-from .geo import PointOfPresence, Region
+from ..errors import ConfigurationError
+from .geo import WELL_KNOWN_REGIONS, PointOfPresence, Region
 
 __all__ = ["AnycastNetwork"]
 
@@ -40,6 +45,11 @@ class AnycastNetwork:
         ids = [p.pop_id for p in self._pops]
         if len(set(ids)) != len(ids):
             raise ConfigurationError(f"duplicate PoP ids in network {name!r}")
+        #: Region name → (that region, its catchment PoP).
+        self._table: Dict[str, Tuple[Region, PointOfPresence]] = {
+            region.name: (region, self._nearest(region))
+            for region in WELL_KNOWN_REGIONS.values()
+        }
 
     @property
     def pops(self) -> Sequence[PointOfPresence]:
@@ -53,8 +63,12 @@ class AnycastNetwork:
         repeated queries from one region always land on the same PoP —
         the stability property the paper's load-spreading relies on.
         """
-        if not self._pops:
-            raise RoutingError(f"network {self.name!r} has no PoPs")
+        entry = self._table.get(client_region.name)
+        if entry is not None and entry[0] == client_region:
+            return entry[1]
+        return self._nearest(client_region)
+
+    def _nearest(self, client_region: Region) -> PointOfPresence:
         return min(
             self._pops,
             key=lambda pop: (pop.distance_to(client_region), pop.pop_id),

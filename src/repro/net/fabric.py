@@ -103,7 +103,7 @@ class Plane(Protocol):
 class _AnycastBinding:
     """An anycast address: a catchment model plus one server per PoP."""
 
-    __slots__ = ("network", "servers")
+    __slots__ = ("network", "servers", "_fallback")
 
     def __init__(self, network: AnycastNetwork, servers: Dict[str, object]) -> None:
         missing = {pop.pop_id for pop in network.pops} - set(servers)
@@ -113,14 +113,14 @@ class _AnycastBinding:
             )
         self.network = network
         self.servers = dict(servers)
+        # Deterministic fallback for a region-less client: the
+        # alphabetically-first PoP.
+        self._fallback = self.servers[min(self.servers)]
 
     def server_for(self, client_region: Optional[Region]) -> object:
         if client_region is None:
-            # Deterministic fallback: the alphabetically-first PoP.
-            pop_id = min(self.servers)
-            return self.servers[pop_id]
-        pop = self.network.catchment(client_region)
-        return self.servers[pop.pop_id]
+            return self._fallback
+        return self.servers[self.network.catchment(client_region).pop_id]
 
 
 class NetworkFabric:  # repro: allow[REP063] -- world-layer wiring; every replica reinstalls its planes through Scenario.install, and snapshots carry each plane's own state

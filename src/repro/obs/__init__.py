@@ -1,6 +1,7 @@
 """Observability for the query plane.
 
-:mod:`repro.obs.metrics` — injectable monotonic counters and
+:mod:`repro.obs.metrics` — injectable monotonic counters (named, or
+through pre-bound :class:`Counter` handles on hot paths) and
 simulated-time timers, threaded through the resolver, the DNS cache, and
 the §V scanners;
 
@@ -11,6 +12,6 @@ CLI — not re-exported here, so that importing :mod:`repro.dns` (which
 uses the metrics) never drags in the world-building machinery.
 """
 
-from .metrics import MetricsRegistry, SimTimer
+from .metrics import Counter, MetricsRegistry, SimTimer
 
-__all__ = ["MetricsRegistry", "SimTimer"]
+__all__ = ["Counter", "MetricsRegistry", "SimTimer"]

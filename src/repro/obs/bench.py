@@ -18,11 +18,16 @@ threaded through every resolver, client and scanner:
 
 The result dict is what ``repro bench`` serialises to
 ``BENCH_<label>.json``: counter totals, workload shapes, and wall time,
-so the repository's perf trajectory has real data points.
+so the repository's perf trajectory has real data points.  It also
+records the host it ran on — ``cpus`` (the CPUs the process may use)
+and ``python`` (the interpreter version) — because a wall time means
+little without them.
 """
 
 from __future__ import annotations
 
+import os
+import platform
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -44,6 +49,15 @@ def _wall_now() -> float:
     determinism is unaffected (suppressed REP002).
     """
     return time.perf_counter()  # repro: allow[REP002] -- reported only; nothing in the simulation consumes the value
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def compare_query_paths(
@@ -191,6 +205,8 @@ def run_bench(  # repro: allow[REP040] -- timing real hardware is the bench's pu
         "e1_collection": e1,
         "e8_residual_scan": e8,
         "wall_seconds_total": _wall_now() - started,
+        "cpus": _available_cpus(),
+        "python": platform.python_version(),
     }
     if traffic_plane is not None:
         payload["traffic"] = {

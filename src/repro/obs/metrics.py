@@ -20,6 +20,11 @@ Design constraints (enforced by ``repro lint``):
 Counter names are dotted, ``subsystem.metric`` (``resolver.queries_sent``,
 ``cache.hits``), so :meth:`MetricsRegistry.snapshot` can cut
 per-subsystem views with a prefix.
+
+Hot paths bind a :class:`Counter` handle once (:meth:`MetricsRegistry.counter`)
+and increment it without hashing the counter name on every event; cold
+paths call :meth:`MetricsRegistry.incr` by name.  Both write the one
+counter store the registry snapshots, restores and merges.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Dict, Optional
 from ..clock import SimulationClock
 from ..errors import SimulationError
 
-__all__ = ["MetricsRegistry", "SimTimer", "defense_counter"]
+__all__ = ["Counter", "MetricsRegistry", "SimTimer", "defense_counter"]
 
 
 def defense_counter(provider: str, tier: str, kind: str) -> str:
@@ -78,6 +83,35 @@ class SimTimer:
         self._started_at = None
 
 
+class Counter:
+    """A handle on one named counter of a :class:`MetricsRegistry`.
+
+    Bound once by :meth:`MetricsRegistry.counter`; :meth:`incr` adds to
+    the registry's own store, so handle and named increments are
+    interchangeable, and a handle bound before a ``restore`` or
+    ``merge`` keeps counting from the restored or merged total.  Binding
+    creates nothing: a handle never incremented leaves no entry in
+    :meth:`MetricsRegistry.snapshot`.
+    """
+
+    __slots__ = ("name", "_counters")
+
+    def __init__(self, counters: Dict[str, int], name: str) -> None:
+        self.name = name
+        self._counters = counters
+
+    def incr(self, amount: int = 1) -> int:
+        """Add ``amount`` (>= 0); returns the total.  See
+        :meth:`MetricsRegistry.incr`."""
+        if amount < 0:
+            raise SimulationError(
+                f"counter {self.name!r} is monotonic; cannot add {amount}"
+            )
+        counters = self._counters
+        total = counters[self.name] = counters.get(self.name, 0) + amount
+        return total
+
+
 class MetricsRegistry:
     """Named monotonic counters with namespaced snapshots.
 
@@ -101,13 +135,11 @@ class MetricsRegistry:
         :class:`~repro.errors.SimulationError` so a buggy caller cannot
         silently rewind a total.
         """
-        if amount < 0:
-            raise SimulationError(
-                f"counter {name!r} is monotonic; cannot add {amount}"
-            )
-        total = self._counters.get(name, 0) + int(amount)
-        self._counters[name] = total
-        return total
+        return self.counter(name).incr(int(amount))
+
+    def counter(self, name: str) -> Counter:
+        """A :class:`Counter` handle on ``name``, for hot paths."""
+        return Counter(self._counters, name)
 
     def value(self, name: str) -> int:
         """Current total for ``name`` (0 when never incremented)."""
@@ -131,7 +163,10 @@ class MetricsRegistry:
                 raise SimulationError(
                     f"counter {name!r} cannot restore to {value}"
                 )
-        self._counters = {name: int(value) for name, value in counters.items()}
+        restored = {name: int(value) for name, value in counters.items()}
+        # In place: bound Counter handles share this store.
+        self._counters.clear()
+        self._counters.update(restored)
 
     def merge(self, other: "MetricsRegistry | Dict[str, int]") -> None:
         """Fold another registry's totals into this one, counter-wise.

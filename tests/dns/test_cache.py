@@ -1,9 +1,12 @@
 """Tests for the TTL cache."""
 
+import pytest
+
 from repro.clock import SimulationClock
 from repro.dns.cache import DnsCache
 from repro.dns.name import DomainName
-from repro.dns.records import RecordType, a_record, ns_record
+from repro.dns.records import RecordType, a_record, cname_record, ns_record
+from repro.net.ipaddr import IPv4Address
 from repro.obs import MetricsRegistry
 
 
@@ -185,3 +188,66 @@ class TestMetricsMirroring:
         _, cache = _cache()
         cache.get("a.com", RecordType.A)
         assert cache.metrics.value("cache.misses") == 1
+
+
+class TestResolverLookups:
+    """``probe``, ``delegation_addresses`` and ``addresses`` answer in one
+    call what the resolver used to ask ``get`` several times, and count
+    exactly the hits, misses and negative hits those ``get`` calls did."""
+
+    @staticmethod
+    def _filled(metrics):
+        clock = SimulationClock()
+        cache = DnsCache(clock, metrics)
+        cache.put(a_record("a.example.com", "1.1.1.1"))
+        cache.put(cname_record("c.example.com", "a.example.com"))
+        cache.put_negative("gone.example.com", RecordType.A, "NXDOMAIN", ttl=60)
+        cache.put(ns_record("example.com", "ns1.example.net"))
+        cache.put(ns_record("example.com", "ns2.example.net"))
+        cache.put(a_record("ns2.example.net", "2.2.2.2"))
+        return cache
+
+    @pytest.mark.parametrize("qname", ["a.example.com", "c.example.com",
+                                       "gone.example.com", "none.example.com"])
+    @pytest.mark.parametrize("rtype", [RecordType.A, RecordType.CNAME])
+    def test_probe_counts_like_the_get_sequence(self, qname, rtype):
+        by_probe, by_get = MetricsRegistry(), MetricsRegistry()
+        probing, getting = self._filled(by_probe), self._filled(by_get)
+        name = DomainName(qname)
+
+        records, negative = probing.probe(name, rtype)
+
+        expected = getting.get(name, rtype)
+        if expected is None and rtype is not RecordType.CNAME:
+            expected = getting.get(name, RecordType.CNAME)
+        expected_negative = (
+            getting.get_negative(name, rtype) if expected is None else None
+        )
+        assert records == expected
+        assert negative == expected_negative
+        assert by_probe.snapshot() == by_get.snapshot()
+        assert (probing.hits, probing.misses, probing.negative_hits) == (
+            getting.hits, getting.misses, getting.negative_hits
+        )
+
+    def test_delegation_addresses_follow_ns_order_and_count_per_name(self):
+        metrics = MetricsRegistry()
+        cache = self._filled(metrics)
+        zone = DomainName("example.com")
+        assert cache.delegation_addresses(zone) == [IPv4Address("2.2.2.2")]
+        # One NS hit, then ns1 (miss) and ns2 (hit).
+        assert (cache.hits, cache.misses) == (2, 1)
+        assert cache.delegation_addresses(DomainName("other.com")) is None
+        assert (cache.hits, cache.misses) == (2, 2)
+        assert metrics.snapshot("cache") == {"cache.hits": 2, "cache.misses": 2}
+
+    def test_unchanged_ttl_returns_the_cached_record(self):
+        clock, cache = _cache()
+        record = a_record("www.example.com", "1.1.1.1", ttl=100)
+        cache.put(record)
+        assert cache.get("www.example.com", RecordType.A) == [record]
+        clock.advance(30)
+        (aged,) = cache.get("www.example.com", RecordType.A)
+        assert (aged.name, aged.rtype, aged.rdata, aged.ttl) == (
+            record.name, record.rtype, record.rdata, 70
+        )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.anycast import AnycastNetwork
+from repro.net.fabric import NetworkFabric
 from repro.net.geo import (
     GeoLocation,
     PAPER_VANTAGE_REGIONS,
@@ -100,3 +101,50 @@ class TestAnycast:
         clients = [region("paris"), region("seoul")]
         mapping = network.catchment_map(clients)
         assert set(mapping) == {"paris", "seoul"}
+
+
+def _brute_force_catchment(network: AnycastNetwork, client: Region) -> PointOfPresence:
+    return min(network.pops, key=lambda pop: (pop.distance_to(client), pop.pop_id))
+
+
+class TestCatchmentTable:
+    def test_table_agrees_with_brute_force_on_every_provider(self, shared_world):
+        networks = [provider.anycast for provider in shared_world.providers.values()]
+        assert networks
+        for network in networks:
+            for client in WELL_KNOWN_REGIONS.values():
+                assert network.catchment(client) is _brute_force_catchment(
+                    network, client
+                ), (network.name, client.name)
+
+    def test_equidistant_pops_resolve_by_pop_id(self):
+        # Two PoPs in one catalogued region: the table breaks the tie.
+        london = region("london")
+        network = AnycastNetwork(
+            "tie", [PointOfPresence("pop-b", london), PointOfPresence("pop-a", london)]
+        )
+        assert network.catchment(london).pop_id == "pop-a"
+        assert network.catchment(region("paris")).pop_id == "pop-a"
+
+    def test_equidistant_pops_outside_the_catalog_resolve_by_pop_id(self):
+        east = Region("east", GeoLocation(0.0, 10.0))
+        west = Region("west", GeoLocation(0.0, -10.0))
+        network = AnycastNetwork(
+            "tie", [PointOfPresence("pop-z", east), PointOfPresence("pop-y", west)]
+        )
+        middle = Region("middle", GeoLocation(0.0, 0.0))
+        assert network.catchment(middle).pop_id == "pop-y"
+
+    def test_region_reusing_a_catalog_name_is_not_served_from_the_table(self):
+        network = _network("london", "sydney")
+        impostor = Region("london", GeoLocation(-33.0, 151.0))
+        assert network.catchment(region("london")).pop_id == "pop-london"
+        assert network.catchment(impostor).pop_id == "pop-sydney"
+
+    def test_regionless_anycast_client_reaches_alphabetically_first_pop(self):
+        network = _network("tokyo", "london", "sydney")
+        servers = {pop.pop_id: object() for pop in network.pops}
+        fabric = NetworkFabric()
+        fabric.register_dns_anycast("10.0.0.1", network, servers)
+        assert fabric.dns_server_at("10.0.0.1", None) is servers["pop-london"]
+        assert fabric.dns_server_at("10.0.0.1", region("tokyo")) is servers["pop-tokyo"]

@@ -1,7 +1,10 @@
 """Tests for the bench harness: E1/E8 workloads and the batched vs
 naive query-path comparison (the PR's acceptance benchmark)."""
 
+import importlib.util
 import json
+import platform
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +51,11 @@ class TestRunBench:
         assert bench_result["warmup_days"] == _WARMUP_DAYS
         for key in ("e1_collection", "e8_residual_scan", "wall_seconds_total"):
             assert key in bench_result
+
+    def test_payload_records_the_host(self, bench_result):
+        assert isinstance(bench_result["cpus"], int)
+        assert bench_result["cpus"] >= 1
+        assert bench_result["python"] == platform.python_version()
 
     def test_payload_json_serialisable(self, bench_result):
         assert json.loads(json.dumps(bench_result)) is not None
@@ -97,3 +105,23 @@ class TestPinnedE1Counters:
         e1 = run_bench(world, warmup_days=3)["e1_collection"]
         assert e1["counters"] == _CI_SMOKE_E1_COUNTERS
         assert (e1["hostnames"], e1["resolved"]) == (400, 400)
+
+
+def _bench_compare():
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_compare.py"
+    spec = importlib.util.spec_from_file_location("bench_compare", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchCompareHostFields:
+    def test_host_fields_are_printed_and_never_gated(self, bench_result, capsys):
+        candidate = dict(bench_result, cpus=bench_result["cpus"] + 7, python="0.0.0")
+        baseline = {k: v for k, v in bench_result.items() if k not in ("cpus", "python")}
+        assert _bench_compare().compare(baseline, candidate) == 0
+        out = capsys.readouterr().out
+        assert (
+            f"host cpus baseline=unrecorded candidate={bench_result['cpus'] + 7}" in out
+        )
+        assert "host python baseline=unrecorded candidate=0.0.0" in out
