@@ -17,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..compat import SLOTS
 from ..world.admin import BehaviorKind
 from .status import DpsObservation, DpsStatus
 
 __all__ = ["MeasuredBehavior", "BehaviorDetector", "MultiCdnFilter"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, **SLOTS)
 class MeasuredBehavior:
     """One behaviour inferred from a day-over-day diff."""
 

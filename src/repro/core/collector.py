@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
+from ..compat import SLOTS
 from ..dns.message import Rcode
 from ..dns.name import DomainName
 from ..dns.records import RecordType
@@ -21,7 +22,7 @@ from ..dns.resolver import RecursiveResolver, ResolutionResult
 __all__ = ["DomainSnapshot", "DailySnapshot", "DnsRecordCollector"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, **SLOTS)
 class DomainSnapshot:
     """One site's A/CNAME/NS view on one day."""
 

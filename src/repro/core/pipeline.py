@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..compat import SLOTS
 from ..dns.name import DomainName
 from ..dns.records import RecordType
 from ..dns.resolver import RecursiveResolver
@@ -31,7 +32,7 @@ from .htmlverify import HtmlVerifier
 __all__ = ["RetrievedRecord", "HiddenRecord", "PipelineReport", "FilterPipeline"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, **SLOTS)
 class RetrievedRecord:
     """One record pulled straight from a DPS provider's nameservers."""
 
@@ -43,7 +44,7 @@ class RetrievedRecord:
     canonical: Optional[str] = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, **SLOTS)
 class HiddenRecord:
     """A record visible only via the DPS nameservers, with its verdict."""
 

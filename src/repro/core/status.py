@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
+from ..compat import SLOTS
 from ..dps.portal import ReroutingMethod
 from ..net.ipaddr import IPv4Address
 from .collector import DomainSnapshot
@@ -54,7 +55,7 @@ class DpsStatus:
     UNMEASURED = "UNMEASURED"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, **SLOTS)
 class DpsObservation:
     """What the measurement concluded about one site on one day."""
 

@@ -314,6 +314,11 @@ class SixWeekStudy:
     def begin(self, shard_index: int = 0, shard_count: int = 1) -> StudyRuntime:
         """Warm the world up and build the campaign's measurement state.
 
+        The warm-up tops the world's engine days up to
+        ``config.warmup_days``: a fresh world runs all of them, a world
+        already stepped that far (a shard worker's, forked from the
+        coordinator's warm replica) runs none.
+
         Returns the :class:`StudyRuntime` positioned at day 0 (checkpoint
         barrier 0: post-warmup, nothing measured yet).
 
@@ -331,7 +336,7 @@ class SixWeekStudy:
             scale_factor=world.config.scale_factor,
         )
 
-        world.engine.run_days(config.warmup_days)
+        world.engine.run_days(max(0, config.warmup_days - world.engine.days_run))
 
         collection_resolver = world.make_resolver(metrics=metrics)
         verifier = HtmlVerifier(

@@ -1,10 +1,14 @@
 """The study driver: lockstep workers stepped through one barrier loop.
 
 ``N`` workers — in-process objects (``mode="inline"``) or forked OS
-processes (``mode="process"``) — each rebuild the full deterministic
-world from ``(seed, population)`` and the run's
-:class:`~repro.scenario.Scenario`, and measure one contiguous slice of
-the site population.  The coordinator drives them day by day through
+processes (``mode="process"``) — each measure one contiguous slice of
+the site population on a full replica of the deterministic world.  The
+coordinator builds that world once from ``(seed, population)``, warms
+it up and installs the run's :class:`~repro.scenario.Scenario`
+(:func:`warm_world`); forked workers inherit it and begin their slice
+with no build and no warm-up of their own.  Inline workers, and
+workers spawned where the platform cannot fork, warm their own
+identical replica.  The coordinator drives them day by day through
 the same phases the monolithic loop runs:
 
 1. **barrier** — each worker commits its per-shard checkpoint (barrier
@@ -21,12 +25,14 @@ the same phases the monolithic loop runs:
 
 After the last barrier each worker ships its payload
 (:func:`~repro.shard.merge.worker_payload`); the coordinator merges
-them, overlays the result onto a freshly replayed monolithic runtime,
-and runs :meth:`~repro.core.study.SixWeekStudy.finalise`.  The merged
-report is byte-identical to a single-process campaign's, whatever the
-shard count.  One worker (``N = 1``) is the monolithic run: it always
-runs inline and finalises its own runtime — no payload, no merge, no
-replay world.  Plain, checkpointed and sharded studies all run here.
+them, replays its own copy of the warm world (begun as the
+whole-population study once the workers started), overlays the merged
+result and runs :meth:`~repro.core.study.SixWeekStudy.finalise`.  The
+merged report is byte-identical to a single-process campaign's,
+whatever the shard count.  One worker (``N = 1``) is the monolithic
+run: it always runs inline and finalises its own runtime — no payload,
+no merge, no coordinator world.  Plain, checkpointed and sharded
+studies all run here.
 
 A one-worker run keeps its checkpoint store at the checkpoint directory
 itself.  With more workers the stores nest: the coordinator's manifest
@@ -39,6 +45,7 @@ re-appended), the same tolerance a torn journal tail gets.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -72,6 +79,7 @@ __all__ = [
     "ProcessExecutor",
     "shard_directory",
     "begin_study",
+    "warm_world",
     "replay_to_snapshot",
     "run_campaign",
     "resume_campaign",
@@ -120,14 +128,30 @@ def begin_study(
 
     The planes install *after* warm-up, so their day-windowed rules,
     background load and attack schedule are relative to the same clock
-    day on every rebuild — a resumed run, a shard worker and the merge
-    replay all regenerate the original's.
+    day on every rebuild — a resumed run, a shard worker and the
+    coordinator's world all regenerate the original's.
     """
     world = SimulatedInternet(WorldConfig(population_size=population, seed=seed))
     study = SixWeekStudy(world, config)
     runtime = study.begin(shard_index, shard_count)
     scenario.install(world)
     return study, runtime
+
+
+def warm_world(spec: "WorkerSpec") -> SimulatedInternet:
+    """Build the world, run its warm-up and install the scenario.
+
+    The coordinator's world, which forked workers inherit: a study
+    begun on it runs no further warm-up (:meth:`SixWeekStudy.begin`
+    only tops the engine's days up to ``warmup_days``), and it is in
+    the state :func:`begin_study` leaves a fresh world in.
+    """
+    world = SimulatedInternet(
+        WorldConfig(population_size=spec.population, seed=spec.seed)
+    )
+    world.engine.run_days(spec.config.warmup_days)
+    spec.scenario.install(world)
+    return world
 
 
 def replay_to_snapshot(
@@ -178,25 +202,35 @@ class WorkerSpec:
 class ShardWorker:
     """One shard's replica: full world, slice-wide measurement state.
 
+    ``world`` is a warm world to measure on — a forked worker's copy of
+    the coordinator's; without one the worker builds its own
+    (:func:`begin_study`).
+
     Driven operation by operation from the coordinator; every operation
     asserts the worker is at the lockstep position the coordinator
     believes it is, so a skew bug dies loudly instead of merging
     garbage.
     """
 
-    def __init__(self, spec: WorkerSpec) -> None:
+    def __init__(
+        self, spec: WorkerSpec, world: Optional[SimulatedInternet] = None
+    ) -> None:
         self.spec = spec
         self.store = self._attach_store()
         records = self.store.barriers() if self.store is not None else []
         self.latest_barrier = int(records[-1]["barrier"]) if records else -1
-        self.study, self.runtime = begin_study(
-            spec.population,
-            spec.seed,
-            spec.config,
-            spec.scenario,
-            spec.shard_index,
-            spec.shard_count,
-        )
+        if world is None:
+            self.study, self.runtime = begin_study(
+                spec.population,
+                spec.seed,
+                spec.config,
+                spec.scenario,
+                spec.shard_index,
+                spec.shard_count,
+            )
+        else:
+            self.study = SixWeekStudy(world, spec.config)
+            self.runtime = self.study.begin(spec.shard_index, spec.shard_count)
         if spec.resume and spec.seek_barrier >= 0:
             self._seek(records)
 
@@ -315,9 +349,12 @@ class InlineExecutor:
 class ProcessExecutor:
     """One forked worker process per shard, coordinated over pipes.
 
-    Fork is preferred where available (the parent's imports are shared
-    copy-on-write); spawn works too because :class:`WorkerSpec` is
-    picklable and the worker entrypoint is a module-level function.  A
+    Fork is preferred where available: the parent's imports and
+    ``world`` — the coordinator's warm world — are shared copy-on-write,
+    never pickled, and every worker measures on its own copy.  Spawn
+    works too because :class:`WorkerSpec` is picklable and the worker
+    entrypoint is a module-level function; a spawned worker warms its
+    own world.  A
     :class:`~repro.errors.SimulatedCrash` in any worker ends the whole
     campaign — the surviving processes are terminated and the crash is
     re-raised in the coordinator, exactly as the inline mode propagates
@@ -335,15 +372,15 @@ class ProcessExecutor:
         self,
         specs: Sequence[WorkerSpec],
         op_timeout: Optional[float] = None,
+        world: Optional[SimulatedInternet] = None,
     ) -> None:
         self._specs = list(specs)
         self._op_timeout = (
             float(op_timeout) if op_timeout is not None else DEFAULT_OP_TIMEOUT
         )
-        methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
+        forking = "fork" in multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context("fork" if forking else "spawn")
+        self._world = world if forking else None
         self._processes: List[object] = []
         self._connections: List[object] = []
 
@@ -356,7 +393,7 @@ class ProcessExecutor:
             inherited = self._connections + [parent_end]
             process = self._context.Process(
                 target=_worker_main,
-                args=(child_end, spec, inherited),
+                args=(child_end, spec, inherited, self._world),
                 daemon=True,
             )
             process.start()
@@ -472,7 +509,12 @@ class ProcessExecutor:
         self._connections = []
 
 
-def _worker_main(connection, spec: WorkerSpec, inherited: Sequence) -> None:
+def _worker_main(
+    connection,
+    spec: WorkerSpec,
+    inherited: Sequence,
+    world: Optional[SimulatedInternet],
+) -> None:
     """Entrypoint of a worker process (module-level for spawn safety).
 
     The worker runs until the coordinator closes its pipe end, which
@@ -482,7 +524,7 @@ def _worker_main(connection, spec: WorkerSpec, inherited: Sequence) -> None:
         end.close()
     try:
         try:
-            worker = ShardWorker(spec)
+            worker = ShardWorker(spec, world)
             connection.send(("ok", worker.latest_barrier))
             while True:
                 # The worker-side half of the deadlock fix: never block
@@ -688,24 +730,44 @@ def _drive(
 
     A lone worker measured the whole population, so its runtime *is*
     the monolithic one: it runs inline (a process would buy nothing)
-    and finalises in place.  Several workers ship payloads that the
-    coordinator merges onto a replayed world.
+    and finalises in place.  With several workers the coordinator warms
+    one world first; forked workers measure on copies of it, and after
+    the last barrier the coordinator replays its own copy, overlays the
+    merged payloads and finalises.
     """
-    lone = len(specs) == 1
+    spec = specs[0]
+    if len(specs) == 1:
+        executor = InlineExecutor(specs)
+        executor.start()
+        try:
+            _drive_lockstep(executor, spec.config, start_barrier)
+            return executor.call_all("finalise")[0]
+        finally:
+            executor.close()
+    world = warm_world(spec)
     executor = (
-        ProcessExecutor(specs, op_timeout=op_timeout)
-        if mode == "process" and not lone
+        ProcessExecutor(specs, op_timeout=op_timeout, world=world)
+        if mode == "process"
         else InlineExecutor(specs)
     )
-    executor.start()
+    # The warm world lives for the whole run, so it is moved out of the
+    # cyclic collector's reach.  Frozen before the fork, it stays out of
+    # the workers' collections too, which then never write its objects'
+    # GC headers and so never copy its pages just to collect.
+    gc.freeze()
     try:
-        _drive_lockstep(executor, specs[0].config, start_barrier)
-        if lone:
-            return executor.call_all("finalise")[0]
-        payloads = executor.call_all("finish")
+        executor.start()
+        try:
+            study = SixWeekStudy(world, spec.config)
+            runtime = study.begin()
+            _drive_lockstep(executor, spec.config, start_barrier)
+            payloads = executor.call_all("finish")
+        finally:
+            executor.close()
+        replay_to_snapshot(study, runtime, merge_payloads(payloads), overlay_merged)
+        return study.finalise(runtime)
     finally:
-        executor.close()
-    return _finalise_merged(specs[0], payloads)
+        gc.unfreeze()
 
 
 def _drive_lockstep(
@@ -728,20 +790,3 @@ def _drive_lockstep(
             executor.call_all("scan", campaign_harvest)
         executor.call_all("advance")
         day += 1
-
-
-def _finalise_merged(
-    spec: WorkerSpec, payloads: List[Dict[str, object]]
-) -> StudyReport:
-    """Merge worker payloads and run the post-loop analyses.
-
-    The coordinator replays its own full-world replica and overlays the
-    merged measurement state — the merged payload in the role of the
-    snapshot — then finalises.
-    """
-    merged = merge_payloads(payloads)
-    study, runtime = begin_study(
-        spec.population, spec.seed, spec.config, spec.scenario
-    )
-    replay_to_snapshot(study, runtime, merged, overlay_merged)
-    return study.finalise(runtime)

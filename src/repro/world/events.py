@@ -37,6 +37,10 @@ class WorldEngine:
         self.world = world
         self.interval_jitter_hours = interval_jitter_hours
         self.events: List[BehaviorEvent] = []
+        #: Observation intervals run so far.  Under interval jitter the
+        #: clock's day no longer counts them; a study begun on this
+        #: world reads this to run only the warm-up days still missing.
+        self.days_run = 0
         self._jitter_rng: SeededRng = world.rng.fork("interval-jitter")
 
     @property
@@ -76,6 +80,7 @@ class WorldEngine:
             todays.extend(plane.drive_day(surge))
             surge *= plane.traffic_surge
         self.events.extend(todays)
+        self.days_run += 1
         self.clock.advance(interval_hours * SECONDS_PER_HOUR)
         # Stale-record purging is a start-of-day platform job: records
         # whose horizon elapses on day N are gone before day N's queries.

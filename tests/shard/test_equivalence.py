@@ -7,6 +7,9 @@ processes), and whether the campaign ran straight through or crashed
 and resumed.
 """
 
+import multiprocessing
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +122,37 @@ class TestShardedEquivalence:
         )
         assert canonical_json(study_artifact(report)) == monolithic_artifact
 
+    @pytest.mark.parametrize(
+        "crash_plan",
+        [
+            CrashPlan(at_barrier=2, mode="before-commit"),
+            CrashPlan(at_barrier=5, mode="after-commit"),
+        ],
+        ids=["before-commit-2", "after-commit-5"],
+    )
+    def test_crashed_and_resumed_forked_campaign_is_byte_identical(
+        self, monolithic_artifact, tmp_path, crash_plan
+    ):
+        directory = tmp_path / "campaign"
+        with pytest.raises(SimulatedCrash):
+            run_sharded_study(
+                population=POPULATION,
+                seed=SEED,
+                config=small_config(),
+                shard_count=2,
+                mode="process",
+                checkpoint_dir=directory,
+                crash_plan=crash_plan,
+            )
+        report = resume_campaign(
+            directory,
+            population=POPULATION,
+            seed=SEED,
+            config=small_config(),
+            mode="process",
+        )
+        assert canonical_json(study_artifact(report)) == monolithic_artifact
+
     @settings(max_examples=5, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -143,3 +177,29 @@ class TestShardedEquivalence:
             mode="inline",
         )
         assert canonical_json(study_artifact(sharded)) == monolithic
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="only forked workers inherit the coordinator's world",
+)
+def test_forked_workers_inherit_the_one_world_build(tmp_path, monkeypatch):
+    """The coordinator builds and warms the world; its forks measure on
+    copies of it instead of building their own."""
+    builds = tmp_path / "builds"
+    original = SimulatedInternet.__init__
+
+    def recording_init(self, *args, **kwargs):
+        with open(builds, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimulatedInternet, "__init__", recording_init)
+    run_sharded_study(
+        population=POPULATION,
+        seed=SEED,
+        config=small_config(),
+        shard_count=2,
+        mode="process",
+    )
+    assert builds.read_text().split() == [str(os.getpid())]
