@@ -14,8 +14,10 @@ directory: a mismatched seed, or a mismatched profile on any plane
 (one ``mismatched-<field>`` check per :data:`~repro.scenario.PLANES`
 kind), must raise :class:`CheckpointMismatchError`; a torn journal
 tail must be *tolerated* (resume from the previous barrier, still
-byte-identical); and a corrupted snapshot must raise
-:class:`CheckpointCorruptError`.
+byte-identical); and a corrupted newest snapshot, a corrupted earlier
+one and a snapshot missing from mid-chain must each raise
+:class:`CheckpointCorruptError` — resume folds every snapshot of the
+chain, not just the last.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from ..errors import (
 )
 from ..faults.chaos import _collection_artifact, diff_artifacts
 from ..faults.crash import CRASH_MODES, CrashPlan
+from ..io import atomic_write_text
 from ..scenario import Scenario
 from .store import canonical_json, content_hash
 
@@ -125,12 +128,14 @@ def run_kill_matrix(
     )
 
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "population": population,
         "seed": seed,
+        "warmup_days": config.warmup_days,
         "study_days": config.study_days,
         **scenario.identity(),
         "shards": shards,
+        "shard_mode": shard_mode,
         "reference_hash": content_hash(reference),
         "cases": cases,
         "refusals": refusals,
@@ -234,22 +239,43 @@ def _refusal_checks(
             }
         )
 
-    # Corrupted snapshot: flip one byte in the newest snapshot body.
+    # Damaged snapshots.  Resume folds the whole chain 0..k, so a
+    # flipped byte in the newest snapshot, in an earlier one, or a
+    # snapshot gone from mid-chain must each refuse.  Each damage is
+    # undone before the next, so every check stands on its own.  A chain
+    # of one or two snapshots has no earlier or mid-chain one; the first
+    # snapshot stands in.
     snapshots = sorted(store_dir.glob("snapshot-*.json"))
-    target = snapshots[-1]
-    body = bytearray(target.read_bytes())
-    body[len(body) // 2] ^= 0xFF
-    target.write_bytes(bytes(body))  # repro: allow[REP031] -- deliberately corrupting a snapshot to prove the refusal path
-    checks.append(
-        _expect_refusal(
-            "corrupt-snapshot",
-            reference_dir,
-            inputs,
-            CheckpointCorruptError,
-            reopen,
-        )
+    long_chain = len(snapshots) > 2
+    damages = (
+        ("corrupt-snapshot", snapshots[-1], _flip_middle_byte),
+        (
+            "corrupt-earlier-snapshot",
+            snapshots[1] if long_chain else snapshots[0],
+            _flip_middle_byte,
+        ),
+        (
+            "missing-snapshot",
+            snapshots[len(snapshots) // 2] if long_chain else snapshots[0],
+            Path.unlink,
+        ),
     )
+    for name, target, damage in damages:
+        original = target.read_text(encoding="utf-8")
+        damage(target)
+        checks.append(
+            _expect_refusal(
+                name, reference_dir, inputs, CheckpointCorruptError, reopen
+            )
+        )
+        atomic_write_text(target, original)
     return checks
+
+
+def _flip_middle_byte(path: Path) -> None:
+    body = bytearray(path.read_bytes())
+    body[len(body) // 2] ^= 0xFF
+    path.write_bytes(bytes(body))  # repro: allow[REP031] -- deliberately corrupting a snapshot to prove the refusal path
 
 
 def _expect_refusal(

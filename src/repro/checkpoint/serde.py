@@ -9,6 +9,17 @@ overlays the measurement state restored here.  The runner verifies the
 replayed clock position afterwards; drift means the two processes did
 not share a trajectory and the resume is refused.
 
+A checkpoint barrier's snapshot is a *delta*: the report's append-only
+series (daily snapshots and observations, per-day and per-week
+tallies, weekly pipeline reports) carry only the entries gained since
+the previous barrier, tagged with the base position they extend.
+Everything else — collector, verifier, harvest, exposure, scanners,
+pipelines, clients, planes — is small and rewritten whole.  So a
+barrier costs one study day, not the study so far, and a resume folds
+the chain ``0..k`` in order.  Without a base (a shard payload, a merged
+payload, a round trip in a test) the same converters carry the whole
+report.
+
 Everything here round-trips through JSON, with insertion order
 preserved wherever order is behaviourally load-bearing (snapshot
 domain maps, harvested nameservers, Incapsula canonicals).
@@ -32,6 +43,7 @@ __all__ = [
     "SERDE_REGISTRY",
     "config_to_dict",
     "report_partial_to_dict",
+    "report_position",
     "restore_report_partial",
     "serialize_runtime",
     "restore_runtime",
@@ -188,7 +200,36 @@ def _pipeline_from_dict(payload: Dict[str, object]) -> PipelineReport:
 # -- report (daily-loop partial) -------------------------------------------
 
 
-def report_partial_to_dict(report) -> Dict[str, object]:
+def _observations_to_list(day: Dict[str, DpsObservation]) -> List[List[object]]:
+    return [_observation_to_list(www, obs) for www, obs in day.items()]
+
+
+def _observations_from_list(day: List[List[object]]) -> Dict[str, DpsObservation]:
+    return {entry[0]: _observation_from_list(entry) for entry in day}
+
+
+#: The report series the daily loop only ever appends to, each with its
+#: entry encoder and decoder.  A barrier delta carries just the entries
+#: past its base position; everything else is rewritten whole.
+_SERIES = (
+    ("snapshots", _daily_to_dict, _daily_from_dict),
+    ("observations", _observations_to_list, _observations_from_list),
+    ("unmeasured_daily_counts", int, int),
+    ("partial_days", int, int),
+    ("skipped_scan_weeks", int, int),
+    ("cloudflare_weekly", _pipeline_to_dict, _pipeline_from_dict),
+    ("incapsula_weekly", _pipeline_to_dict, _pipeline_from_dict),
+)
+
+
+def report_position(report) -> Dict[str, int]:
+    """How long each append-only series of ``report`` is: a delta's base."""
+    return {name: len(getattr(report, name)) for name, _, _ in _SERIES}
+
+
+def report_partial_to_dict(
+    report, since: Optional[Dict[str, int]] = None
+) -> Dict[str, object]:
     """The report fields the daily loop accumulates, as JSON primitives.
 
     This is the payload unit both planes exchange: the checkpoint
@@ -196,69 +237,73 @@ def report_partial_to_dict(report) -> Dict[str, object]:
     coordinator at the end of its slice's campaign.  Derived analyses
     (adoption, pauses, exposure summary, ground truth) are excluded —
     :meth:`SixWeekStudy.finalise` recomputes them from this state.
+
+    With ``since`` (a :func:`report_position`) the append-only series
+    carry only the entries gained past that position, and the payload
+    records it as its base; without, they carry everything.
+    ``partial_scan_weeks`` is rewritten whole either way: a week's count
+    grows in place.
     """
-    return {
-        "snapshots": [_daily_to_dict(s) for s in report.snapshots],
-        "observations": [
-            [_observation_to_list(www, obs) for www, obs in day.items()]
-            for day in report.observations
-        ],
-        "unmeasured_daily_counts": list(report.unmeasured_daily_counts),
-        "partial_days": list(report.partial_days),
-        "skipped_scan_weeks": list(report.skipped_scan_weeks),
-        "partial_scan_weeks": sorted(
-            [week, count] for week, count in report.partial_scan_weeks.items()
-        ),
-        "cloudflare_weekly": [
-            _pipeline_to_dict(w) for w in report.cloudflare_weekly
-        ],
-        "incapsula_weekly": [
-            _pipeline_to_dict(w) for w in report.incapsula_weekly
-        ],
-    }
+    payload: Dict[str, object] = {"since": since}
+    for name, encode, _ in _SERIES:
+        start = since[name] if since is not None else 0
+        payload[name] = [encode(entry) for entry in getattr(report, name)[start:]]
+    payload["partial_scan_weeks"] = sorted(
+        [week, count] for week, count in report.partial_scan_weeks.items()
+    )
+    return payload
 
 
 def restore_report_partial(report, partial: Dict[str, object]) -> None:
-    """Overlay a :func:`report_partial_to_dict` payload onto a report."""
-    report.snapshots = [_daily_from_dict(s) for s in partial["snapshots"]]
-    report.observations = [
-        {entry[0]: _observation_from_list(entry) for entry in day}
-        for day in partial["observations"]
-    ]
-    report.unmeasured_daily_counts = [
-        int(count) for count in partial["unmeasured_daily_counts"]
-    ]
-    report.partial_days = [int(day) for day in partial["partial_days"]]
-    report.skipped_scan_weeks = [int(w) for w in partial["skipped_scan_weeks"]]
+    """Overlay a :func:`report_partial_to_dict` payload onto a report.
+
+    A payload without a base replaces the series.  One with a base
+    appends at it, and refuses unless the report's series end exactly
+    there: a delta applied out of order would silently repeat or drop
+    study days.
+    """
+    since = partial["since"]
+    for name, _, decode in _SERIES:
+        entries = [decode(entry) for entry in partial[name]]
+        if since is None:
+            setattr(report, name, entries)
+            continue
+        series = getattr(report, name)
+        if len(series) != int(since[name]):
+            raise CheckpointCorruptError(
+                f"a barrier delta extends {name} from position "
+                f"{since[name]}, but the restored report holds "
+                f"{len(series)}; the snapshot chain has a gap or a repeat"
+            )
+        series.extend(entries)
     report.partial_scan_weeks = {
         int(week): int(count)
         for week, count in partial["partial_scan_weeks"]
     }
-    report.cloudflare_weekly = [
-        _pipeline_from_dict(w) for w in partial["cloudflare_weekly"]
-    ]
-    report.incapsula_weekly = [
-        _pipeline_from_dict(w) for w in partial["incapsula_weekly"]
-    ]
 
 
 # -- runtime ---------------------------------------------------------------
 
 
-def serialize_runtime(study: SixWeekStudy, runtime: StudyRuntime) -> Dict[str, object]:
+def serialize_runtime(
+    study: SixWeekStudy,
+    runtime: StudyRuntime,
+    since: Optional[Dict[str, int]] = None,
+) -> Dict[str, object]:
     """The barrier snapshot: everything a resumed process must restore.
 
     Only fields the daily loop *mutates* are captured; everything the
     post-loop analyses derive (adoption, pauses, exposure summary,
     ground truth) is recomputed by :meth:`SixWeekStudy.finalise` on the
-    restored state.
+    restored state.  ``since`` makes the report a delta from that base
+    (:func:`report_partial_to_dict`); the rest is always whole.
     """
     world = study.world
     return {
         "clock_now": world.clock.now,
         "day_index": runtime.day_index,
         "study_start_day": runtime.study_start_day,
-        "report": report_partial_to_dict(runtime.report),
+        "report": report_partial_to_dict(runtime.report, since),
         "collector": runtime.collector.state_dict(),
         "verifier": runtime.verifier.state_dict(),
         "harvest": runtime.harvest.state_dict(),
@@ -296,6 +341,8 @@ def restore_runtime(
     ``runtime`` must come from :meth:`SixWeekStudy.begin` on a world
     rebuilt with the checkpoint's inputs and replayed to the snapshot's
     ``day_index`` — this function restores the measurement layer only.
+    A delta snapshot's report series append at its base, so the
+    earlier barriers' deltas must already be folded into the report.
     """
     if int(state["study_start_day"]) != runtime.study_start_day:
         raise CheckpointCorruptError(

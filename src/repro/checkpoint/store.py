@@ -13,7 +13,13 @@ A checkpoint directory holds three kinds of files:
 
 ``snapshot-NNNN.json``
     The serialized study runtime at barrier ``NNNN``, written atomically
-    (tmp + fsync + rename via :mod:`repro.io`) and content-hashed.
+    (tmp + fsync + rename via :mod:`repro.io`) and content-hashed.  It
+    is a *delta*: the report's append-only series hold only what the
+    study gained since barrier ``NNNN - 1``
+    (:func:`~repro.checkpoint.serde.report_partial_to_dict`), the rest
+    of the runtime is whole.  Restoring barrier ``k`` therefore reads
+    and verifies every snapshot ``0..k``; damage anywhere in that chain
+    refuses the resume.
 
 ``journal.jsonl``
     The write-ahead journal: one line per *committed* barrier, appended
@@ -51,9 +57,10 @@ __all__ = [
 #: Schema 2 records the scenario (all three profiles) as the manifest's
 #: identity; schema 3 snapshots carry one ``planes`` map keyed by
 #: scenario field; schema 4 drops the fault plan's draw stream and
-#: counters and the clients' jitter streams (every draw is keyed).
-#: Other versions are refused, never migrated.
-SCHEMA_VERSION = 4
+#: counters and the clients' jitter streams (every draw is keyed);
+#: schema 5 snapshots are barrier deltas whose report series extend the
+#: previous barrier's.  Other versions are refused, never migrated.
+SCHEMA_VERSION = 5
 
 MANIFEST_NAME = "MANIFEST.json"
 JOURNAL_NAME = "journal.jsonl"

@@ -298,6 +298,7 @@ def _merge_report_partials(
         )
 
     return {
+        "since": None,
         "snapshots": snapshots,
         "observations": observations,
         "unmeasured_daily_counts": unmeasured,

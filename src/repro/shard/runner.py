@@ -37,10 +37,12 @@ studies all run here.
 A one-worker run keeps its checkpoint store at the checkpoint directory
 itself.  With more workers the stores nest: the coordinator's manifest
 at the top (recording the shard count), one full per-shard store in
-``shard-<i>-of-<n>/`` each.  A resume seeks every worker to the
-*lowest* barrier any shard committed — workers ahead of it simply
-replay (their journals already hold the later barriers and are never
-re-appended), the same tolerance a torn journal tail gets.
+``shard-<i>-of-<n>/`` each.  Each barrier's snapshot holds the report
+entries gained since the previous barrier, so a seek folds the chain
+``0..k``.  A resume seeks every worker to the *lowest* barrier any
+shard committed — workers ahead of it simply replay (their journals
+already hold the later barriers and are never re-appended), the same
+tolerance a torn journal tail gets.
 """
 
 from __future__ import annotations
@@ -51,7 +53,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..checkpoint.serde import config_to_dict, restore_runtime, serialize_runtime
+from ..checkpoint.serde import (
+    config_to_dict,
+    report_position,
+    restore_report_partial,
+    restore_runtime,
+    serialize_runtime,
+)
 from ..checkpoint.store import CheckpointStore
 from ..core.residual_scan import NameserverHarvest
 from ..core.study import SixWeekStudy, StudyConfig, StudyReport, StudyRuntime
@@ -219,6 +227,10 @@ class ShardWorker:
         self.store = self._attach_store()
         records = self.store.barriers() if self.store is not None else []
         self.latest_barrier = int(records[-1]["barrier"]) if records else -1
+        #: Where the report's series stood at the last barrier crossed:
+        #: the base the next committed snapshot is a delta from.  None
+        #: before barrier 0, whose snapshot is whole.
+        self._since: Optional[Dict[str, int]] = None
         if world is None:
             self.study, self.runtime = begin_study(
                 spec.population,
@@ -258,7 +270,14 @@ class ShardWorker:
         return CheckpointStore.create(spec.checkpoint_dir, **identity)
 
     def _seek(self, records: List[Dict[str, object]]) -> None:
-        """Replay the world to ``seek_barrier`` and overlay its snapshot."""
+        """Fold the snapshot chain up to ``seek_barrier`` and replay to it.
+
+        Each snapshot's report is a delta on the one before, so the
+        report series of barriers ``0..target-1`` are folded in order
+        (every snapshot hash-verified as it loads); then the world
+        replays once and the target's snapshot overlays its own delta
+        and the whole-state parts.
+        """
         target = self.spec.seek_barrier
         if target > self.latest_barrier:
             raise ShardError(
@@ -266,7 +285,10 @@ class ShardWorker:
                 f"barrier {target} but has only committed up to "
                 f"{self.latest_barrier}"
             )
-        state = self.store.load_snapshot(records[target])  # contiguous from 0
+        for record in records[:target]:  # contiguous from 0
+            state = self.store.load_snapshot(record)
+            restore_report_partial(self.runtime.report, state["report"])
+        state = self.store.load_snapshot(records[target])
         replay_to_snapshot(self.study, self.runtime, state, restore_runtime)
 
     # -- lockstep operations -------------------------------------------
@@ -305,11 +327,17 @@ class ShardWorker:
                     barrier=barrier,
                     day=self.study.world.clock.day,
                     clock_now=self.study.world.clock.now,
-                    state=serialize_runtime(self.study, self.runtime),
+                    state=serialize_runtime(
+                        self.study, self.runtime, since=self._since
+                    ),
                 )
             if crash_plan is not None:
                 crash_plan.fire_if_due(barrier, "after-commit")
             self.latest_barrier = barrier
+        # Re-crossed barriers move the base too: a resumed worker that
+        # committed past the seek barrier must not make its next delta
+        # span the days it replayed.
+        self._since = report_position(self.runtime.report)
         return self.latest_barrier
 
     def _op_scan(self, merged_names: object) -> None:

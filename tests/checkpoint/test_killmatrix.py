@@ -29,6 +29,8 @@ class TestKillMatrix:
             "mismatched-attacks": True,
             "torn-journal-tail": True,
             "corrupt-snapshot": True,
+            "corrupt-earlier-snapshot": True,
+            "missing-snapshot": True,
         }
         assert payload["passed"] is True
         assert payload["reference_hash"]

@@ -73,6 +73,15 @@ class TestManifest:
         with pytest.raises(CheckpointSchemaError, match="rerun from scratch"):
             CheckpointStore.open(tmp_path / "ckpt")
 
+    def test_schema_4_checkpoint_refused_not_migrated(self, tmp_path):
+        # Schema 4 snapshots hold the whole report so far; schema 5
+        # resume folds barrier deltas and would misread them.
+        store = make_store(tmp_path / "ckpt")
+        manifest = dict(store.manifest, schema_version=4)
+        (tmp_path / "ckpt" / "MANIFEST.json").write_text(canonical_json(manifest))
+        with pytest.raises(CheckpointSchemaError, match="rerun from scratch"):
+            CheckpointStore.open(tmp_path / "ckpt")
+
     def test_manifest_records_the_scenario(self, tmp_path):
         store = make_store(tmp_path / "ckpt", profile="lossy-default")
         scenario = Scenario.of(fault_profile="lossy-default")

@@ -14,12 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import canonical_json, study_artifact
+from repro.checkpoint import CheckpointStore, canonical_json, study_artifact
 from repro.core.study import SixWeekStudy, StudyConfig
 from repro.errors import SimulatedCrash
 from repro.faults.crash import CrashPlan
 from repro.scenario import Scenario
-from repro.shard import resume_campaign, run_campaign, run_sharded_study
+from repro.shard import (
+    resume_campaign,
+    run_campaign,
+    run_sharded_study,
+    shard_directory,
+)
 from repro.world import SimulatedInternet, WorldConfig
 
 from .conftest import POPULATION, SEED, WARMUP_DAYS, small_config
@@ -37,6 +42,14 @@ PLANE_SCENARIOS = {
 #: Study lengths for scenarios whose fault window opens after the last
 #: day of ``small_config()`` (ns-outage darkens the fleet in week 3).
 _CONFIGS = {"ns-outage": StudyConfig(warmup_days=WARMUP_DAYS, study_days=16)}
+
+
+def _latest_barriers(directory):
+    """The newest barrier each of a two-shard campaign's stores committed."""
+    return [
+        CheckpointStore.open(shard_directory(directory, index, 2)).latest()["barrier"]
+        for index in range(2)
+    ]
 
 
 def _monolithic_under(scenario: Scenario, config: StudyConfig):
@@ -120,6 +133,35 @@ class TestShardedEquivalence:
             config=small_config(),
             mode="inline",
         )
+        assert canonical_json(study_artifact(report)) == monolithic_artifact
+
+    def test_uneven_commits_then_a_second_resume_is_byte_identical(
+        self, monolithic_artifact, tmp_path
+    ):
+        # Shard 0 commits barrier k and crashes before shard 1 commits
+        # it.  The first resume seeks both to k-1, so shard 0 re-crosses
+        # k without committing; its next delta must start at k, not at
+        # the last barrier it committed.  Only a second resume, which
+        # folds that delta, shows the difference.
+        directory = tmp_path / "campaign"
+        inputs = dict(population=POPULATION, seed=SEED, config=small_config())
+        k = 2
+        with pytest.raises(SimulatedCrash):
+            run_campaign(
+                shard_count=2,
+                checkpoint_dir=directory,
+                crash_plan=CrashPlan(at_barrier=k, mode="after-commit"),
+                **inputs,
+            )
+        assert _latest_barriers(directory) == [k, k - 1]
+        with pytest.raises(SimulatedCrash):
+            resume_campaign(
+                directory,
+                crash_plan=CrashPlan(at_barrier=k + 2, mode="after-commit"),
+                **inputs,
+            )
+        assert _latest_barriers(directory) == [k + 2, k + 1]
+        report = resume_campaign(directory, **inputs)
         assert canonical_json(study_artifact(report)) == monolithic_artifact
 
     @pytest.mark.parametrize(

@@ -42,5 +42,21 @@ class TestShardedKillMatrix:
             "mismatched-attacks": True,
             "torn-journal-tail": True,
             "corrupt-snapshot": True,
+            "corrupt-earlier-snapshot": True,
+            "missing-snapshot": True,
         }
+        assert payload["passed"] is True
+
+    def test_report_names_its_executor_and_warm_up(self, tmp_path):
+        payload = run_kill_matrix(
+            tmp_path,
+            population=60,
+            seed=5,
+            config=StudyConfig(warmup_days=2, study_days=0),
+            shards=2,
+            shard_mode="process",
+        )
+        assert payload["schema_version"] == 2
+        assert payload["shard_mode"] == "process"
+        assert payload["warmup_days"] == 2
         assert payload["passed"] is True
