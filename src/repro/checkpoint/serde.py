@@ -16,9 +16,15 @@ the previous barrier, tagged with the base position they extend.
 Everything else — collector, verifier, harvest, exposure, scanners,
 pipelines, clients, planes — is small and rewritten whole.  So a
 barrier costs one study day, not the study so far, and a resume folds
-the chain ``0..k`` in order.  Without a base (a shard payload, a merged
-payload, a round trip in a test) the same converters carry the whole
-report.
+the chain ``0..k`` in order.  A shard worker ships the same delta to
+its coordinator at every barrier.  Without a base (barrier 0, the first
+barrier after a resume's seek, a round trip in a test) the same
+converters carry the whole report.
+
+Each daily snapshot is written as tables — the day's names, its
+integer addresses — and rows of indices into them
+(:func:`_daily_to_dict`).  Shards merge a day by listing their tables
+as parts of one entry; decoding concatenates the parts.
 
 Everything here round-trips through JSON, with insertion order
 preserved wherever order is behaviourally load-bearing (snapshot
@@ -108,43 +114,73 @@ def config_to_dict(config: StudyConfig) -> Dict[str, object]:
 # -- per-type converters ---------------------------------------------------
 
 
-def _domain_to_dict(snapshot: DomainSnapshot) -> Dict[str, object]:
-    return {
-        "day": snapshot.day,
-        "www": str(snapshot.www),
-        "a": [str(address) for address in snapshot.a_records],
-        "cnames": [str(target) for target in snapshot.cnames],
-        "ns": [str(target) for target in snapshot.ns_targets],
-        "rcode": snapshot.rcode.value,
-        "measured": snapshot.measured,
-    }
-
-
-def _domain_from_dict(payload: Dict[str, object]) -> DomainSnapshot:
-    return DomainSnapshot(
-        day=int(payload["day"]),
-        www=DomainName(payload["www"]),
-        a_records=tuple(IPv4Address(a) for a in payload["a"]),
-        cnames=tuple(DomainName(c) for c in payload["cnames"]),
-        ns_targets=tuple(DomainName(n) for n in payload["ns"]),
-        rcode=Rcode(payload["rcode"]),
-        measured=bool(payload["measured"]),
-    )
+#: Rcode by wire value: a dict probe per row instead of an Enum call.
+_RCODES = {rcode.value: rcode for rcode in Rcode}
 
 
 def _daily_to_dict(snapshot: DailySnapshot) -> Dict[str, object]:
-    # The domain map's insertion order is the collection order; keep it.
+    """One day's snapshot as one tabled part.
+
+    The part holds a table of names (``www`` hostnames, CNAME and NS
+    targets), a table of integer addresses, and one row per domain of
+    indices into them: ``[www, [a…], [cname…], [ns…], rcode, measured]``,
+    plus the domain's own day when it differs from the entry's.  Rows
+    keep the domain map's insertion order, which is the collection
+    order.  Shards merge a day by concatenating their parts, so an entry
+    decodes to the concatenation of its parts (:func:`_daily_from_dict`).
+    """
+    names: Dict[DomainName, int] = {}
+    texts: List[str] = []
+    addresses: Dict[int, int] = {}
+
+    def name_index(name: DomainName) -> int:
+        index = names.get(name)
+        if index is None:
+            index = names[name] = len(texts)
+            texts.append(str(name))
+        return index
+
+    rows: List[List[object]] = []
+    for domain in snapshot.domains.values():
+        row = [
+            name_index(domain.www),
+            [
+                addresses.setdefault(address.value, len(addresses))
+                for address in domain.a_records
+            ],
+            [name_index(target) for target in domain.cnames],
+            [name_index(target) for target in domain.ns_targets],
+            domain.rcode.value,
+            domain.measured,
+        ]
+        if domain.day != snapshot.day:
+            row.append(domain.day)
+        rows.append(row)
     return {
         "day": snapshot.day,
-        "domains": [_domain_to_dict(d) for d in snapshot.domains.values()],
+        "parts": [{"names": texts, "addresses": list(addresses), "rows": rows}],
     }
 
 
 def _daily_from_dict(payload: Dict[str, object]) -> DailySnapshot:
-    daily = DailySnapshot(day=int(payload["day"]))
-    for entry in payload["domains"]:
-        domain = _domain_from_dict(entry)
-        daily.domains[str(domain.www)] = domain
+    day = int(payload["day"])
+    daily = DailySnapshot(day=day)
+    domains = daily.domains
+    for part in payload["parts"]:
+        texts = part["names"]
+        names = [DomainName(text) for text in texts]
+        addresses = [IPv4Address(value) for value in part["addresses"]]
+        for row in part["rows"]:
+            www = row[0]
+            domains[texts[www]] = DomainSnapshot(
+                day=int(row[6]) if len(row) > 6 else day,
+                www=names[www],
+                a_records=tuple(addresses[i] for i in row[1]),
+                cnames=tuple(names[i] for i in row[2]),
+                ns_targets=tuple(names[i] for i in row[3]),
+                rcode=_RCODES[row[4]],
+                measured=bool(row[5]),
+            )
     return daily
 
 
@@ -233,8 +269,8 @@ def report_partial_to_dict(
     """The report fields the daily loop accumulates, as JSON primitives.
 
     This is the payload unit both planes exchange: the checkpoint
-    snapshot embeds it per barrier, and a shard worker ships it to the
-    coordinator at the end of its slice's campaign.  Derived analyses
+    snapshot embeds it per barrier, and a shard worker ships the same
+    dict to the coordinator at every barrier.  Derived analyses
     (adoption, pauses, exposure summary, ground truth) are excluded —
     :meth:`SixWeekStudy.finalise` recomputes them from this state.
 
@@ -260,7 +296,9 @@ def restore_report_partial(report, partial: Dict[str, object]) -> None:
     A payload without a base replaces the series.  One with a base
     appends at it, and refuses unless the report's series end exactly
     there: a delta applied out of order would silently repeat or drop
-    study days.
+    study days.  A series the base leaves out is appended unchecked —
+    a merged shard delta carries no ``partial_days`` base, because each
+    shard counts only its own slice's partial days.
     """
     since = partial["since"]
     for name, _, decode in _SERIES:
@@ -269,7 +307,8 @@ def restore_report_partial(report, partial: Dict[str, object]) -> None:
             setattr(report, name, entries)
             continue
         series = getattr(report, name)
-        if len(series) != int(since[name]):
+        base = since.get(name)
+        if base is not None and len(series) != int(base):
             raise CheckpointCorruptError(
                 f"a barrier delta extends {name} from position "
                 f"{since[name]}, but the restored report holds "

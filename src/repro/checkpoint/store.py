@@ -17,9 +17,11 @@ A checkpoint directory holds three kinds of files:
     is a *delta*: the report's append-only series hold only what the
     study gained since barrier ``NNNN - 1``
     (:func:`~repro.checkpoint.serde.report_partial_to_dict`), the rest
-    of the runtime is whole.  Restoring barrier ``k`` therefore reads
-    and verifies every snapshot ``0..k``; damage anywhere in that chain
-    refuses the resume.
+    of the runtime is whole.  Each daily snapshot in it is tabled:
+    the day's names and integer addresses once, then one row of indices
+    per domain.  Restoring barrier ``k`` therefore reads and verifies
+    every snapshot ``0..k``; damage anywhere in that chain refuses the
+    resume.
 
 ``journal.jsonl``
     The write-ahead journal: one line per *committed* barrier, appended
@@ -59,8 +61,10 @@ __all__ = [
 #: scenario field; schema 4 drops the fault plan's draw stream and
 #: counters and the clients' jitter streams (every draw is keyed);
 #: schema 5 snapshots are barrier deltas whose report series extend the
-#: previous barrier's.  Other versions are refused, never migrated.
-SCHEMA_VERSION = 5
+#: previous barrier's; schema 6 writes each daily snapshot as tables of
+#: names and addresses plus rows of indices into them.  Other versions
+#: are refused, never migrated.
+SCHEMA_VERSION = 6
 
 MANIFEST_NAME = "MANIFEST.json"
 JOURNAL_NAME = "journal.jsonl"

@@ -7,8 +7,8 @@ scan's campaign-wide nameserver harvest) is a broadcast.  This package
 exploits that — :func:`~repro.core.study.shard_bounds` computes the
 partition, :mod:`~repro.shard.runner` drives N lockstep workers
 (in-process or forked), and :mod:`~repro.shard.merge` folds their
-payloads into study artifacts byte-identical to a monolithic run's,
-whatever the shard count.  docs/SCALING.md walks through the argument.
+barrier deltas and final payloads into study artifacts byte-identical
+to a monolithic run's, whatever the shard count.  docs/SCALING.md walks through the argument.
 """
 
 from .merge import merge_payloads, overlay_merged, worker_payload

@@ -12,51 +12,118 @@ rosters, counters).  The merge rules follow directly:
 * scalar tallies (unmeasured counts, pipeline drop counters, metrics)
   are commutative sums.
 
-Merging is pure dictionary arithmetic over the same JSON payload shape
-the checkpoint plane serializes (:mod:`repro.checkpoint.serde`), so the
-coordinator can overlay the merged state onto a freshly begun monolithic
-runtime and hand it to :meth:`SixWeekStudy.finalise` — the analyses then
-run on state byte-identical to a single-process campaign's.
+The workers ship in two kinds of message.  At every barrier each one
+answers with its report delta since the previous barrier
+(:func:`barrier_delta`, the checkpoint plane's
+:func:`~repro.checkpoint.serde.report_partial_to_dict`); the
+coordinator merges the shards' deltas and appends them to its own
+report (:func:`fold_barrier`).  After the last barrier each worker
+ships the whole-state parts (:func:`worker_payload`), which
+:func:`merge_payloads` folds and :func:`overlay_merged` seats in the
+coordinator's runtime for :meth:`SixWeekStudy.finalise` — the analyses
+then run on state byte-identical to a single-process campaign's.
 
-Every structural disagreement between payloads (mismatched topologies,
-missing shards, diverging lockstep positions) raises
+Every structural disagreement between shards (mismatched topologies,
+missing shards, diverging lockstep positions or day bases) raises
 :class:`~repro.errors.ShardError`: two workers that disagree cannot have
 replayed the same world.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..checkpoint.serde import report_partial_to_dict, restore_report_partial
 from ..core.study import SixWeekStudy, StudyRuntime
-from ..errors import ShardError
+from ..errors import CheckpointCorruptError, ShardError
 from ..faults.quarantine import NameserverQuarantine
 from ..markers import pure_function
 
-__all__ = ["worker_payload", "merge_payloads", "overlay_merged"]
+__all__ = [
+    "barrier_delta",
+    "merge_barrier_deltas",
+    "fold_barrier",
+    "worker_payload",
+    "merge_payloads",
+    "overlay_merged",
+]
 
 #: Bump on any incompatible change to the worker payload layout.
-PAYLOAD_VERSION = 4
+PAYLOAD_VERSION = 5
+
+#: The report series whose positions count study days: every shard's
+#: base must sit at the same day.
+_DAY_SERIES = ("snapshots", "observations", "unmeasured_daily_counts")
 
 
-def worker_payload(study: SixWeekStudy, runtime: StudyRuntime) -> Dict[str, object]:
-    """Everything one finished shard contributes to the merged campaign.
+def _shard(runtime: StudyRuntime) -> Dict[str, int]:
+    return {"index": runtime.shard_index, "count": runtime.shard_count}
+
+
+def barrier_delta(
+    runtime: StudyRuntime, barrier: int, report: Dict[str, object]
+) -> Dict[str, object]:
+    """One shard's answer to barrier ``barrier``.
+
+    ``report`` is the worker's report delta since its previous barrier
+    (:func:`~repro.checkpoint.serde.report_partial_to_dict`) — the very
+    dict its checkpoint snapshot embeds when it commits this barrier.
+    """
+    return {
+        "payload_version": PAYLOAD_VERSION,
+        "shard": _shard(runtime),
+        "barrier": int(barrier),
+        "report": report,
+    }
+
+
+@pure_function
+def merge_barrier_deltas(deltas: Sequence[Dict[str, object]]) -> Dict[str, object]:
+    """Fold the shards' answers to one barrier into one report delta.
+
+    ``deltas`` may arrive in any order; they merge in shard-index order.
+    """
+    ordered = _in_shard_order(deltas)
+    _require_agreement(ordered, ("barrier",))
+    return _merge_report_partials([delta["report"] for delta in ordered])
+
+
+def fold_barrier(runtime: StudyRuntime, deltas: Sequence[Dict[str, object]]) -> None:
+    """Append the shards' answers to one barrier to the coordinator's report."""
+    merged = merge_barrier_deltas(deltas)
+    try:
+        restore_report_partial(runtime.report, merged)
+    except CheckpointCorruptError as exc:
+        raise ShardError(
+            f"the coordinator's report cannot take the shards' barrier "
+            f"delta: {exc}"
+        ) from exc
+
+
+def worker_payload(
+    study: SixWeekStudy,
+    runtime: StudyRuntime,
+    since: Optional[Dict[str, int]],
+) -> Dict[str, object]:
+    """The whole-state parts one finished shard contributes.
 
     Shipped by a worker (over a pipe, or returned inline) after its last
-    study day; JSON-compatible so transports and tests can canonicalise
-    it byte-stably.
+    barrier; JSON-compatible so transports and tests can canonicalise
+    it byte-stably.  Its report is the delta since ``since``, the last
+    barrier's position: every study day already went home at its
+    barrier, so the day series are empty and only the whole-state
+    ``partial_scan_weeks`` rides along.
     """
     report = runtime.report
     resolver = runtime.collection_resolver
     return {
         "payload_version": PAYLOAD_VERSION,
-        "shard": {"index": runtime.shard_index, "count": runtime.shard_count},
+        "shard": _shard(runtime),
         "population": report.population_size,
         "study_start_day": runtime.study_start_day,
         "day_index": runtime.day_index,
         "clock_now": study.world.clock.now,
-        "report": report_partial_to_dict(report),
+        "report": report_partial_to_dict(report, since),
         "harvest": runtime.harvest.state_dict(),
         "exposure": runtime.exposure.state_dict(),
         "scan_pop_totals": sorted(
@@ -65,7 +132,7 @@ def worker_payload(study: SixWeekStudy, runtime: StudyRuntime) -> Dict[str, obje
         "quarantine": [list(entry) for entry in resolver.quarantine.snapshot()],
         "metrics": resolver.metrics.snapshot(),
         # World-side state: every replica drives the planes identically,
-        # so this merges by agreement (see _validate_topology), never by
+        # so this merges by agreement (see merge_payloads), never by
         # summation — summing replicated tallies would inflate the
         # background load by the shard count.
         "planes": {
@@ -85,9 +152,20 @@ def merge_payloads(payloads: Sequence[Dict[str, object]]) -> Dict[str, object]:
     state a single worker measuring the whole population would have
     shipped.
     """
-    if not payloads:
-        raise ShardError("nothing to merge: no worker payloads")
-    ordered = _validate_topology(payloads)
+    ordered = _in_shard_order(payloads)
+    _require_agreement(
+        ordered, ("population", "study_start_day", "day_index", "clock_now")
+    )
+    # The planes are world-side state every replica drives in lockstep;
+    # their drive states join the must-agree family.
+    planes = ordered[0]["planes"]
+    for payload in ordered[1:]:
+        for name in sorted(set(planes) | set(payload["planes"])):
+            if payload["planes"].get(name) != planes.get(name):
+                raise ShardError(
+                    f"workers disagree on the {name} plane's state; they "
+                    "cannot have driven the same world in lockstep"
+                )
 
     merged_report = _merge_report_partials(
         [payload["report"] for payload in ordered]
@@ -127,7 +205,7 @@ def merge_payloads(payloads: Sequence[Dict[str, object]]) -> Dict[str, object]:
         "scan_pop_totals": sorted([pop, pop_totals[pop]] for pop in pop_totals),
         "quarantine": [list(entry) for entry in quarantine],
         "metrics": {name: metrics[name] for name in sorted(metrics)},
-        "planes": first["planes"],
+        "planes": planes,
     }
 
 
@@ -137,9 +215,10 @@ def overlay_merged(
     """Seat the merged campaign state in a coordinator runtime.
 
     ``runtime`` must come from an *unsharded* :meth:`SixWeekStudy.begin`
-    on a world rebuilt from the same ``(seed, population)`` and replayed
-    ``day_index`` engine days — the shard-runner's analogue of the
-    checkpoint plane's world replay.  After the overlay,
+    on a world built from the same ``(seed, population)`` and stepped
+    ``day_index`` engine days, with every barrier's delta folded into
+    its report (:func:`fold_barrier`): the payload's report delta
+    extends exactly that position.  After the overlay,
     :meth:`SixWeekStudy.finalise` produces the campaign report.
     """
     if runtime.shard_count != 1:
@@ -154,7 +233,13 @@ def overlay_merged(
             f"starting at day {merged['study_start_day']}"
         )
     runtime.day_index = int(merged["day_index"])
-    restore_report_partial(runtime.report, merged["report"])
+    try:
+        restore_report_partial(runtime.report, merged["report"])
+    except CheckpointCorruptError as exc:
+        raise ShardError(
+            f"the workers' final payload does not extend the coordinator's "
+            f"folded report: {exc}"
+        ) from exc
     runtime.harvest.restore_state(merged["harvest"])
     runtime.exposure.restore_state(merged["exposure"])
     runtime.scan_pop_totals = {
@@ -185,10 +270,12 @@ def overlay_merged(
 # -- internals -------------------------------------------------------------
 
 
-def _validate_topology(
+def _in_shard_order(
     payloads: Sequence[Dict[str, object]],
 ) -> List[Dict[str, object]]:
-    """Check the payloads form one complete lockstep campaign; sort them."""
+    """Check the payloads form one complete topology; sort them by shard."""
+    if not payloads:
+        raise ShardError("nothing to merge: no worker payloads")
     count = len(payloads)
     for payload in payloads:
         if payload.get("payload_version") != PAYLOAD_VERSION:
@@ -209,33 +296,63 @@ def _validate_topology(
             f"payload shard indices {indices} do not cover 0..{count - 1} "
             "exactly once"
         )
-    for key in ("population", "study_start_day", "day_index", "clock_now"):
+    return ordered
+
+
+def _require_agreement(
+    ordered: Sequence[Dict[str, object]], keys: Sequence[str]
+) -> None:
+    """Refuse payloads that disagree on any lockstep position in ``keys``."""
+    for key in keys:
         values = {int(p[key]) for p in ordered}
         if len(values) > 1:
             raise ShardError(
                 f"workers disagree on {key}: {sorted(values)}; they cannot "
                 "have replayed the same world in lockstep"
             )
-    # The planes are world-side state every replica drives in lockstep;
-    # their drive states join the must-agree family.
-    planes = ordered[0]["planes"]
-    for payload in ordered[1:]:
-        for name in sorted(set(planes) | set(payload["planes"])):
-            if payload["planes"].get(name) != planes.get(name):
-                raise ShardError(
-                    f"workers disagree on the {name} plane's state; they "
-                    "cannot have driven the same world in lockstep"
-                )
-    return ordered
+
+
+def _merged_base(
+    partials: Sequence[Dict[str, object]],
+) -> Optional[Dict[str, int]]:
+    """The base the shards' report deltas share, or None if all are whole.
+
+    Every series but ``partial_days`` must extend the same position in
+    every shard.  ``partial_days`` is left out of the merged base: each
+    shard counts only the days its own slice went partial, and the
+    union's count is known to no shard.
+    """
+    bases = [p["since"] for p in partials]
+    if all(base is None for base in bases):
+        return None
+    if any(base is None for base in bases):
+        raise ShardError(
+            "some workers shipped whole reports and others barrier deltas; "
+            "they cannot have crossed the same barriers"
+        )
+    merged: Dict[str, int] = {}
+    for name in bases[0]:
+        if name == "partial_days":
+            continue
+        values = {int(base[name]) for base in bases}
+        if len(values) > 1:
+            what = "day bases" if name in _DAY_SERIES else "bases"
+            raise ShardError(
+                f"workers' barrier deltas extend {name} from different "
+                f"{what}: {sorted(values)}; the lockstep has skewed"
+            )
+        merged[name] = values.pop()
+    return merged
 
 
 @pure_function
 def _merge_report_partials(
     partials: Sequence[Dict[str, object]],
 ) -> Dict[str, object]:
-    """Merge per-shard report payloads (shard order = hostname order)."""
+    """Merge per-shard report deltas (shard order = hostname order)."""
     first = partials[0]
-    for key in ("snapshots", "observations", "unmeasured_daily_counts"):
+    since = _merged_base(partials)
+    for key in _DAY_SERIES:
         lengths = {len(p[key]) for p in partials}
         if len(lengths) > 1:
             raise ShardError(
@@ -253,12 +370,12 @@ def _merge_report_partials(
                 f"{sorted(days)} across shards; collection fell out of "
                 "lockstep"
             )
+        # Each shard's day is one or more tabled parts; the merged day
+        # lists them in shard order, with no re-indexing.
         snapshots.append(
             {
                 "day": per_shard[0]["day"],
-                "domains": [
-                    domain for s in per_shard for domain in s["domains"]
-                ],
+                "parts": [part for s in per_shard for part in s["parts"]],
             }
         )
 
@@ -273,8 +390,9 @@ def _merge_report_partials(
     ]
 
     # A day is partial when *any* site went unmeasured — the union of the
-    # per-shard verdicts.  Days are absolute clock days, so the sorted
-    # union reproduces the monolithic append order.
+    # per-shard verdicts.  Days are absolute clock days and every delta
+    # covers the same days in every shard, so the sorted union appended
+    # barrier by barrier reproduces the monolithic append order.
     partial_days = sorted(
         {int(day) for p in partials for day in p["partial_days"]}
     )
@@ -298,7 +416,7 @@ def _merge_report_partials(
         )
 
     return {
-        "since": None,
+        "since": since,
         "snapshots": snapshots,
         "observations": observations,
         "unmeasured_daily_counts": unmeasured,

@@ -13,7 +13,8 @@ the same phases the monolithic loop runs:
 
 1. **barrier** — each worker commits its per-shard checkpoint (barrier
    ``k`` before study day ``k`` runs, exactly like the monolithic
-   checkpoint plane);
+   checkpoint plane) and, with more than one worker, answers with its
+   report delta since the previous barrier;
 2. **collect** — the daily A/CNAME/NS sweep over the worker's slice;
 3. **broadcast + scan** (weekly) — the workers ship their harvested
    nameserver names home, the coordinator merges them (sorted union)
@@ -23,16 +24,19 @@ the same phases the monolithic loop runs:
 4. **advance** — the world steps one day (every replica steps
    identically; the lockstep is never allowed to skew).
 
-After the last barrier each worker ships its payload
-(:func:`~repro.shard.merge.worker_payload`); the coordinator merges
-them, replays its own copy of the warm world (begun as the
-whole-population study once the workers started), overlays the merged
-result and runs :meth:`~repro.core.study.SixWeekStudy.finalise`.  The
-merged report is byte-identical to a single-process campaign's,
-whatever the shard count.  One worker (``N = 1``) is the monolithic
-run: it always runs inline and finalises its own runtime — no payload,
-no merge, no coordinator world.  Plain, checkpointed and sharded
-studies all run here.
+The coordinator keeps its own copy of the warm world, begun as the
+whole-population study once the workers started.  While the workers
+collect each day it folds the previous barrier's deltas into its own
+report (:func:`~repro.shard.merge.fold_barrier`) and steps its world
+one day.  After the last barrier each worker ships only its whole-state
+parts (:func:`~repro.shard.merge.worker_payload`); the coordinator
+merges them, overlays the result and runs
+:meth:`~repro.core.study.SixWeekStudy.finalise`.  The merged report is
+byte-identical to a single-process campaign's, whatever the shard
+count.  One worker (``N = 1``) is the monolithic run: it always runs
+inline and finalises its own runtime — no deltas, no payload, no
+merge, no coordinator world.  Plain, checkpointed and sharded studies
+all run here.
 
 A one-worker run keeps its checkpoint store at the checkpoint directory
 itself.  With more workers the stores nest: the coordinator's manifest
@@ -47,6 +51,7 @@ tolerance a torn journal tail gets.
 
 from __future__ import annotations
 
+import functools
 import gc
 import multiprocessing
 from dataclasses import dataclass, replace
@@ -55,6 +60,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..checkpoint.serde import (
     config_to_dict,
+    report_partial_to_dict,
     report_position,
     restore_report_partial,
     restore_runtime,
@@ -77,7 +83,13 @@ from ..faults.crash import CrashPlan
 from ..scenario import Scenario
 from ..world.config import WorldConfig
 from ..world.internet import SimulatedInternet
-from .merge import merge_payloads, overlay_merged, worker_payload
+from .merge import (
+    barrier_delta,
+    fold_barrier,
+    merge_payloads,
+    overlay_merged,
+    worker_payload,
+)
 
 __all__ = [
     "DEFAULT_OP_TIMEOUT",
@@ -163,12 +175,9 @@ def warm_world(spec: "WorkerSpec") -> SimulatedInternet:
 
 
 def replay_to_snapshot(
-    study: SixWeekStudy,
-    runtime: StudyRuntime,
-    state: Dict[str, object],
-    overlay: Callable[[SixWeekStudy, StudyRuntime, Dict[str, object]], None],
+    study: SixWeekStudy, runtime: StudyRuntime, state: Dict[str, object]
 ) -> None:
-    """Replay the world to ``state``'s day, check the clock, overlay it.
+    """Replay the world to ``state``'s day, check the clock, restore it.
 
     The world is never serialized: its dynamics are measurement-
     independent, so stepping a freshly begun world ``day_index`` engine
@@ -178,13 +187,18 @@ def replay_to_snapshot(
     """
     for _ in range(int(state["day_index"])):
         study.world.engine.run_day()
+    _require_clock(study.world, state["clock_now"], "the snapshot")
+    restore_runtime(study, runtime, state)
+
+
+def _require_clock(world: SimulatedInternet, clock_now: object, source: str) -> None:
+    """Refuse a replayed world whose clock is not at ``clock_now``."""
     try:
-        study.world.clock.require(int(state["clock_now"]))
+        world.clock.require(int(clock_now))
     except SimulationError as exc:
         raise CheckpointCorruptError(
-            f"replayed world clock drifted from the snapshot: {exc}"
+            f"replayed world clock drifted from {source}: {exc}"
         ) from exc
-    overlay(study, runtime, state)
 
 
 @dataclass(frozen=True)
@@ -228,8 +242,10 @@ class ShardWorker:
         records = self.store.barriers() if self.store is not None else []
         self.latest_barrier = int(records[-1]["barrier"]) if records else -1
         #: Where the report's series stood at the last barrier crossed:
-        #: the base the next committed snapshot is a delta from.  None
-        #: before barrier 0, whose snapshot is whole.
+        #: the base the next committed snapshot and the next answer to
+        #: the coordinator are deltas from.  None before the first
+        #: barrier crossed (barrier 0, or the seek barrier of a resume),
+        #: whose delta is whole.
         self._since: Optional[Dict[str, int]] = None
         if world is None:
             self.study, self.runtime = begin_study(
@@ -289,7 +305,7 @@ class ShardWorker:
             state = self.store.load_snapshot(record)
             restore_report_partial(self.runtime.report, state["report"])
         state = self.store.load_snapshot(records[target])
-        replay_to_snapshot(self.study, self.runtime, state, restore_runtime)
+        replay_to_snapshot(self.study, self.runtime, state)
 
     # -- lockstep operations -------------------------------------------
 
@@ -306,39 +322,53 @@ class ShardWorker:
         if op == "advance":
             return self.study.advance_day(self.runtime)
         if op == "finish":
-            return worker_payload(self.study, self.runtime)
+            return worker_payload(self.study, self.runtime, self._since)
         if op == "finalise":
             return self.study.finalise(self.runtime)
         raise ShardError(f"unknown shard operation {op!r}")
 
-    def _op_barrier(self, barrier: int) -> int:
+    def _op_barrier(self, barrier: int) -> object:
+        """Commit barrier ``barrier`` if it is new; answer the coordinator.
+
+        A lone worker answers its latest committed barrier.  With more,
+        every worker answers its report delta since the barrier before
+        (:func:`~repro.shard.merge.barrier_delta`) — the same dict it
+        commits, serialized once.  After a resume's seek the base is
+        None, so the first answer carries days ``0..k-1`` whole.
+        """
         if barrier != self.runtime.day_index:
             raise ShardError(
                 f"shard {self.spec.shard_index} sits at day "
                 f"{self.runtime.day_index} but the coordinator announced "
                 f"barrier {barrier}; the lockstep has skewed"
             )
+        shipping = self.spec.shard_count > 1
+        report: Optional[Dict[str, object]] = None
         if barrier > self.latest_barrier:
             crash_plan = self.spec.crash_plan
             if crash_plan is not None:
                 crash_plan.fire_if_due(barrier, "before-commit")
             if self.store is not None:
+                state = serialize_runtime(self.study, self.runtime, since=self._since)
+                report = state["report"]
                 self.store.append_barrier(
                     barrier=barrier,
                     day=self.study.world.clock.day,
                     clock_now=self.study.world.clock.now,
-                    state=serialize_runtime(
-                        self.study, self.runtime, since=self._since
-                    ),
+                    state=state,
                 )
             if crash_plan is not None:
                 crash_plan.fire_if_due(barrier, "after-commit")
             self.latest_barrier = barrier
+        if shipping and report is None:
+            report = report_partial_to_dict(self.runtime.report, self._since)
         # Re-crossed barriers move the base too: a resumed worker that
         # committed past the seek barrier must not make its next delta
         # span the days it replayed.
         self._since = report_position(self.runtime.report)
-        return self.latest_barrier
+        if not shipping:
+            return self.latest_barrier
+        return barrier_delta(self.runtime, barrier, report)
 
     def _op_scan(self, merged_names: object) -> None:
         """Run the weekly sweeps with the broadcast campaign harvest."""
@@ -367,8 +397,17 @@ class InlineExecutor:
     def start(self) -> None:
         self._workers = [ShardWorker(spec) for spec in self._specs]
 
-    def call_all(self, op: str, argument: object = None) -> List[object]:
-        return [worker.dispatch(op, argument) for worker in self._workers]
+    def call_all(
+        self,
+        op: str,
+        argument: object = None,
+        meanwhile: Optional[Callable[[], None]] = None,
+    ) -> List[object]:
+        """Run ``op`` on every worker, then ``meanwhile``."""
+        results = [worker.dispatch(op, argument) for worker in self._workers]
+        if meanwhile is not None:
+            meanwhile()
+        return results
 
     def close(self) -> None:
         self._workers = []
@@ -430,7 +469,18 @@ class ProcessExecutor:
             self._connections.append(parent_end)
         self._gather("start")
 
-    def call_all(self, op: str, argument: object = None) -> List[object]:
+    def call_all(
+        self,
+        op: str,
+        argument: object = None,
+        meanwhile: Optional[Callable[[], None]] = None,
+    ) -> List[object]:
+        """Send ``op`` to every worker, run ``meanwhile``, then gather.
+
+        ``meanwhile`` is the coordinator's own work for the step — it
+        runs while the workers execute ``op``.  If it fails, the workers
+        are terminated before the failure propagates.
+        """
         undeliverable: List[int] = []
         for index, connection in enumerate(self._connections):
             try:
@@ -440,6 +490,12 @@ class ProcessExecutor:
                 # operations.  Recorded here, reported (with any other
                 # deaths) by the gather's refusal.
                 undeliverable.append(index)
+        if meanwhile is not None:
+            try:
+                meanwhile()
+            except BaseException:  # repro: allow[REP021] -- whatever stops the coordinator mid-step must terminate the busy workers before it propagates
+                self.close(force=True)
+                raise
         return self._gather(op, undeliverable)
 
     def _await_reply(self, connection: object, process: object) -> bool:
@@ -759,18 +815,24 @@ def _drive(
     A lone worker measured the whole population, so its runtime *is*
     the monolithic one: it runs inline (a process would buy nothing)
     and finalises in place.  With several workers the coordinator warms
-    one world first; forked workers measure on copies of it, and after
-    the last barrier the coordinator replays its own copy, overlays the
-    merged payloads and finalises.
+    one world first; forked workers measure on copies of it.  While the
+    workers collect each day, the coordinator folds the previous
+    barrier's deltas into its own runtime and steps its world one day;
+    after the last barrier it overlays the merged whole-state payloads
+    and finalises.
     """
     spec = specs[0]
     if len(specs) == 1:
         executor = InlineExecutor(specs)
-        executor.start()
         try:
+            executor.start()
+            # The built, warmed world lives for the whole run: frozen, it
+            # is out of every full collection's walk.
+            gc.freeze()
             _drive_lockstep(executor, spec.config, start_barrier)
             return executor.call_all("finalise")[0]
         finally:
+            gc.unfreeze()
             executor.close()
     world = warm_world(spec)
     executor = (
@@ -788,11 +850,24 @@ def _drive(
         try:
             study = SixWeekStudy(world, spec.config)
             runtime = study.begin()
-            _drive_lockstep(executor, spec.config, start_barrier)
-            payloads = executor.call_all("finish")
+            # A resume starts at its seek barrier: the coordinator's
+            # world replays to it, and the first deltas carry the days
+            # before it whole.
+            for _ in range(start_barrier):
+                study.advance_day(runtime)
+
+            def fold(deltas: List[object]) -> None:
+                fold_barrier(runtime, deltas)
+                # The coordinator's world keeps pace with the workers'.
+                if not runtime.finished:
+                    study.advance_day(runtime)
+
+            _drive_lockstep(executor, spec.config, start_barrier, fold)
+            merged = merge_payloads(executor.call_all("finish"))
         finally:
             executor.close()
-        replay_to_snapshot(study, runtime, merge_payloads(payloads), overlay_merged)
+        _require_clock(world, merged["clock_now"], "the workers' clock")
+        overlay_merged(study, runtime, merged)
         return study.finalise(runtime)
     finally:
         gc.unfreeze()
@@ -802,14 +877,23 @@ def _drive_lockstep(
     executor: "InlineExecutor | ProcessExecutor",
     config: StudyConfig,
     start_barrier: int,
+    fold: Optional[Callable[[List[object]], None]] = None,
 ) -> None:
-    """The barrier loop: barrier → collect → (scan) → advance."""
+    """The barrier loop: barrier → collect → (scan) → advance.
+
+    ``fold`` is the coordinator's share of the loop: it takes each
+    barrier's answers while the workers collect the next day, and the
+    last barrier's once the loop ends.
+    """
     day = start_barrier
     while True:
-        executor.call_all("barrier", day)
+        answers = executor.call_all("barrier", day)
         if day >= config.study_days:
             break
-        executor.call_all("collect")
+        executor.call_all(
+            "collect",
+            meanwhile=functools.partial(fold, answers) if fold is not None else None,
+        )
         if config.run_residual_scans and day % config.scan_every_days == 0:
             name_lists = executor.call_all("harvest_names")
             campaign_harvest = sorted(
@@ -818,3 +902,5 @@ def _drive_lockstep(
             executor.call_all("scan", campaign_harvest)
         executor.call_all("advance")
         day += 1
+    if fold is not None:
+        fold(answers)

@@ -82,6 +82,15 @@ class TestManifest:
         with pytest.raises(CheckpointSchemaError, match="rerun from scratch"):
             CheckpointStore.open(tmp_path / "ckpt")
 
+    def test_schema_5_checkpoint_refused_not_migrated(self, tmp_path):
+        # Schema 5 snapshots write each domain of a day as its own dict;
+        # schema 6 reads tabled days and would misread them.
+        store = make_store(tmp_path / "ckpt")
+        manifest = dict(store.manifest, schema_version=5)
+        (tmp_path / "ckpt" / "MANIFEST.json").write_text(canonical_json(manifest))
+        with pytest.raises(CheckpointSchemaError, match="rerun from scratch"):
+            CheckpointStore.open(tmp_path / "ckpt")
+
     def test_manifest_records_the_scenario(self, tmp_path):
         store = make_store(tmp_path / "ckpt", profile="lossy-default")
         scenario = Scenario.of(fault_profile="lossy-default")

@@ -19,15 +19,17 @@ from repro.core.study import SixWeekStudy, StudyConfig
 from repro.errors import SimulatedCrash
 from repro.faults.crash import CrashPlan
 from repro.scenario import Scenario
+from repro.shard import runner as runner_module
 from repro.shard import (
     resume_campaign,
     run_campaign,
     run_sharded_study,
     shard_directory,
 )
+from repro.shard.merge import fold_barrier
 from repro.world import SimulatedInternet, WorldConfig
 
-from .conftest import POPULATION, SEED, WARMUP_DAYS, small_config
+from .conftest import POPULATION, SEED, STUDY_DAYS, WARMUP_DAYS, small_config
 
 
 #: Scenarios whose sharded artifacts equal the monolithic one at this
@@ -61,6 +63,90 @@ def _monolithic_under(scenario: Scenario, config: StudyConfig):
     while not runtime.finished:
         study.run_day(runtime)
     return world, study.finalise(runtime)
+
+
+def _uneven_commits_then_two_resumes(directory, resume_mode):
+    """Crash two inline shards unevenly at barrier 2, resume twice.
+
+    The first resume (in ``resume_mode``) crashes after committing
+    barrier 4; the second finishes the campaign.
+    """
+    inputs = dict(population=POPULATION, seed=SEED, config=small_config())
+    k = 2
+    with pytest.raises(SimulatedCrash):
+        run_campaign(
+            shard_count=2,
+            checkpoint_dir=directory,
+            crash_plan=CrashPlan(at_barrier=k, mode="after-commit"),
+            **inputs,
+        )
+    assert _latest_barriers(directory) == [k, k - 1]
+    with pytest.raises(SimulatedCrash):
+        resume_campaign(
+            directory,
+            mode=resume_mode,
+            crash_plan=CrashPlan(at_barrier=k + 2, mode="after-commit"),
+            **inputs,
+        )
+    # Inline, shard 0's crash stops shard 1 before it commits; forked
+    # workers each commit and crash on their own.
+    expected = [k + 2, k + 1] if resume_mode == "inline" else [k + 2, k + 2]
+    assert _latest_barriers(directory) == expected
+    return resume_campaign(directory, mode=resume_mode, **inputs)
+
+
+def _recording_folds(monkeypatch):
+    """Record ``(barrier, days held)`` after each coordinator fold."""
+    folds = []
+
+    def recording(runtime, deltas):
+        fold_barrier(runtime, deltas)
+        report = runtime.report
+        held = {
+            len(report.snapshots),
+            len(report.observations),
+            len(report.unmeasured_daily_counts),
+        }
+        assert len(held) == 1
+        folds.append((deltas[0]["barrier"], held.pop()))
+
+    monkeypatch.setattr(runner_module, "fold_barrier", recording)
+    return folds
+
+
+class TestStreamedBarriers:
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_after_barrier_k_the_coordinator_holds_k_days(
+        self, monolithic_artifact, monkeypatch, mode
+    ):
+        folds = _recording_folds(monkeypatch)
+        report = run_sharded_study(
+            population=POPULATION,
+            seed=SEED,
+            config=small_config(),
+            shard_count=2,
+            mode=mode,
+        )
+        assert folds == [(k, k) for k in range(STUDY_DAYS + 1)]
+        assert canonical_json(study_artifact(report)) == monolithic_artifact
+
+    def test_a_resume_s_first_fold_holds_the_days_before_its_seek(
+        self, monolithic_artifact, monkeypatch, tmp_path
+    ):
+        directory = tmp_path / "campaign"
+        inputs = dict(population=POPULATION, seed=SEED, config=small_config())
+        with pytest.raises(SimulatedCrash):
+            run_campaign(
+                shard_count=2,
+                mode="process",
+                checkpoint_dir=directory,
+                crash_plan=CrashPlan(at_barrier=5, mode="after-commit"),
+                **inputs,
+            )
+        folds = _recording_folds(monkeypatch)
+        report = resume_campaign(directory, mode="process", **inputs)
+        assert folds == [(k, k) for k in range(5, STUDY_DAYS + 1)]
+        assert canonical_json(study_artifact(report)) == monolithic_artifact
 
 
 class TestShardedEquivalenceUnderPlanes:
@@ -143,25 +229,15 @@ class TestShardedEquivalence:
         # k without committing; its next delta must start at k, not at
         # the last barrier it committed.  Only a second resume, which
         # folds that delta, shows the difference.
-        directory = tmp_path / "campaign"
-        inputs = dict(population=POPULATION, seed=SEED, config=small_config())
-        k = 2
-        with pytest.raises(SimulatedCrash):
-            run_campaign(
-                shard_count=2,
-                checkpoint_dir=directory,
-                crash_plan=CrashPlan(at_barrier=k, mode="after-commit"),
-                **inputs,
-            )
-        assert _latest_barriers(directory) == [k, k - 1]
-        with pytest.raises(SimulatedCrash):
-            resume_campaign(
-                directory,
-                crash_plan=CrashPlan(at_barrier=k + 2, mode="after-commit"),
-                **inputs,
-            )
-        assert _latest_barriers(directory) == [k + 2, k + 1]
-        report = resume_campaign(directory, **inputs)
+        report = _uneven_commits_then_two_resumes(tmp_path / "campaign", "inline")
+        assert canonical_json(study_artifact(report)) == monolithic_artifact
+
+    def test_uneven_commits_then_a_second_resume_in_forked_workers(
+        self, monolithic_artifact, tmp_path
+    ):
+        # The same chain, resumed by forked workers: each resume's first
+        # barrier ships the days before its seek whole, over the pipes.
+        report = _uneven_commits_then_two_resumes(tmp_path / "campaign", "process")
         assert canonical_json(study_artifact(report)) == monolithic_artifact
 
     @pytest.mark.parametrize(

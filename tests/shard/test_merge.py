@@ -1,4 +1,4 @@
-"""Merge-rule unit tests: payload folding and its structural refusals."""
+"""Merge-rule unit tests: barrier deltas, finish payloads, refusals."""
 
 import copy
 
@@ -8,14 +8,19 @@ from repro.core.study import SixWeekStudy, StudyConfig
 from repro.errors import ShardError
 from repro.scenario import Scenario
 from repro.shard import merge_payloads, overlay_merged
-from repro.shard.merge import PAYLOAD_VERSION, worker_payload
+from repro.shard.merge import (
+    PAYLOAD_VERSION,
+    merge_barrier_deltas,
+    worker_payload,
+)
 from repro.shard.runner import InlineExecutor, WorkerSpec, _drive_lockstep
 from repro.world import SimulatedInternet, WorldConfig
 
 
 @pytest.fixture(scope="module")
-def payloads():
-    """Two real shard payloads from one tiny inline campaign."""
+def campaign():
+    """Every barrier's answers and the finish payloads of one tiny
+    inline two-shard campaign."""
     config = StudyConfig(warmup_days=4, study_days=3)
     specs = [
         WorkerSpec(
@@ -29,8 +34,45 @@ def payloads():
     ]
     executor = InlineExecutor(specs)
     executor.start()
-    _drive_lockstep(executor, config, start_barrier=0)
-    return executor.call_all("finish")
+    barriers = []
+    _drive_lockstep(executor, config, start_barrier=0, fold=barriers.append)
+    return barriers, executor.call_all("finish")
+
+
+@pytest.fixture(scope="module")
+def deltas(campaign):
+    """The two shards' answers to barrier 1: study day 0 and its scan."""
+    return campaign[0][1]
+
+
+@pytest.fixture(scope="module")
+def payloads(campaign):
+    return campaign[1]
+
+
+class TestBarrierDeltas:
+    def test_every_barrier_after_the_first_ships_one_day(self, campaign):
+        barriers, _ = campaign
+        assert len(barriers) == 4
+        for barrier, answers in enumerate(barriers):
+            assert [a["barrier"] for a in answers] == [barrier, barrier]
+            for answer in answers:
+                assert len(answer["report"]["snapshots"]) == min(barrier, 1)
+
+    def test_finish_payloads_carry_empty_day_series(self, payloads):
+        for payload in payloads:
+            report = payload["report"]
+            assert report["since"]["snapshots"] == 3
+            for series in (
+                "snapshots",
+                "observations",
+                "unmeasured_daily_counts",
+                "partial_days",
+                "skipped_scan_weeks",
+                "cloudflare_weekly",
+                "incapsula_weekly",
+            ):
+                assert report[series] == [], series
 
 
 class TestMergePayloads:
@@ -40,42 +82,60 @@ class TestMergePayloads:
         assert merged["shard"] == {"index": 0, "count": 1}
         assert merged["population"] == payloads[0]["population"]
 
-    def test_positional_series_concatenate_in_shard_order(self, payloads):
-        merged = merge_payloads(payloads)
-        for position, snapshot in enumerate(merged["report"]["snapshots"]):
-            per_shard = [
-                payload["report"]["snapshots"][position]
-                for payload in payloads
-            ]
-            assert snapshot["domains"] == (
-                per_shard[0]["domains"] + per_shard[1]["domains"]
+    def test_positional_series_concatenate_in_shard_order(self, deltas):
+        merged = merge_barrier_deltas(deltas)
+        reports = [delta["report"] for delta in deltas]
+        assert merged["snapshots"]
+        for position, snapshot in enumerate(merged["snapshots"]):
+            per_shard = [report["snapshots"][position] for report in reports]
+            assert snapshot["parts"] == (
+                per_shard[0]["parts"] + per_shard[1]["parts"]
+            )
+        for position, observations in enumerate(merged["observations"]):
+            assert observations == (
+                reports[0]["observations"][position]
+                + reports[1]["observations"][position]
+            )
+        for position, weekly in enumerate(merged["cloudflare_weekly"]):
+            assert weekly["hidden"] == (
+                reports[0]["cloudflare_weekly"][position]["hidden"]
+                + reports[1]["cloudflare_weekly"][position]["hidden"]
             )
 
-    def test_merge_is_independent_of_payload_arrival_order(self, payloads):
+    def test_merge_is_independent_of_payload_arrival_order(
+        self, deltas, payloads
+    ):
         forward = merge_payloads(payloads)
         backward = merge_payloads(list(reversed(payloads)))
         assert forward == backward
+        assert merge_barrier_deltas(deltas) == merge_barrier_deltas(
+            list(reversed(deltas))
+        )
 
-    def test_set_like_values_merge_sorted(self, payloads):
+    def test_set_like_values_merge_sorted(self, deltas, payloads):
         merged = merge_payloads(payloads)
         assert merged["harvest"] == sorted(
             set(payloads[0]["harvest"]) | set(payloads[1]["harvest"])
         )
+        partial = copy.deepcopy(deltas)
+        partial[0]["report"]["partial_days"] = [9, 4]
+        partial[1]["report"]["partial_days"] = [4, 7]
+        assert merge_barrier_deltas(partial)["partial_days"] == [4, 7, 9]
 
-    def test_tallies_are_commutative_sums(self, payloads):
+    def test_tallies_are_commutative_sums(self, deltas, payloads):
         merged = merge_payloads(payloads)
         for name, value in merged["metrics"].items():
             assert value == sum(
                 payload["metrics"].get(name, 0) for payload in payloads
             )
-        assert merged["report"]["unmeasured_daily_counts"] == [
+        merged_delta = merge_barrier_deltas(deltas)
+        reports = [delta["report"] for delta in deltas]
+        assert merged_delta["unmeasured_daily_counts"] == [
             sum(
-                payload["report"]["unmeasured_daily_counts"][position]
-                for payload in payloads
+                report["unmeasured_daily_counts"][position]
+                for report in reports
             )
-            for position in range(
-                len(payloads[0]["report"]["unmeasured_daily_counts"])
-            )
+            for position in range(len(reports[0]["unmeasured_daily_counts"]))
         ]
 
 
@@ -105,11 +165,32 @@ class TestMergeRefusals:
         with pytest.raises(ShardError, match="disagree on day_index"):
             merge_payloads(mutated)
 
-    def test_skipped_scan_week_disagreement(self, payloads):
-        mutated = copy.deepcopy(payloads)
+    def test_skipped_scan_week_disagreement(self, deltas):
+        mutated = copy.deepcopy(deltas)
         mutated[1]["report"]["skipped_scan_weeks"] = [99]
         with pytest.raises(ShardError, match="skipped scan weeks"):
-            merge_payloads(mutated)
+            merge_barrier_deltas(mutated)
+
+    def test_barrier_disagreement(self, deltas):
+        mutated = copy.deepcopy(deltas)
+        mutated[1]["barrier"] += 1
+        with pytest.raises(ShardError, match="disagree on barrier"):
+            merge_barrier_deltas(mutated)
+
+    @pytest.mark.parametrize(
+        "series", ["snapshots", "observations", "unmeasured_daily_counts"]
+    )
+    def test_disagreeing_day_bases_are_refused(self, campaign, series):
+        mutated = copy.deepcopy(campaign[0][2])
+        mutated[1]["report"]["since"][series] += 1
+        with pytest.raises(ShardError, match=f"{series} from different day bases"):
+            merge_barrier_deltas(mutated)
+
+    def test_whole_and_delta_reports_do_not_mix(self, campaign):
+        mutated = copy.deepcopy(campaign[0][2])
+        mutated[0]["report"]["since"] = None
+        with pytest.raises(ShardError, match="whole reports and others"):
+            merge_barrier_deltas(mutated)
 
 
 class TestOverlayRefusals:
@@ -158,14 +239,19 @@ def _planed_study(shard_index=0, shard_count=1, plane=None, redrive=False):
     return study, runtime
 
 
+def _payload(study, runtime):
+    """A begun, never-stepped study's finish payload."""
+    return worker_payload(study, runtime, since=None)
+
+
 class TestPlaneAgreementRefusals:
     """Workers and the coordinator must agree on every installed plane."""
 
     @pytest.mark.parametrize("plane", PLANE_PROFILES, ids=lambda p: p[0])
     def test_workers_disagreeing_on_whether_a_plane_is_installed(self, plane):
         payloads = [
-            worker_payload(*_planed_study(0, 2, plane)),
-            worker_payload(*_planed_study(1, 2)),
+            _payload(*_planed_study(0, 2, plane)),
+            _payload(*_planed_study(1, 2)),
         ]
         with pytest.raises(ShardError, match=r"workers disagree on the \w+ plane's state"):
             merge_payloads(payloads)
@@ -173,15 +259,15 @@ class TestPlaneAgreementRefusals:
     @pytest.mark.parametrize("plane", PLANE_PROFILES, ids=lambda p: p[0])
     def test_workers_disagreeing_on_a_plane_s_drive_state(self, plane):
         payloads = [
-            worker_payload(*_planed_study(0, 2, plane)),
-            worker_payload(*_planed_study(1, 2, plane, redrive=True)),
+            _payload(*_planed_study(0, 2, plane)),
+            _payload(*_planed_study(1, 2, plane, redrive=True)),
         ]
         with pytest.raises(ShardError, match=r"workers disagree on the \w+ plane's state"):
             merge_payloads(payloads)
 
     @pytest.mark.parametrize("plane", PLANE_PROFILES, ids=lambda p: p[0])
     def test_coordinator_without_the_workers_plane(self, plane):
-        merged = merge_payloads([worker_payload(*_planed_study(plane=plane))])
+        merged = merge_payloads([_payload(*_planed_study(plane=plane))])
         study, runtime = _planed_study()
         with pytest.raises(
             ShardError,
@@ -191,7 +277,7 @@ class TestPlaneAgreementRefusals:
 
     @pytest.mark.parametrize("plane", PLANE_PROFILES, ids=lambda p: p[0])
     def test_coordinator_with_a_plane_the_workers_lack(self, plane):
-        merged = merge_payloads([worker_payload(*_planed_study())])
+        merged = merge_payloads([_payload(*_planed_study())])
         study, runtime = _planed_study(plane=plane)
         with pytest.raises(
             ShardError,
@@ -201,7 +287,7 @@ class TestPlaneAgreementRefusals:
 
     @pytest.mark.parametrize("plane", PLANE_PROFILES, ids=lambda p: p[0])
     def test_coordinator_plane_drifted_from_the_workers(self, plane):
-        merged = merge_payloads([worker_payload(*_planed_study(plane=plane))])
+        merged = merge_payloads([_payload(*_planed_study(plane=plane))])
         study, runtime = _planed_study(plane=plane, redrive=True)
         with pytest.raises(
             ShardError, match="plane diverged from the workers'"

@@ -191,6 +191,6 @@ class TestFourthPlane:
             stub.drive_day(1.0)
             if index == 1:
                 stub.drive_day(1.0)
-            payloads.append(worker_payload(study, runtime))
+            payloads.append(worker_payload(study, runtime, since=None))
         with pytest.raises(ShardError, match="disagree on the stub plane's state"):
             merge_payloads(payloads)
