@@ -42,8 +42,9 @@ _STAR_IMPORT_RE = re.compile(
 )
 
 #: Directories next to the analysis root scanned for external symbol
-#: references (REP043): a name used only by a test is still alive.
-_REFERENCE_ROOT_NAMES = ("tests", "examples", "benchmarks")
+#: references (REP043): a name used only by a test is still alive, and
+#: so is one the campaign benchmark calls or patches.
+_REFERENCE_ROOT_NAMES = ("tests", "examples", "benchmarks", "campaignbench")
 
 
 @dataclass
@@ -108,8 +109,8 @@ class Analyzer:
     reference_roots:
         Extra directories scanned (textually) for identifier uses that
         count as references for the dead-export rule.  Defaults to
-        ``tests``/``examples``/``benchmarks`` under ``root`` when they
-        exist.
+        ``tests``/``examples``/``benchmarks``/``campaignbench`` under
+        ``root`` when they exist.
     ignore_unused_suppressions:
         Do not report inline suppressions that matched nothing.
     jobs:

@@ -16,8 +16,8 @@ properties the per-file REP00x rules only spot-check:
   a locally-constructed fallback (``rng if rng is not None else
   SeededRng(...)``), which makes the injection contract optional.
 * **REP043** — a name exported through ``__all__`` that nothing in the
-  project (or its tests/examples/benchmarks) references: dead public
-  surface that rots unchecked.
+  project (or its tests/examples/benchmarks/campaignbench) references:
+  dead public surface that rots unchecked.
 """
 
 from __future__ import annotations
@@ -215,8 +215,9 @@ class DeadExportRule(ProjectRule):
                     column=export.column,
                     message=(
                         f"'{export.name}' is exported in __all__ but"
-                        " referenced nowhere in src, tests, examples, or"
-                        " benchmarks; drop the export or the symbol"
+                        " referenced nowhere in src, tests, examples,"
+                        " benchmarks or campaignbench; drop the export or"
+                        " the symbol"
                     ),
                     severity=self.severity,
                     source=export.source,

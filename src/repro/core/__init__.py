@@ -14,20 +14,17 @@ from .attacker import (
 from .behaviors import BehaviorDetector, MeasuredBehavior, MultiCdnFilter
 from .collector import DailySnapshot, DnsRecordCollector, DomainSnapshot
 from .countermeasures import (
-    CountermeasureComparison,
     apply_provider_policy,
     leave_with_fake_a,
     silent_termination,
-    switch_then_rotate,
     track_and_compare,
 )
-from .export import load_report_dict, report_to_dict, save_report
+from .export import report_to_dict, save_report
 from .exposure import ExposureSummary, ExposureTimeline
 from .fsm import DpsUsageFsm, FsmState
 from .history import HistoryEntry, PassiveDnsDb
 from .htmlverify import HtmlVerifier, VerificationOutcome
 from .ip_change import IpChangeExperiment, IpChangeResult, IpUnchangedRow
-from .longitudinal import AdoptionPoint, LongitudinalStudy, predicted_growth_factor
 from .matching import ProviderMatcher
 from .pause import PauseAnalyzer, PauseWindow, empirical_cdf
 from .pipeline import FilterPipeline, HiddenRecord, PipelineReport, RetrievedRecord
@@ -47,7 +44,6 @@ from .residual_scan import CloudflareScanner, IncapsulaScanner, NameserverHarves
 from .stats import (
     CalibrationCheck,
     count_zscore,
-    ks_distance,
     poisson_interval,
     proportion_zscore,
     wilson_interval,
@@ -71,13 +67,10 @@ __all__ = [
     "DailySnapshot",
     "DnsRecordCollector",
     "DomainSnapshot",
-    "CountermeasureComparison",
     "apply_provider_policy",
     "leave_with_fake_a",
     "silent_termination",
-    "switch_then_rotate",
     "track_and_compare",
-    "load_report_dict",
     "report_to_dict",
     "save_report",
     "ExposureSummary",
@@ -89,9 +82,6 @@ __all__ = [
     "IpChangeExperiment",
     "IpChangeResult",
     "IpUnchangedRow",
-    "AdoptionPoint",
-    "LongitudinalStudy",
-    "predicted_growth_factor",
     "ProviderMatcher",
     "PauseAnalyzer",
     "PauseWindow",
@@ -116,7 +106,6 @@ __all__ = [
     "NameserverHarvest",
     "CalibrationCheck",
     "count_zscore",
-    "ks_distance",
     "poisson_interval",
     "proportion_zscore",
     "wilson_interval",

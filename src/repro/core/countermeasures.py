@@ -15,13 +15,11 @@ Customer side:
   portal just before terminating, so whatever the provider leaks is
   worthless;
 * **rotate after adopting** — change the origin address after joining a
-  new platform, which kills this vector *and* the rest of Table I.
+  new platform (``Website.switch(..., rotate_origin_ip=True)``), which
+  kills this vector *and* the rest of Table I.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 from ..dps.provider import DpsProvider
 from ..dps.residual_policy import (
@@ -37,7 +35,6 @@ __all__ = [
     "silent_termination",
     "track_and_compare",
     "leave_with_fake_a",
-    "switch_then_rotate",
 ]
 
 
@@ -75,40 +72,3 @@ def leave_with_fake_a(
         raise ValueError(f"{site.www} is not on any DPS platform")
     provider.update_origin(site.www, IPv4Address(fake_address))
     site.leave(informed=informed, rehost=rehost, die=die)
-
-
-def switch_then_rotate(
-    site: Website,
-    new_provider: DpsProvider,
-    rerouting,
-    plan=None,
-    informed: bool = True,
-) -> None:
-    """Customer-side best practice: switch providers *and* rotate the
-    origin IP, so the address the old provider remembers is dead."""
-    kwargs = {}
-    if plan is not None:
-        kwargs["plan"] = plan
-    site.switch(
-        new_provider,
-        rerouting,
-        informed=informed,
-        rotate_origin_ip=True,
-        **kwargs,
-    )
-
-
-@dataclass(frozen=True)
-class CountermeasureComparison:
-    """Exposure with and without a countermeasure, for ablation benches."""
-
-    scenario: str
-    exposed_without: int
-    exposed_with: int
-
-    @property
-    def reduction(self) -> float:
-        """Fractional reduction in exposures (1.0 = fully eliminated)."""
-        if self.exposed_without == 0:
-            return 0.0
-        return 1.0 - self.exposed_with / self.exposed_without

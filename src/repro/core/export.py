@@ -1,7 +1,7 @@
 """Study-report export.
 
 Serialises a :class:`~repro.core.study.StudyReport` to a JSON-compatible
-dictionary (and back to disk), so campaigns can be archived, diffed
+dictionary and writes it to disk, so campaigns can be archived, diffed
 across library versions, and post-processed outside Python.  The export
 keeps the per-artifact aggregates — everything EXPERIMENTS.md tabulates —
 and omits the bulky raw snapshot series.
@@ -9,7 +9,6 @@ and omits the bulky raw snapshot series.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict
 
@@ -17,7 +16,7 @@ from ..io import atomic_write_json
 from ..world.admin import BehaviorKind
 from .study import StudyReport
 
-__all__ = ["report_to_dict", "save_report", "load_report_dict"]
+__all__ = ["report_to_dict", "save_report"]
 
 _SCHEMA_VERSION = 3
 
@@ -145,8 +144,3 @@ def report_to_dict(report: StudyReport) -> Dict[str, Any]:
 def save_report(report: StudyReport, path: "str | Path") -> Path:
     """Write the report as pretty-printed JSON; returns the path."""
     return atomic_write_json(path, report_to_dict(report), trailing_newline=False)
-
-
-def load_report_dict(path: "str | Path") -> Dict[str, Any]:
-    """Read an exported report back as a dictionary."""
-    return json.loads(Path(path).read_text())

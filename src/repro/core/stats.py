@@ -4,8 +4,7 @@ Measurement counts in this study are Poisson/binomial at heart; judging
 "did we reproduce the paper's number?" needs noise-aware comparisons,
 not equality.  This module provides the small toolbox the benches and
 the calibration report use: Wilson intervals for proportions, Poisson
-bands for counts, z-scores against targets, and an empirical-CDF
-distance for Fig. 5-style curves.
+bands for counts, and z-scores against targets.
 
 Implemented from first principles (no scipy dependency) and tested
 property-style.
@@ -15,16 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
 __all__ = [
     "wilson_interval",
     "poisson_interval",
     "count_zscore",
     "proportion_zscore",
-    "ks_distance",
     "CalibrationCheck",
-    "calibration_table",
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95%
@@ -84,31 +81,6 @@ def proportion_zscore(successes: int, trials: int, target: float) -> float:
     return (successes / trials - target) / se
 
 
-def ks_distance(sample_a: Sequence[float], sample_b: Sequence[float]) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic (max CDF gap).
-
-    Used to compare pause-duration distributions across configurations.
-    Returns 0.0 when either sample is empty.
-    """
-    if not sample_a or not sample_b:
-        return 0.0
-    a = sorted(sample_a)
-    b = sorted(sample_b)
-    na, nb = len(a), len(b)
-    i = j = 0
-    distance = 0.0
-    while i < na and j < nb:
-        value = a[i] if a[i] <= b[j] else b[j]
-        while i < na and a[i] == value:
-            i += 1
-        while j < nb and b[j] == value:
-            j += 1
-        distance = max(distance, abs(i / na - j / nb))
-    # One sample may be exhausted; the largest remaining gap is at the
-    # start of the tail.
-    return max(distance, abs(i / na - j / nb))
-
-
 @dataclass(frozen=True)
 class CalibrationCheck:
     """One measured-vs-paper comparison with its noise-aware verdict."""
@@ -122,13 +94,3 @@ class CalibrationCheck:
     def within_noise(self) -> bool:
         """True when the deviation is within ±3σ."""
         return abs(self.zscore) <= 3.0
-
-
-def calibration_table(
-    checks: Dict[str, Tuple[float, float, float]]
-) -> List[CalibrationCheck]:
-    """Build checks from ``name -> (paper, measured, zscore)`` triples."""
-    return [
-        CalibrationCheck(name=name, paper=paper, measured=measured, zscore=z)
-        for name, (paper, measured, z) in checks.items()
-    ]

@@ -27,9 +27,7 @@ from .records import (
 )
 from .resolver import RecursiveResolver, ResolutionResult
 from .root import DEFAULT_TLDS, DnsHierarchy
-from .wire import decode_query, decode_response, encode_query, encode_response
 from .zone import Zone
-from .zonefile import zone_from_text, zone_to_text
 
 __all__ = [
     "AnswerPolicy",
@@ -57,11 +55,5 @@ __all__ = [
     "ResolutionResult",
     "DEFAULT_TLDS",
     "DnsHierarchy",
-    "decode_query",
-    "decode_response",
-    "encode_query",
-    "encode_response",
     "Zone",
-    "zone_from_text",
-    "zone_to_text",
 ]

@@ -71,10 +71,6 @@ class ProviderSpec:
     #: (the Akamai/CDNetworks footnote-6 quirk).
     shared_ip_fraction: float = 0.0
 
-    def default_rerouting(self) -> ReroutingMethod:
-        """The single or dominant rerouting method."""
-        return self.rerouting_methods[0]
-
     def make_residual_policy(self) -> ResidualPolicy:
         """The residual policy this platform ships with."""
         if self.vulnerable_residual:

@@ -19,9 +19,6 @@ __all__ = [
     "NameError_",
     "ZoneError",
     "ResolutionError",
-    "WebError",
-    "ConnectionRefused",
-    "BadGateway",
     "DpsError",
     "PortalError",
     "PlanError",
@@ -90,23 +87,6 @@ class ZoneError(DnsError):
 
 class ResolutionError(DnsError):
     """Recursive resolution failed (loop, depth exceeded, no servers)."""
-
-
-# ---------------------------------------------------------------------------
-# Web substrate
-# ---------------------------------------------------------------------------
-
-
-class WebError(ReproError):
-    """Base class for the simulated HTTP layer."""
-
-
-class ConnectionRefused(WebError):
-    """No server listens on the target IP (or a firewall dropped us)."""
-
-
-class BadGateway(WebError):
-    """An edge server could not reach its configured origin."""
 
 
 # ---------------------------------------------------------------------------

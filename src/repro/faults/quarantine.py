@@ -123,10 +123,6 @@ class NameserverQuarantine:
             restored[IPv4Address(address)] = (int(quarantined_at), int(due))
         self._entries = restored
 
-    def quarantined_addresses(self) -> List[IPv4Address]:
-        """Addresses currently quarantined, in sorted order."""
-        return sorted(self._entries, key=str)
-
     @staticmethod
     def merge_snapshots(
         snapshots: Iterable[Iterable[Tuple[str, int, int]]],

@@ -19,7 +19,7 @@ from .geo import (
 )
 from .ipaddr import AddressAllocator, IPv4Address, IPv4Prefix
 from .routeviews import RouteViewsDb
-from .traffic import CapacityTarget, DeliveryReport, TrafficFlow, combine_flows
+from .traffic import CapacityTarget, DeliveryReport, TrafficFlow
 
 __all__ = [
     "AnycastNetwork",
@@ -40,5 +40,4 @@ __all__ = [
     "CapacityTarget",
     "DeliveryReport",
     "TrafficFlow",
-    "combine_flows",
 ]

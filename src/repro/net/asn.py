@@ -73,10 +73,6 @@ class AsRegistry:
         asys = self._by_number.get(number)
         return asys.organisation if asys else None
 
-    def ases_of(self, organisation: str) -> List[AutonomousSystem]:
-        """All ASes registered to an organisation."""
-        return list(self._by_org.get(organisation, []))
-
     def numbers_of(self, organisation: str) -> List[int]:
         """AS numbers registered to an organisation."""
         return [asys.number for asys in self._by_org.get(organisation, [])]

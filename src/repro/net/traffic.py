@@ -14,7 +14,7 @@ capacity exhaustion (which drops both) behave differently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import List
 
 from ..errors import ConfigurationError
 
@@ -22,7 +22,6 @@ __all__ = [
     "TrafficFlow",
     "DeliveryReport",
     "CapacityTarget",
-    "combine_flows",
     "zipf_weights",
 ]
 
@@ -73,15 +72,6 @@ class TrafficFlow:
         if factor < 0:
             raise ConfigurationError(f"scale factor must be non-negative: {factor}")
         return TrafficFlow(self.legitimate_gbps * factor, self.attack_gbps * factor)
-
-
-def combine_flows(flows: Iterable[TrafficFlow]) -> TrafficFlow:
-    """Sum several flows into one aggregate."""
-    legitimate = attack = 0.0
-    for flow in flows:
-        legitimate += flow.legitimate_gbps
-        attack += flow.attack_gbps
-    return TrafficFlow(legitimate, attack)
 
 
 @dataclass(frozen=True)

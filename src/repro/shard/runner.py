@@ -6,10 +6,11 @@ the site population on a full replica of the deterministic world.  The
 coordinator builds that world once from ``(seed, population)``, warms
 it up and installs the run's :class:`~repro.scenario.Scenario`
 (:func:`warm_world`); forked workers inherit it and begin their slice
-with no build and no warm-up of their own.  Inline workers, and
-workers spawned where the platform cannot fork, warm their own
-identical replica.  The coordinator drives them day by day through
-the same phases the monolithic loop runs:
+with no build and no warm-up of their own.  Every other worker — the
+lone worker, inline workers, and workers spawned where the platform
+cannot fork — warms its own identical replica through the same call.
+The coordinator drives them day by day through the same phases the
+monolithic loop runs:
 
 1. **barrier** — each worker commits its per-shard checkpoint (barrier
    ``k`` before study day ``k`` runs, exactly like the monolithic
@@ -98,7 +99,6 @@ __all__ = [
     "InlineExecutor",
     "ProcessExecutor",
     "shard_directory",
-    "begin_study",
     "warm_world",
     "replay_to_snapshot",
     "run_campaign",
@@ -136,35 +136,18 @@ def shard_directory(base: "Path | str", shard_index: int, shard_count: int) -> P
     return Path(base) / f"shard-{shard_index}-of-{shard_count}"
 
 
-def begin_study(
-    population: int,
-    seed: int,
-    config: StudyConfig,
-    scenario: Scenario,
-    shard_index: int = 0,
-    shard_count: int = 1,
-) -> "tuple[SixWeekStudy, StudyRuntime]":
-    """Build the world, begin the study (warm-up) and install the scenario.
-
-    The planes install *after* warm-up, so their day-windowed rules,
-    background load and attack schedule are relative to the same clock
-    day on every rebuild — a resumed run, a shard worker and the
-    coordinator's world all regenerate the original's.
-    """
-    world = SimulatedInternet(WorldConfig(population_size=population, seed=seed))
-    study = SixWeekStudy(world, config)
-    runtime = study.begin(shard_index, shard_count)
-    scenario.install(world)
-    return study, runtime
-
-
 def warm_world(spec: "WorkerSpec") -> SimulatedInternet:
     """Build the world, run its warm-up and install the scenario.
 
-    The coordinator's world, which forked workers inherit: a study
-    begun on it runs no further warm-up (:meth:`SixWeekStudy.begin`
-    only tops the engine's days up to ``warmup_days``), and it is in
-    the state :func:`begin_study` leaves a fresh world in.
+    The one world build: the coordinator's world, which forked workers
+    inherit, and the world every other worker warms for itself.  A
+    study begun on it runs no further warm-up
+    (:meth:`SixWeekStudy.begin` only tops the engine's days up to
+    ``warmup_days``).  The planes install after the warm-up, so their
+    day-windowed rules, background load and attack schedule are
+    relative to the same clock day on every build — a resumed run, a
+    shard worker and the coordinator's world all regenerate the
+    original's.
     """
     world = SimulatedInternet(
         WorldConfig(population_size=spec.population, seed=spec.seed)
@@ -225,8 +208,8 @@ class ShardWorker:
     """One shard's replica: full world, slice-wide measurement state.
 
     ``world`` is a warm world to measure on — a forked worker's copy of
-    the coordinator's; without one the worker builds its own
-    (:func:`begin_study`).
+    the coordinator's; without one the worker warms its own
+    (:func:`warm_world`).
 
     Driven operation by operation from the coordinator; every operation
     asserts the worker is at the lockstep position the coordinator
@@ -248,17 +231,9 @@ class ShardWorker:
         #: whose delta is whole.
         self._since: Optional[Dict[str, int]] = None
         if world is None:
-            self.study, self.runtime = begin_study(
-                spec.population,
-                spec.seed,
-                spec.config,
-                spec.scenario,
-                spec.shard_index,
-                spec.shard_count,
-            )
-        else:
-            self.study = SixWeekStudy(world, spec.config)
-            self.runtime = self.study.begin(spec.shard_index, spec.shard_count)
+            world = warm_world(spec)
+        self.study = SixWeekStudy(world, spec.config)
+        self.runtime = self.study.begin(spec.shard_index, spec.shard_count)
         if spec.resume and spec.seek_barrier >= 0:
             self._seek(records)
 

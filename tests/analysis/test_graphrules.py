@@ -184,6 +184,15 @@ class TestRep043DeadExport:
         )
         assert by_rule(findings, "REP043") == []
 
+    def test_campaignbench_is_a_default_reference_root(self, tmp_path):
+        # The campaign benchmark calls and patches library names; with
+        # no explicit roots, a use there keeps an export alive.
+        write_package(tmp_path, {
+            "campaignbench/campaign.py": "from pkg.mod import unused\n",
+        })
+        findings = lint_package(tmp_path, self.FILES, select=["REP043"])
+        assert by_rule(findings, "REP043") == []
+
     def test_own_module_use_keeps_export_alive(self, tmp_path):
         findings = lint_package(tmp_path, {
             "pkg/__init__.py": "",

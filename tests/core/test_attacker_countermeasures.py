@@ -6,7 +6,6 @@ from repro.core.attacker import DdosSimulator, ResidualResolutionAttacker
 from repro.core.countermeasures import (
     leave_with_fake_a,
     silent_termination,
-    switch_then_rotate,
     track_and_compare,
 )
 from repro.core.matching import ProviderMatcher
@@ -215,8 +214,9 @@ class TestCustomerCountermeasures:
         cf, inc = world.provider("cloudflare"), world.provider("incapsula")
         site.join(cf, ReroutingMethod.NS_BASED)
         old_origin = site.origin.ip
-        switch_then_rotate(
-            site, inc, ReroutingMethod.CNAME_BASED, plan=PlanTier.BUSINESS
+        site.switch(
+            inc, ReroutingMethod.CNAME_BASED, plan=PlanTier.BUSINESS,
+            rotate_origin_ip=True,
         )
         assert site.origin.ip != old_origin
         attacker = ResidualResolutionAttacker(world.dns_client(), matcher)

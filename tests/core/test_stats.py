@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core.stats import (
     CalibrationCheck,
     count_zscore,
-    ks_distance,
     poisson_interval,
     proportion_zscore,
     wilson_interval,
@@ -88,33 +87,6 @@ class TestZscores:
 
     def test_proportion_zscore_empty(self):
         assert proportion_zscore(0, 0, 0.5) == 0.0
-
-
-class TestKsDistance:
-    def test_identical_samples(self):
-        assert ks_distance([1, 2, 3], [1, 2, 3]) == pytest.approx(0.0)
-
-    def test_disjoint_samples(self):
-        assert ks_distance([1, 2, 3], [10, 11, 12]) == pytest.approx(1.0)
-
-    def test_empty_sample(self):
-        assert ks_distance([], [1, 2]) == 0.0
-
-    def test_symmetry(self):
-        a, b = [1, 2, 2, 5], [2, 3, 4]
-        assert ks_distance(a, b) == pytest.approx(ks_distance(b, a))
-
-    @given(
-        st.lists(st.integers(0, 20), min_size=1, max_size=30),
-        st.lists(st.integers(0, 20), min_size=1, max_size=30),
-    )
-    def test_bounded_zero_one(self, a, b):
-        d = ks_distance(a, b)
-        assert 0.0 <= d <= 1.0
-
-    @given(st.lists(st.integers(0, 20), min_size=1, max_size=30))
-    def test_self_distance_zero(self, a):
-        assert ks_distance(a, a) == pytest.approx(0.0)
 
 
 class TestCalibrationCheck:

@@ -84,6 +84,21 @@ class TestMutation:
         zone.remove_all("www.example.com", RecordType.A)
         assert zone.serial == before
 
+    def test_soa_keeps_its_primary_and_tracks_the_serial(self, zone):
+        assert zone.soa.rtype is RecordType.SOA
+        assert zone.soa.name == zone.origin
+        assert zone.soa.rdata.primary_ns == DomainName("ns1.example.com")
+        zone.add(a_record("www.example.com", "1.1.1.1", ttl=60))
+        assert zone.soa.rdata.serial == zone.serial
+        assert zone.soa.rdata.primary_ns == DomainName("ns1.example.com")
+
+    def test_records_keep_their_ttl(self, zone):
+        zone.add(a_record("www.example.com", "1.1.1.1", ttl=60))
+        zone.add(a_record("mail.example.com", "1.1.1.2", ttl=3600))
+        [www] = zone.lookup("www.example.com", RecordType.A)
+        [mail] = zone.lookup("mail.example.com", RecordType.A)
+        assert (www.ttl, mail.ttl) == (60, 3600)
+
 
 class TestCnameConstraints:
     def test_cname_conflicts_with_existing_data(self, zone):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.traffic import CapacityTarget, TrafficFlow, combine_flows
+from repro.net.traffic import CapacityTarget, TrafficFlow
 
 
 class TestTrafficFlow:
@@ -25,14 +25,6 @@ class TestTrafficFlow:
     def test_scaled_negative_rejected(self):
         with pytest.raises(ConfigurationError):
             TrafficFlow(1.0, 1.0).scaled(-1)
-
-    def test_combine(self):
-        combined = combine_flows([TrafficFlow(1, 2), TrafficFlow(3, 4)])
-        assert combined.legitimate_gbps == pytest.approx(4.0)
-        assert combined.attack_gbps == pytest.approx(6.0)
-
-    def test_combine_empty(self):
-        assert combine_flows([]).total_gbps == 0.0
 
 
 class TestCapacityTarget:

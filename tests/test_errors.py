@@ -18,9 +18,6 @@ class TestHierarchy:
             errors.NameError_,
             errors.ZoneError,
             errors.ResolutionError,
-            errors.WebError,
-            errors.ConnectionRefused,
-            errors.BadGateway,
             errors.DpsError,
             errors.PortalError,
             errors.PlanError,
@@ -38,7 +35,6 @@ class TestHierarchy:
         assert issubclass(errors.ResolutionError, errors.DnsError)
         assert issubclass(errors.PortalError, errors.DpsError)
         assert issubclass(errors.PlanError, errors.DpsError)
-        assert issubclass(errors.ConnectionRefused, errors.WebError)
 
     def test_one_catch_all_at_api_boundary(self):
         with pytest.raises(errors.ReproError):
