@@ -8,6 +8,14 @@ delegation so referrals can carry nameserver addresses.
 Zones are mutable — customers re-point apexes at DPS providers, providers
 add and purge customer records — and every mutation bumps the SOA serial,
 which the tests use to assert that stale data really is stale.
+
+Every write costs a dict operation, not a record rebuild.  The serial is
+a plain int; the SOA record is built from it when it is read
+(:attr:`Zone.soa`, a SOA lookup, a NODATA authority section) and reused
+until the serial moves.  :meth:`Zone.replace` (and so :meth:`Zone.set_a`)
+over an existing RRset swaps the new record in place, leaving the store,
+the existence index and the serial exactly as a ``remove_all`` followed
+by an ``add`` would.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ __all__ = ["Zone"]
 #: (owner name, :attr:`RecordType.code`).
 _Key = Tuple[DomainName, int]
 
+_CNAME = RecordType.CNAME.code
+
 
 class Zone:
     """Authoritative data for one zone."""
@@ -46,27 +56,29 @@ class Zone:
         #: Reference counts of records at or below each in-zone name,
         #: kept so existence checks are O(depth) instead of O(zone).
         self._name_index: Dict[DomainName, int] = {}
-        self._soa = soa_record(self.origin, primary_ns)
+        self._primary_ns = DomainName(primary_ns)
+        self._serial = 1
+        #: The SOA record last built by :attr:`soa`, and its serial.
+        self._soa: Optional[ResourceRecord] = None
+        self._soa_serial = 0
 
     # -- bookkeeping -------------------------------------------------------
 
     @property
     def serial(self) -> int:
         """Current SOA serial; bumped on every mutation."""
-        assert not isinstance(self._soa.rdata, (IPv4Address, DomainName, str))
-        return self._soa.rdata.serial
+        return self._serial
 
     @property
     def soa(self) -> ResourceRecord:
-        """The zone's SOA record."""
+        """The zone's SOA record, rebuilt only when the serial has moved."""
+        if self._soa is None or self._soa_serial != self._serial:
+            self._soa = soa_record(self.origin, self._primary_ns, serial=self._serial)
+            self._soa_serial = self._serial
         return self._soa
 
     def _bump_serial(self) -> None:
-        data = self._soa.rdata
-        assert not isinstance(data, (IPv4Address, DomainName, str))
-        self._soa = soa_record(
-            self.origin, data.primary_ns, data.admin, data.serial + 1, self._soa.ttl
-        )
+        self._serial += 1
 
     def _check_in_zone(self, name: DomainName) -> None:
         if not name.is_subdomain_of(self.origin):
@@ -93,19 +105,26 @@ class Zone:
     # -- mutation ----------------------------------------------------------
 
     def add(self, record: ResourceRecord) -> None:
-        """Add a record (duplicates by (name, type, rdata) are rejected)."""
-        self._check_in_zone(record.name)
-        if record.rtype is RecordType.SOA:
+        """Add a record.
+
+        Duplicates by (name, type, rdata) are rejected, and so is any
+        record that would share its name with a CNAME, in either order.
+        """
+        name, rtype = record.name, record.rtype
+        self._check_in_zone(name)
+        if rtype is RecordType.SOA:
             raise ZoneError("set the SOA via the constructor, not add()")
-        if record.rtype is RecordType.CNAME:
-            self._check_cname_constraints(record.name)
-        bucket = self._records.setdefault((record.name, record.rtype.code), [])
-        if any(existing.rdata == record.rdata for existing in bucket):
+        if rtype is RecordType.CNAME:
+            self._check_cname_constraints(name)
+        elif (name, _CNAME) in self._records:
+            raise ZoneError(f"{record} conflicts with the CNAME at {name}")
+        bucket = self._records.setdefault((name, rtype.code), [])
+        if bucket and any(existing.rdata == record.rdata for existing in bucket):
             raise ZoneError(f"duplicate record: {record}")
         bucket.append(record)
-        self._index_add(record.name)
-        if record.rtype is RecordType.NS and record.name != self.origin:
-            self._delegations.add(record.name)
+        self._index_add(name)
+        if rtype is RecordType.NS and name != self.origin:
+            self._delegations.add(name)
         self._bump_serial()
 
     def _check_cname_constraints(self, name: DomainName) -> None:
@@ -115,9 +134,25 @@ class Zone:
                 raise ZoneError(f"CNAME at {name} conflicts with existing data")
 
     def replace(self, record: ResourceRecord) -> None:
-        """Replace all records of (name, type) with a single record."""
-        self.remove_all(record.name, record.rtype)
-        self.add(record)
+        """Replace all records of (name, type) with a single record.
+
+        An existing RRset is swapped in place: the key moves to the end
+        of the store, the index drops the surplus records and the serial
+        moves by two, just as a :meth:`remove_all` followed by an
+        :meth:`add` leaves them.  The swap needs no checks: the name is
+        already in the zone, :meth:`add` keeps a CNAME from sharing a
+        name with other data in either order, a zone cut's NS RRset is
+        already in the delegations, and no SOA is ever stored.
+        """
+        key = (record.name, record.rtype.code)
+        old = self._records.pop(key, None)
+        if not old:
+            self.add(record)
+            return
+        self._records[key] = [record]
+        if len(old) > 1:
+            self._index_remove(record.name, len(old) - 1)
+        self._serial += 2
 
     def remove_all(self, name: "DomainName | str", rtype: RecordType) -> int:
         """Remove every record of (name, type); returns how many vanished."""
@@ -201,7 +236,7 @@ class Zone:
         if type(name) is not DomainName:
             name = DomainName(name)
         if rtype is RecordType.SOA and name == self.origin:
-            return [self._soa]
+            return [self.soa]
         return list(self._records.get((name, rtype.code), ()))
 
     def name_exists(self, name: "DomainName | str") -> bool:
@@ -226,7 +261,7 @@ class Zone:
 
     def all_records(self) -> List[ResourceRecord]:
         """Every record in the zone (SOA included), for dumps and tests."""
-        records = [self._soa]
+        records = [self.soa]
         for bucket in self._records.values():
             records.extend(bucket)
         return records

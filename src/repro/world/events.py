@@ -116,7 +116,7 @@ class WorldEngine:
             canonicals: Dict[str, object] = getattr(site, "multicdn_canonicals", {})
             canonical = canonicals.get(member)
             if canonical is not None:
-                site.hosting.set_www_cname(site.apex, canonical)
+                site.hosting.set_www_cname(site.www, canonical)
 
     # ------------------------------------------------------------------
     # Ground-truth summaries (used to validate measurements)

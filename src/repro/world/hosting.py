@@ -129,27 +129,28 @@ class HostingProvider:
         self._hierarchy.delegate_apex(DomainName(apex), self.ns_hostnames)
 
     # -- www record manipulation (what site admins actually edit) ------------------
+    # Each takes the www name the site holds; the apex is its parent.
 
-    def set_www_a(self, apex: "DomainName | str", address: IPv4Address) -> None:
+    def set_www_a(self, www: DomainName, address: IPv4Address) -> None:
         """Point the www hostname (and apex) at an address."""
+        apex = www.parent()
         zone = self.zone_of(apex)
-        www = DomainName(apex).child("www")
         zone.remove_all(www, RecordType.CNAME)
         zone.set_a(www, address, ttl=SECONDS_PER_HOUR)
-        zone.set_a(DomainName(apex), address, ttl=SECONDS_PER_HOUR)
+        zone.set_a(apex, address, ttl=SECONDS_PER_HOUR)
 
-    def set_www_cname(self, apex: "DomainName | str", target: DomainName) -> None:
+    def set_www_cname(self, www: DomainName, target: DomainName) -> None:
         """Point the www hostname at a canonical name (CNAME rerouting)."""
-        zone = self.zone_of(apex)
-        www = DomainName(apex).child("www")
+        zone = self.zone_of(www.parent())
         zone.remove_name(www)
         zone.add(cname_record(www, target, ttl=SECONDS_PER_HOUR))
 
-    def remove_www(self, apex: "DomainName | str") -> None:
+    def remove_www(self, www: DomainName) -> None:
         """Drop the www records entirely (the site going dark)."""
+        apex = www.parent()
         zone = self.zone_of(apex)
-        zone.remove_name(DomainName(apex).child("www"))
-        zone.remove_all(DomainName(apex), RecordType.A)
+        zone.remove_name(www)
+        zone.remove_all(apex, RecordType.A)
 
     @staticmethod
     def default_document(apex: "DomainName | str", rank: int) -> HtmlDocument:

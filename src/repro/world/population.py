@@ -174,4 +174,4 @@ class PopulationBuilder:
             canonical_by_member[member] = instructions.cname
         site.multicdn_canonicals = canonical_by_member  # type: ignore[attr-defined]
         first = self.multicdn.provider_for(site.www, day=0)
-        site.hosting.set_www_cname(site.apex, canonical_by_member[first])
+        site.hosting.set_www_cname(site.www, canonical_by_member[first])

@@ -115,10 +115,10 @@ class Website:
             self.hosting.delegate_apex_to(self.apex, instructions.nameservers)
         elif rerouting is ReroutingMethod.CNAME_BASED:
             assert instructions.cname is not None
-            self.hosting.set_www_cname(self.apex, instructions.cname)
+            self.hosting.set_www_cname(self.www, instructions.cname)
         else:
             assert instructions.edge_ip is not None
-            self.hosting.set_www_a(self.apex, instructions.edge_ip)
+            self.hosting.set_www_a(self.www, instructions.edge_ip)
         if self.firewall_inclined:
             self.origin.set_firewall(provider.prefixes)
         self.provider = provider
@@ -191,7 +191,7 @@ class Website:
         provider.terminate(self.www, informed=informed)
         if self.rerouting is ReroutingMethod.NS_BASED:
             self.hosting.redelegate_to_self(self.apex)
-        self.hosting.set_www_a(self.apex, self.origin.ip)
+        self.hosting.set_www_a(self.www, self.origin.ip)
         self.origin.set_firewall(None)
         self.provider = None
         self.rerouting = None
@@ -201,11 +201,11 @@ class Website:
         self.paused_on_day = None
         if rehost and not die:
             new_ip = self._rotate_origin()
-            self.hosting.set_www_a(self.apex, new_ip)
+            self.hosting.set_www_a(self.www, new_ip)
         if die:
             self._retire_pool_extras()
             self.hosting.retire_origin(self.origin)
-            self.hosting.remove_www(self.apex)
+            self.hosting.remove_www(self.www)
             self.alive = False
 
     def switch(
@@ -236,10 +236,10 @@ class Website:
                 self.hosting.redelegate_to_self(self.apex)
             if rerouting is ReroutingMethod.CNAME_BASED:
                 assert instructions.cname is not None
-                self.hosting.set_www_cname(self.apex, instructions.cname)
+                self.hosting.set_www_cname(self.www, instructions.cname)
             else:
                 assert instructions.edge_ip is not None
-                self.hosting.set_www_a(self.apex, instructions.edge_ip)
+                self.hosting.set_www_a(self.www, instructions.edge_ip)
         if self.firewall_inclined:
             self.origin.set_firewall(new_provider.prefixes)
         self.provider = new_provider
@@ -264,7 +264,7 @@ class Website:
         if self.status is not GroundTruthStatus.NONE:
             return
         current = self.origin_pool[day % len(self.origin_pool)]
-        self.hosting.set_www_a(self.apex, current)
+        self.hosting.set_www_a(self.www, current)
 
     def _rotate_origin(self):
         """Move the origin to a fresh address, collapsing any round-

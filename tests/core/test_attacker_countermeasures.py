@@ -77,7 +77,7 @@ class TestDiscovery:
         site = _unprotected(world)
         inc = world.provider("incapsula")
         instructions = inc.onboard(site.www, site.origin.ip, ReroutingMethod.CNAME_BASED)
-        site.hosting.set_www_cname(site.apex, instructions.cname)
+        site.hosting.set_www_cname(site.www, instructions.cname)
         site.provider = inc
         site.rerouting = ReroutingMethod.CNAME_BASED
         from repro.world.website import GroundTruthStatus

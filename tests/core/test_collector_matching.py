@@ -71,7 +71,7 @@ class TestCollector:
         assert len(resolver.cache) > 0
         # Move the site; a fresh run must see the new address (no stale A).
         new_ip = site.hosting.move_origin(site.origin)
-        site.hosting.set_www_a(site.apex, new_ip)
+        site.hosting.set_www_a(site.www, new_ip)
         record = collector.collect([str(site.www)], day=1).get(site.www)
         assert record.a_records == (new_ip,)
 

@@ -76,7 +76,7 @@ class TestPassiveDnsAccessors:
         collector = DnsRecordCollector(world.make_resolver())
         db.observe(collector.collect([str(site.www)], day=3))
         new_ip = site.hosting.move_origin(site.origin)
-        site.hosting.set_www_a(site.apex, new_ip)
+        site.hosting.set_www_a(site.www, new_ip)
         db.observe(collector.collect([str(site.www)], day=9))
         first = db.first_seen(site.www)
         assert first is not None and first.day == 3

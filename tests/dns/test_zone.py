@@ -3,7 +3,15 @@
 import pytest
 
 from repro.dns.name import DomainName, ROOT
-from repro.dns.records import RecordType, a_record, cname_record, mx_record, ns_record
+from repro.dns.records import (
+    DEFAULT_NS_TTL,
+    RecordType,
+    a_record,
+    cname_record,
+    mx_record,
+    ns_record,
+    soa_record,
+)
 from repro.dns.zone import Zone
 from repro.errors import ZoneError
 from repro.net.ipaddr import IPv4Address
@@ -107,11 +115,45 @@ class TestCnameConstraints:
             zone.add(cname_record("www.example.com", "edge.cdn.net"))
 
     def test_data_beside_cname_is_allowed_to_fail_loudly(self, zone):
-        # Our model only enforces the CNAME-addition side; adding the
-        # CNAME first then A data is the hosting code's responsibility
-        # to avoid (it uses remove_name + set).
+        # Adding the CNAME first and data after it fails loudly too
+        # (see test_data_after_a_cname_is_rejected); hosting code
+        # clears the name first (remove_name + set).
         zone.add(cname_record("www.example.com", "edge.cdn.net"))
         assert zone.lookup("www.example.com", RecordType.CNAME)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            a_record("www.example.com", "1.1.1.1"),
+            ns_record("www.example.com", "ns1.other.net"),
+            mx_record("www.example.com", "mail.example.com"),
+            cname_record("www.example.com", "other.cdn.net"),
+        ],
+        ids=["A", "NS", "MX", "CNAME"],
+    )
+    def test_data_after_a_cname_is_rejected(self, zone, record):
+        zone.add(cname_record("www.example.com", "edge.cdn.net"))
+        before = (zone.serial, len(zone))
+        with pytest.raises(ZoneError):
+            zone.add(record)
+        assert (zone.serial, len(zone)) == before
+        assert zone.lookup("www.example.com", record.rtype) == (
+            [cname_record("www.example.com", "edge.cdn.net")]
+            if record.rtype is RecordType.CNAME
+            else []
+        )
+        assert zone.delegation_covering("www.example.com") is None
+
+    def test_set_a_beside_a_cname_is_rejected(self, zone):
+        zone.add(cname_record("www.example.com", "edge.cdn.net"))
+        with pytest.raises(ZoneError):
+            zone.set_a("www.example.com", "1.1.1.1")
+        assert zone.lookup("www.example.com", RecordType.A) == []
+        zone.remove_all("www.example.com", RecordType.CNAME)
+        zone.set_a("www.example.com", "1.1.1.1")
+        assert [r.address for r in zone.lookup("www.example.com", RecordType.A)] == [
+            IPv4Address("1.1.1.1")
+        ]
 
 
 class TestDelegation:
@@ -194,3 +236,114 @@ class TestRootZone:
         zone.add(a_record("www.example.com", "1.1.1.1"))
         rtypes = {r.rtype for r in zone.all_records()}
         assert RecordType.SOA in rtypes and RecordType.A in rtypes
+
+
+class TestSerialSemantics:
+    """The serial each write moves, as resolvers and tests observe it."""
+
+    def test_set_a_onto_a_fresh_name_bumps_once(self, zone):
+        before = zone.serial
+        zone.set_a("www.example.com", "1.1.1.1")
+        assert zone.serial == before + 1
+
+    def test_set_a_onto_an_existing_rrset_bumps_twice(self, zone):
+        zone.set_a("www.example.com", "1.1.1.1")
+        before = zone.serial
+        zone.set_a("www.example.com", "2.2.2.2")
+        assert zone.serial == before + 2
+
+    def test_replacing_a_two_record_rrset_keeps_the_store_consistent(self, zone):
+        zone.add(a_record("a.example.com", "1.1.1.1"))
+        zone.add(a_record("www.example.com", "1.1.1.1"))
+        zone.add(a_record("www.example.com", "2.2.2.2"))
+        zone.add(mx_record("example.com", "mail.example.com"))
+        before = zone.serial
+        zone.set_a("www.example.com", "3.3.3.3", ttl=60)
+        assert zone.serial == before + 2
+        assert len(zone) == 3
+        assert zone.name_exists("www.example.com")
+        assert [r.address for r in zone.lookup("www.example.com", RecordType.A)] == [
+            IPv4Address("3.3.3.3")
+        ]
+        # The replaced RRset moves to the end of the store, as a
+        # remove_all followed by an add leaves it.
+        assert [(str(r.name), r.rtype, r.ttl) for r in zone.all_records()] == [
+            ("example.com", RecordType.SOA, zone.soa.ttl),
+            ("a.example.com", RecordType.A, 300),
+            ("example.com", RecordType.MX, DEFAULT_NS_TTL),
+            ("www.example.com", RecordType.A, 60),
+        ]
+        zone.remove_all("www.example.com", RecordType.A)
+        assert not zone.name_exists("www.example.com")
+        assert zone.name_exists("a.example.com")
+
+    def test_replace_swaps_a_cname_or_a_cut_in_place(self, zone):
+        zone.add(cname_record("www.example.com", "edge.cdn.net"))
+        zone.delegate("sub.example.com", ["ns1.other.net", "ns2.other.net"])
+        before = zone.serial
+        zone.replace(cname_record("www.example.com", "other.cdn.net"))
+        zone.replace(ns_record("sub.example.com", "ns3.other.net"))
+        assert zone.serial == before + 4
+        assert len(zone) == 2
+        assert [r.rdata for r in zone.lookup("www.example.com", RecordType.CNAME)] == [
+            DomainName("other.cdn.net")
+        ]
+        assert zone.delegation_covering("host.sub.example.com") == DomainName("sub.example.com")
+        zone.remove_all("sub.example.com", RecordType.NS)
+        assert not zone.name_exists("sub.example.com")
+
+    def test_soa_is_the_record_built_from_the_serial(self, zone):
+        assert zone.soa == soa_record("example.com", "ns1.example.com", serial=zone.serial)
+        zone.set_a("www.example.com", "1.1.1.1")
+        zone.set_a("www.example.com", "2.2.2.2")
+        assert zone.soa == soa_record("example.com", "ns1.example.com", serial=zone.serial)
+        assert zone.lookup("example.com", RecordType.SOA) == [zone.soa]
+        assert zone.all_records()[0] == zone.soa
+
+    def test_nodata_authority_carries_the_current_serial(self, zone):
+        from repro.dns.authoritative import AuthoritativeServer
+        from repro.dns.message import DnsQuery
+
+        server = AuthoritativeServer("ns1.example.com")
+        server.host_zone(zone)
+        zone.set_a("www.example.com", "1.1.1.1")
+        query = DnsQuery(DomainName("www.example.com"), RecordType.MX)
+        [soa] = server.handle_query(query).authority
+        assert soa.rdata.serial == zone.serial
+        zone.set_a("www.example.com", "2.2.2.2")
+        [soa] = server.handle_query(query).authority
+        assert soa.rdata.serial == zone.serial
+
+
+class TestSetWwwSerial:
+    @pytest.fixture
+    def hosting(self):
+        from repro.clock import SimulationClock
+        from repro.dns.root import DnsHierarchy
+        from repro.net.asn import AsRegistry
+        from repro.net.fabric import NetworkFabric
+        from repro.net.ipaddr import AddressAllocator
+        from repro.world.hosting import HostingProvider
+
+        fabric = NetworkFabric()
+        allocator = AddressAllocator("10.0.0.0/8")
+        hierarchy = DnsHierarchy(fabric, SimulationClock(), allocator)
+        return HostingProvider("hostco", 64500, fabric, hierarchy, AsRegistry(), allocator)
+
+    def test_set_www_a_moves_the_serial_by_four(self, hosting):
+        zone = hosting.host_zone("example.com", IPv4Address("10.9.0.1"))
+        www = DomainName("www.example.com")
+        before = zone.serial
+        hosting.set_www_a(www, IPv4Address("10.9.0.2"))
+        # Two A RRsets replaced: each is a removal and an addition.
+        assert zone.serial == before + 4
+        assert [r.address for r in zone.lookup(www, RecordType.A)] == [IPv4Address("10.9.0.2")]
+
+    def test_set_www_a_after_a_cname_moves_the_serial_by_four(self, hosting):
+        zone = hosting.host_zone("example.com", IPv4Address("10.9.0.1"))
+        hosting.set_www_cname(DomainName("www.example.com"), DomainName("edge.cdn.net"))
+        before = zone.serial
+        hosting.set_www_a(DomainName("www.example.com"), IPv4Address("10.9.0.2"))
+        # The CNAME removal, a fresh www A, and the apex A replaced.
+        assert zone.serial == before + 4
+        assert zone.lookup("www.example.com", RecordType.CNAME) == []
