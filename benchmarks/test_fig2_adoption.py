@@ -5,7 +5,9 @@ Cloudflare dominates; adoption grew ~1.17% over six weeks.
 """
 
 from repro.core.collector import DnsRecordCollector
+from repro.core.matching import ProviderMatcher
 from repro.core.report import render_fig2_adoption
+from repro.core.status import StatusDeterminer
 
 
 def test_fig2_adoption_shape(study):
@@ -26,7 +28,10 @@ def test_fig2_adoption_shape(study):
 def test_fig2_daily_collection_benchmark(benchmark, bench_world):
     """Time one daily collection pass over a 200-site sample."""
     hostnames = [str(s.www) for s in bench_world.population[:200]]
-    collector = DnsRecordCollector(bench_world.make_resolver())
+    matcher = ProviderMatcher(bench_world.specs, bench_world.routeviews)
+    collector = DnsRecordCollector(
+        bench_world.make_resolver(), StatusDeterminer(matcher)
+    )
 
     def collect():
         return collector.collect(hostnames, day=bench_world.clock.day)

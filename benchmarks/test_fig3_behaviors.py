@@ -46,7 +46,7 @@ def test_fig3_diffing_benchmark(benchmark, study):
     detector = BehaviorDetector(excluded=study.multicdn_flagged)
 
     def diff():
-        return detector.diff_series(study.observations, first_day=1)
+        return detector.diff_series(study.days, first_day=1)
 
     behaviors = benchmark(diff)
     assert behaviors

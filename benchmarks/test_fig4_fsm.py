@@ -12,9 +12,9 @@ from repro.core.fsm import DpsUsageFsm
 
 def _site_sequences(study):
     sequences = defaultdict(list)
-    for day_observations in study.observations:
-        for www, observation in day_observations.items():
-            sequences[www].append(observation)
+    for table in study.days:
+        for observation in table.observations():
+            sequences[observation.www].append(observation)
     return sequences
 
 

@@ -30,8 +30,8 @@ def test_fig6_cname_customers_hold_paid_plans(bench_world):
 def test_fig6_classification_benchmark(benchmark, study):
     def tally():
         ns = cname = 0
-        for day in study.observations:
-            for observation in day.values():
+        for table in study.days:
+            for observation in table.observations():
                 if observation.provider != "cloudflare":
                     continue
                 if observation.rerouting is ReroutingMethod.CNAME_BASED:

@@ -13,6 +13,7 @@ from repro.core.collector import DnsRecordCollector
 from repro.core.history import PassiveDnsDb
 from repro.core.htmlverify import HtmlVerifier
 from repro.core.matching import ProviderMatcher
+from repro.core.status import StatusDeterminer
 from repro.core.vectors import OriginExposureScanner
 
 COHORT = 40
@@ -35,7 +36,7 @@ def vector_sweep():
     # Passive DNS watches the sites BEFORE they adopt protection —
     # that is where the IP-history vector's power comes from.
     db = PassiveDnsDb()
-    collector = DnsRecordCollector(world.make_resolver())
+    collector = DnsRecordCollector(world.make_resolver(), StatusDeterminer(matcher))
     db.observe(collector.collect([str(s.www) for s in cohort], day=0))
     cf = world.provider("cloudflare")
     for site in cohort:

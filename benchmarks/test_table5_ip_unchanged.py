@@ -52,7 +52,7 @@ def test_table5_experiment_benchmark(benchmark, study, bench_world):
     experiment = IpChangeExperiment(verifier)
 
     def run():
-        return experiment.run(study.behaviors, study.snapshots)
+        return experiment.run(study.behaviors, study.days)
 
     result = benchmark(run)
     assert result.total.join_resume == study.ip_change.total.join_resume

@@ -22,6 +22,7 @@ from repro.core import (
     HtmlVerifier,
     NameserverHarvest,
     ProviderMatcher,
+    StatusDeterminer,
 )
 from repro.net.geo import PAPER_VANTAGE_REGIONS
 
@@ -32,7 +33,8 @@ def main() -> None:
     world.engine.run_days(45)
 
     hostnames = [str(s.www) for s in world.population]
-    collector = DnsRecordCollector(world.make_resolver())
+    matcher = ProviderMatcher(world.specs, world.routeviews)
+    collector = DnsRecordCollector(world.make_resolver(), StatusDeterminer(matcher))
     snapshot = collector.collect(hostnames, day=world.clock.day)
 
     harvest = NameserverHarvest()
@@ -67,7 +69,6 @@ def main() -> None:
         verdict = "EXPOSED ORIGIN" if record.verified_origin else record.reason
         print(f"    {record.www:<28} -> {str(record.address):<15} {verdict}")
 
-    matcher = ProviderMatcher(world.specs, world.routeviews)
     for record in report.hidden:
         assert not matcher.in_provider_ranges(record.address)
 

@@ -44,7 +44,7 @@ __all__ = ["study_artifact", "run_kill_matrix"]
 def study_artifact(report: StudyReport) -> Dict[str, object]:
     """The byte-compared artifact: E1 daily collections + E8 report."""
     return {
-        "e1": [_collection_artifact(snapshot) for snapshot in report.snapshots],
+        "e1": [_collection_artifact(table) for table in report.days],
         "e8": report_to_dict(report),
     }
 

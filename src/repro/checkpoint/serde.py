@@ -10,10 +10,10 @@ replayed clock position afterwards; drift means the two processes did
 not share a trajectory and the resume is refused.
 
 A checkpoint barrier's snapshot is a *delta*: the report's append-only
-series (daily snapshots and observations, per-day and per-week
-tallies, weekly pipeline reports) carry only the entries gained since
-the previous barrier, tagged with the base position they extend.
-Everything else — collector, verifier, harvest, exposure, scanners,
+series (day tables, skipped scan weeks, weekly pipeline reports)
+carry only the entries gained since the previous barrier, tagged with
+the base position they extend.  Everything else — collection
+resolver, verifier, harvest, exposure, scanners,
 pipelines, clients, planes — is small and rewritten whole.  So a
 barrier costs one study day, not the study so far, and a resume folds
 the chain ``0..k`` in order.  A shard worker ships the same delta to
@@ -21,27 +21,23 @@ its coordinator at every barrier.  Without a base (barrier 0, the first
 barrier after a resume's seek, a round trip in a test) the same
 converters carry the whole report.
 
-Each daily snapshot is written as tables — the day's names, its
-integer addresses — and rows of indices into them
-(:func:`_daily_to_dict`).  Shards merge a day by listing their tables
-as parts of one entry; decoding concatenates the parts.
+Each day table is written as a copy of its integer columns plus its
+name and provider lists (:func:`_day_to_dict`).  Shards merge a day by
+listing their parts in one entry; decoding concatenates the parts.
 
 Everything here round-trips through JSON, with insertion order
-preserved wherever order is behaviourally load-bearing (snapshot
-domain maps, harvested nameservers, Incapsula canonicals).
+preserved wherever order is behaviourally load-bearing (day rows,
+harvested nameservers, Incapsula canonicals).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Sequence
 
-from ..core.collector import DailySnapshot, DomainSnapshot
+from ..core.collector import COLUMNS, DayTable
 from ..core.pipeline import HiddenRecord, PipelineReport
-from ..core.status import DpsObservation
 from ..core.study import SixWeekStudy, StudyConfig, StudyRuntime
-from ..dns.message import Rcode
 from ..dns.name import DomainName
-from ..dps.portal import ReroutingMethod
 from ..errors import CheckpointCorruptError
 from ..net.ipaddr import IPv4Address
 
@@ -70,11 +66,10 @@ SERDE_REGISTRY = frozenset({
     # not trusted), attacked-address sets, surge, tallies and counters.
     "AttackPlane",
     "CircuitBreaker",
-    "DailySnapshot",
+    "DayTable",
     "DnsClient",
+    # Carried through its resolver, the runtime's collection_resolver.
     "DnsRecordCollector",
-    "DomainSnapshot",
-    "DpsObservation",
     "ExposureTimeline",
     "FaultPlan",
     "FilterPipeline",
@@ -114,95 +109,45 @@ def config_to_dict(config: StudyConfig) -> Dict[str, object]:
 # -- per-type converters ---------------------------------------------------
 
 
-#: Rcode by wire value: a dict probe per row instead of an Enum call.
-_RCODES = {rcode.value: rcode for rcode in Rcode}
 
-
-def _daily_to_dict(snapshot: DailySnapshot) -> Dict[str, object]:
-    """One day's snapshot as one tabled part.
-
-    The part holds a table of names (``www`` hostnames, CNAME and NS
-    targets), a table of integer addresses, and one row per domain of
-    indices into them: ``[www, [a…], [cname…], [ns…], rcode, measured]``,
-    plus the domain's own day when it differs from the entry's.  Rows
-    keep the domain map's insertion order, which is the collection
-    order.  Shards merge a day by concatenating their parts, so an entry
-    decodes to the concatenation of its parts (:func:`_daily_from_dict`).
+def _day_to_dict(table: DayTable) -> Dict[str, object]:
+    """One day table as one part: a copy of its columns, plus ``span``,
+    the length of the hostname list its sites index.  Shards merge a day
+    by listing their parts in shard order; an entry decodes to their
+    concatenation, each part's sites shifted past the spans before it.
     """
-    names: Dict[DomainName, int] = {}
-    texts: List[str] = []
-    addresses: Dict[int, int] = {}
-
-    def name_index(name: DomainName) -> int:
-        index = names.get(name)
-        if index is None:
-            index = names[name] = len(texts)
-            texts.append(str(name))
-        return index
-
-    rows: List[List[object]] = []
-    for domain in snapshot.domains.values():
-        row = [
-            name_index(domain.www),
-            [
-                addresses.setdefault(address.value, len(addresses))
-                for address in domain.a_records
-            ],
-            [name_index(target) for target in domain.cnames],
-            [name_index(target) for target in domain.ns_targets],
-            domain.rcode.value,
-            domain.measured,
-        ]
-        if domain.day != snapshot.day:
-            row.append(domain.day)
-        rows.append(row)
-    return {
-        "day": snapshot.day,
-        "parts": [{"names": texts, "addresses": list(addresses), "rows": rows}],
-    }
+    part: Dict[str, object] = {name: list(getattr(table, name)) for name in COLUMNS}
+    part["span"] = len(table.hostnames)
+    part["names"] = [str(name) for name in table.names]
+    part["providers"] = list(table.providers)
+    return {"day": table.day, "parts": [part]}
 
 
-def _daily_from_dict(payload: Dict[str, object]) -> DailySnapshot:
-    day = int(payload["day"])
-    daily = DailySnapshot(day=day)
-    domains = daily.domains
+def _day_from_dict(payload: Dict[str, object], hostnames: Sequence[str]) -> DayTable:
+    table = DayTable(int(payload["day"]), hostnames)
+    span = 0
     for part in payload["parts"]:
-        texts = part["names"]
-        names = [DomainName(text) for text in texts]
-        addresses = [IPv4Address(value) for value in part["addresses"]]
-        for row in part["rows"]:
-            www = row[0]
-            domains[texts[www]] = DomainSnapshot(
-                day=int(row[6]) if len(row) > 6 else day,
-                www=names[www],
-                a_records=tuple(addresses[i] for i in row[1]),
-                cnames=tuple(names[i] for i in row[2]),
-                ns_targets=tuple(names[i] for i in row[3]),
-                rcode=_RCODES[row[4]],
-                measured=bool(row[5]),
-            )
-    return daily
-
-
-def _observation_to_list(www: str, obs: DpsObservation) -> List[object]:
-    return [
-        www,
-        obs.day,
-        obs.status,
-        obs.provider,
-        obs.rerouting.value if obs.rerouting is not None else None,
-    ]
-
-
-def _observation_from_list(entry: List[object]) -> DpsObservation:
-    www, day, status, provider, rerouting = entry
-    return DpsObservation(
-        www=www,
-        day=int(day),
-        status=status,
-        provider=provider,
-        rerouting=ReroutingMethod(rerouting) if rerouting is not None else None,
-    )
+        # What each column's values index grew by in the parts before.
+        names, cnames, ns = len(table.names), len(table.cnames), len(table.ns)
+        shift = {"site": span, "a_end": len(table.addresses), "cnames": names,
+                 "ns": names, "cname_end": cnames, "ns_end": ns}
+        table.providers.extend(p for p in part["providers"] if p not in table.providers)
+        providers = [table.providers.index(p) for p in part["providers"]]
+        for name in COLUMNS:
+            values = part[name]
+            if name == "provider":
+                values = [providers[code] for code in values]
+            elif shift.get(name):
+                values = [value + shift[name] for value in values]
+            getattr(table, name).extend(values)
+        table.names.extend(DomainName(text) for text in part["names"])
+        span += int(part["span"])
+    if span != len(hostnames):
+        raise CheckpointCorruptError(
+            f"day {table.day}'s parts span {span} hostnames, but the "
+            f"restored runtime measures {len(hostnames)}"
+        )
+    return table
 
 
 def _pipeline_to_dict(report: PipelineReport) -> Dict[str, object]:
@@ -219,7 +164,7 @@ def _pipeline_to_dict(report: PipelineReport) -> Dict[str, object]:
     }
 
 
-def _pipeline_from_dict(payload: Dict[str, object]) -> PipelineReport:
+def _pipeline_from_dict(payload: Dict[str, object], _hostnames: object) -> PipelineReport:
     return PipelineReport(
         provider=payload["provider"],
         week=int(payload["week"]),
@@ -236,23 +181,15 @@ def _pipeline_from_dict(payload: Dict[str, object]) -> PipelineReport:
 # -- report (daily-loop partial) -------------------------------------------
 
 
-def _observations_to_list(day: Dict[str, DpsObservation]) -> List[List[object]]:
-    return [_observation_to_list(www, obs) for www, obs in day.items()]
-
-
-def _observations_from_list(day: List[List[object]]) -> Dict[str, DpsObservation]:
-    return {entry[0]: _observation_from_list(entry) for entry in day}
-
 
 #: The report series the daily loop only ever appends to, each with its
-#: entry encoder and decoder.  A barrier delta carries just the entries
-#: past its base position; everything else is rewritten whole.
+#: entry encoder and decoder; a decoder also takes the hostname list of
+#: the runtime it restores into, which the day tables index.  A barrier
+#: delta carries just the entries past its base position; everything
+#: else is rewritten whole.
 _SERIES = (
-    ("snapshots", _daily_to_dict, _daily_from_dict),
-    ("observations", _observations_to_list, _observations_from_list),
-    ("unmeasured_daily_counts", int, int),
-    ("partial_days", int, int),
-    ("skipped_scan_weeks", int, int),
+    ("days", _day_to_dict, _day_from_dict),
+    ("skipped_scan_weeks", int, lambda entry, _hostnames: int(entry)),
     ("cloudflare_weekly", _pipeline_to_dict, _pipeline_from_dict),
     ("incapsula_weekly", _pipeline_to_dict, _pipeline_from_dict),
 )
@@ -290,25 +227,25 @@ def report_partial_to_dict(
     return payload
 
 
-def restore_report_partial(report, partial: Dict[str, object]) -> None:
+def restore_report_partial(
+    report, partial: Dict[str, object], hostnames: Sequence[str]
+) -> None:
     """Overlay a :func:`report_partial_to_dict` payload onto a report.
 
     A payload without a base replaces the series.  One with a base
     appends at it, and refuses unless the report's series end exactly
     there: a delta applied out of order would silently repeat or drop
-    study days.  A series the base leaves out is appended unchecked —
-    a merged shard delta carries no ``partial_days`` base, because each
-    shard counts only its own slice's partial days.
+    study days.  ``hostnames`` is the restoring runtime's hostname
+    list, which the day tables index.
     """
     since = partial["since"]
     for name, _, decode in _SERIES:
-        entries = [decode(entry) for entry in partial[name]]
+        entries = [decode(entry, hostnames) for entry in partial[name]]
         if since is None:
             setattr(report, name, entries)
             continue
         series = getattr(report, name)
-        base = since.get(name)
-        if base is not None and len(series) != int(base):
+        if len(series) != int(since[name]):
             raise CheckpointCorruptError(
                 f"a barrier delta extends {name} from position "
                 f"{since[name]}, but the restored report holds "
@@ -343,7 +280,7 @@ def serialize_runtime(
         "day_index": runtime.day_index,
         "study_start_day": runtime.study_start_day,
         "report": report_partial_to_dict(runtime.report, since),
-        "collector": runtime.collector.state_dict(),
+        "collection_resolver": runtime.collection_resolver.state_dict(),
         "verifier": runtime.verifier.state_dict(),
         "harvest": runtime.harvest.state_dict(),
         "exposure": runtime.exposure.state_dict(),
@@ -391,9 +328,9 @@ def restore_runtime(
         )
     runtime.day_index = int(state["day_index"])
 
-    restore_report_partial(runtime.report, state["report"])
+    restore_report_partial(runtime.report, state["report"], runtime.hostnames)
 
-    runtime.collector.restore_state(state["collector"])
+    runtime.collection_resolver.restore_state(state["collection_resolver"])
     runtime.verifier.restore_state(state["verifier"])
     runtime.harvest.restore_state(state["harvest"])
     runtime.exposure.restore_state(state["exposure"])

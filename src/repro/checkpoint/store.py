@@ -17,9 +17,9 @@ A checkpoint directory holds three kinds of files:
     is a *delta*: the report's append-only series hold only what the
     study gained since barrier ``NNNN - 1``
     (:func:`~repro.checkpoint.serde.report_partial_to_dict`), the rest
-    of the runtime is whole.  Each daily snapshot in it is tabled:
-    the day's names and integer addresses once, then one row of indices
-    per domain.  Restoring barrier ``k`` therefore reads and verifies
+    of the runtime is whole.  Each study day in it is a copy of its
+    day table's integer columns, with the day's names and providers
+    listed once.  Restoring barrier ``k`` therefore reads and verifies
     every snapshot ``0..k``; damage anywhere in that chain refuses the
     resume.
 
@@ -62,9 +62,10 @@ __all__ = [
 #: counters and the clients' jitter streams (every draw is keyed);
 #: schema 5 snapshots are barrier deltas whose report series extend the
 #: previous barrier's; schema 6 writes each daily snapshot as tables of
-#: names and addresses plus rows of indices into them.  Other versions
-#: are refused, never migrated.
-SCHEMA_VERSION = 6
+#: names and addresses plus rows of indices into them; schema 7 copies
+#: each study day's table columns.  Other versions are refused, never
+#: migrated.
+SCHEMA_VERSION = 7
 
 MANIFEST_NAME = "MANIFEST.json"
 JOURNAL_NAME = "journal.jsonl"

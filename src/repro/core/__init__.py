@@ -12,7 +12,7 @@ from .attacker import (
     ResidualResolutionAttacker,
 )
 from .behaviors import BehaviorDetector, MeasuredBehavior, MultiCdnFilter
-from .collector import DailySnapshot, DnsRecordCollector, DomainSnapshot
+from .collector import DayTable, DnsRecordCollector, DomainSnapshot
 from .countermeasures import (
     apply_provider_policy,
     leave_with_fake_a,
@@ -64,7 +64,7 @@ __all__ = [
     "BehaviorDetector",
     "MeasuredBehavior",
     "MultiCdnFilter",
-    "DailySnapshot",
+    "DayTable",
     "DnsRecordCollector",
     "DomainSnapshot",
     "apply_provider_policy",

@@ -19,7 +19,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..compat import SLOTS
 from ..world.admin import BehaviorKind
-from .status import DpsObservation, DpsStatus
+from .collector import STATUSES, UNMEASURED, DayTable, series_hostnames
+from .status import DpsStatus
 
 __all__ = ["MeasuredBehavior", "BehaviorDetector", "MultiCdnFilter"]
 
@@ -35,6 +36,10 @@ class MeasuredBehavior:
     to_provider: Optional[str] = None
 
 
+#: A site's last measured verdict: ``(status, provider)``.
+_Verdict = Tuple[str, Optional[str]]
+
+
 class MultiCdnFilter:
     """Flags sites that flip providers too often to be real switchers."""
 
@@ -43,24 +48,26 @@ class MultiCdnFilter:
             raise ValueError("flip_threshold must be at least 1")
         self.flip_threshold = flip_threshold
 
-    def flagged(
-        self, observation_days: Sequence[Dict[str, DpsObservation]]
-    ) -> Set[str]:
+    def flagged(self, days: Sequence[DayTable]) -> Set[str]:
         """Hostnames whose observed provider changed on >= threshold
         day-pairs across the window."""
-        flips: Dict[str, int] = {}
-        for previous, current in zip(observation_days, observation_days[1:]):
-            for www, today in current.items():
-                yesterday = previous.get(www)
-                if yesterday is None:
-                    continue
-                if (
-                    yesterday.provider is not None
-                    and today.provider is not None
-                    and yesterday.provider != today.provider
-                ):
-                    flips[www] = flips.get(www, 0) + 1
-        return {www for www, count in flips.items() if count >= self.flip_threshold}
+        hostnames = series_hostnames(days)
+        flips: Dict[int, int] = {}
+        previous: Dict[int, str] = {}
+        for table in days:
+            current = {
+                site: table.providers[code]
+                for site, code in zip(table.site, table.provider)
+                if code
+            }
+            for site, provider in current.items():
+                if previous.get(site, provider) != provider:
+                    flips[site] = flips.get(site, 0) + 1
+            previous = current
+        return {
+            str(hostnames[site]) for site, count in flips.items()
+            if count >= self.flip_threshold
+        }
 
 
 class BehaviorDetector:
@@ -69,66 +76,44 @@ class BehaviorDetector:
     def __init__(self, excluded: Optional[Iterable[str]] = None) -> None:
         self._excluded: Set[str] = set(excluded or ())
 
-    def exclude(self, hostnames: Iterable[str]) -> None:
-        """Add hostnames (e.g. multi-CDN sites) to the exclusion set."""
-        self._excluded.update(hostnames)
-
-    def diff_pair(
-        self,
-        previous: Dict[str, DpsObservation],
-        current: Dict[str, DpsObservation],
-        day: int,
-    ) -> List[MeasuredBehavior]:
-        """Behaviours between two consecutive observation days."""
-        behaviors: List[MeasuredBehavior] = []
-        for www, today in current.items():
-            if www in self._excluded or not today.is_measured:
-                continue
-            yesterday = previous.get(www)
-            if yesterday is None or not yesterday.is_measured:
-                continue
-            behaviors.extend(self._transition(www, yesterday, today, day))
-        return behaviors
-
     def diff_series(
-        self, observation_days: Sequence[Dict[str, DpsObservation]], first_day: int = 1
+        self, days: Sequence[DayTable], first_day: int = 1
     ) -> List[MeasuredBehavior]:
         """Behaviours across a whole daily series.
 
         UNMEASURED days are data holes, not observations: a site's last
         *measured* observation is carried forward and diffed against its
         next measured one, so a hole never reads as a LEAVE/JOIN pair.
-        With no holes the output is identical to pairwise
-        :meth:`diff_pair` over consecutive days; a transition observed
-        after a hole is attributed to the day it was observed on.
+        With no holes the output is the concatenation of the diffs of
+        consecutive day pairs; a transition observed after a hole is
+        attributed to the day it was observed on.
         """
+        hostnames = series_hostnames(days)
         collected: List[MeasuredBehavior] = []
-        carry: Dict[str, DpsObservation] = {}
-        for index, current in enumerate(observation_days):
-            if index > 0:
-                day = first_day + index - 1
-                for www, today in current.items():
-                    if www in self._excluded or not today.is_measured:
-                        continue
-                    yesterday = carry.get(www)
-                    if yesterday is None:
-                        continue
-                    collected.extend(self._transition(www, yesterday, today, day))
-            for www, observation in current.items():
-                if observation.is_measured:
-                    carry[www] = observation
+        carry: Dict[int, _Verdict] = {}
+        for index, table in enumerate(days):
+            today = _measured(table)
+            for site, verdict in today.items():
+                before = carry.get(site)  # always None on the first day
+                if before is None or before == verdict:
+                    continue  # nothing to diff against, or NULL
+                www = str(hostnames[site])
+                if www not in self._excluded:
+                    day = first_day + index - 1
+                    collected.extend(self._transition(www, before, verdict, day))
+            carry.update(today)
         return collected
 
     # ------------------------------------------------------------------
 
     def _transition(
-        self, www: str, prev: DpsObservation, curr: DpsObservation, day: int
+        self, www: str, prev: _Verdict, curr: _Verdict, day: int
     ) -> List[MeasuredBehavior]:
         def event(kind: BehaviorKind, **kw) -> MeasuredBehavior:
             return MeasuredBehavior(day=day, www=www, kind=kind, **kw)
 
-        p_status, c_status = prev.status, curr.status
-        p_prov, c_prov = prev.provider, curr.provider
+        p_status, p_prov = prev
+        c_status, c_prov = curr
 
         if p_status == c_status and p_prov == c_prov:
             return []  # NULL
@@ -183,3 +168,12 @@ class BehaviorDetector:
         for behavior in behaviors:
             totals[behavior.kind] += 1
         return {kind: totals[kind] / num_days for kind in totals}
+
+
+def _measured(table: DayTable) -> Dict[int, _Verdict]:
+    """Every measured row of ``table`` as ``{site: (status, provider)}``."""
+    return {
+        site: (STATUSES[status], table.providers[code])
+        for site, status, code in zip(table.site, table.status, table.provider)
+        if status != UNMEASURED
+    }

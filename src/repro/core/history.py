@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..dns.name import DomainName
 from ..net.ipaddr import IPv4Address
-from .collector import DailySnapshot
+from .collector import DayTable
 from .matching import ProviderMatcher
 
 __all__ = ["HistoryEntry", "PassiveDnsDb"]
@@ -42,7 +42,7 @@ class PassiveDnsDb:
 
     # -- ingestion -------------------------------------------------------
 
-    def observe(self, snapshot: DailySnapshot) -> None:
+    def observe(self, snapshot: DayTable) -> None:
         """Record one day's resolutions (deduplicating repeats)."""
         for domain in snapshot:
             if not domain.a_records:

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..world.admin import BehaviorKind
 from .behaviors import MeasuredBehavior
-from .collector import DailySnapshot
+from .collector import DayTable, series_hostnames
 from .htmlverify import HtmlVerifier
 
 __all__ = ["IpUnchangedRow", "IpChangeExperiment"]
@@ -64,7 +64,7 @@ class IpChangeResult:
 
 
 class IpChangeExperiment:
-    """Runs the Table V measurement over behaviours and snapshots."""
+    """Runs the Table V measurement over behaviours and day tables."""
 
     def __init__(self, verifier: HtmlVerifier) -> None:
         self._verifier = verifier
@@ -72,14 +72,15 @@ class IpChangeExperiment:
     def run(
         self,
         behaviors: Iterable[MeasuredBehavior],
-        snapshots: Sequence[DailySnapshot],
+        days: Sequence[DayTable],
         first_day: int = 0,
     ) -> IpChangeResult:
         """Evaluate every JOIN and RESUME (SWITCH excluded, §IV-C-3).
 
-        ``snapshots[i]`` must be the collection for day ``first_day+i``.
+        ``days[i]`` must be the collection for day ``first_day+i``.
         """
-        by_day = {snapshot.day: snapshot for snapshot in snapshots}
+        by_day = {table.day: table for table in days}
+        sites = {str(www): site for site, www in enumerate(series_hostnames(days))}
         result = IpChangeResult()
         for behavior in behaviors:
             if behavior.kind not in (BehaviorKind.JOIN, BehaviorKind.RESUME):
@@ -89,15 +90,16 @@ class IpChangeExperiment:
                 continue
             before = by_day.get(behavior.day - 1)
             after = by_day.get(behavior.day)
-            if before is None or after is None:
+            site = sites.get(behavior.www)
+            if before is None or after is None or site is None:
                 continue
-            prior = before.get(behavior.www)
-            current = after.get(behavior.www)
-            if prior is None or current is None or not prior.a_records:
+            prior, current = before.row_of_site(site), after.row_of_site(site)
+            if prior is None or current is None or not before.addresses_of(prior):
                 continue
             row = result.row(provider)
             row.join_resume += 1
-            if self._ip_unchanged(behavior.www, current.a_records, prior.a_records):
+            edge_ips = after.addresses_of(current)
+            if self._ip_unchanged(behavior.www, edge_ips, before.addresses_of(prior)):
                 row.unchanged += 1
         return result
 

@@ -11,7 +11,7 @@ the rest.
 **Incapsula** (CNAME-based rerouting): the canonical names are assigned
 unpredictably and deleted on departure, so they must be *collected
 while customers are active* (§III-B).  The scanner accumulates every
-``incapdns`` CNAME seen in daily snapshots and keeps resolving those
+``incapdns`` CNAME seen in daily collections and keeps resolving those
 canonicals — long after the customer left.
 """
 
@@ -27,7 +27,7 @@ from ..dns.resolver import RecursiveResolver
 from ..net.ipaddr import IPv4Address
 from ..obs.metrics import MetricsRegistry
 from ..rng import SeededRng, stable_hash
-from .collector import DailySnapshot
+from .collector import DayTable
 from .matching import ProviderMatcher
 from .pipeline import RetrievedRecord
 
@@ -54,13 +54,12 @@ class NameserverHarvest:
         self.marker = marker
         self._hostnames: Dict[DomainName, None] = {}
 
-    def ingest(self, snapshots: Iterable[DailySnapshot]) -> None:
-        """Harvest from daily collection snapshots' NS records."""
-        for snapshot in snapshots:
-            for domain in snapshot:
-                for ns_target in domain.ns_targets:
-                    if self.marker in str(ns_target):
-                        self._hostnames.setdefault(DomainName(ns_target))
+    def ingest(self, days: Iterable[DayTable]) -> None:
+        """Harvest from daily collection tables' NS targets."""
+        for table in days:
+            for code in dict.fromkeys(table.ns):
+                if self.marker in str(table.names[code]):
+                    self._hostnames.setdefault(table.names[code])
 
     def _sorted(self) -> List[DomainName]:
         return sorted(self._hostnames, key=str)
@@ -233,13 +232,16 @@ class IncapsulaScanner:
         #: canonical name → the customer www hostname it was seen at.
         self._canonicals: Dict[DomainName, str] = {}
 
-    def ingest(self, snapshots: Iterable[DailySnapshot]) -> None:
-        """Accumulate the provider's CNAMEs from daily snapshots."""
-        for snapshot in snapshots:
-            for domain in snapshot:
-                for target in domain.cnames:
+    def ingest(self, days: Iterable[DayTable]) -> None:
+        """Accumulate the provider's CNAMEs from daily collection tables."""
+        for table in days:
+            start = 0
+            for row, end in enumerate(table.cname_end):
+                for code in table.cnames[start:end]:
+                    target = table.names[code]
                     if self._matcher.cname_match(target) == self.provider:
-                        self._canonicals.setdefault(DomainName(target), str(domain.www))
+                        self._canonicals.setdefault(target, table.www(row))
+                start = end
 
     @property
     def known_canonicals(self) -> Dict[DomainName, str]:

@@ -1,6 +1,6 @@
 """DPS status and rerouting-mechanism determination (Table III, §IV-B-2).
 
-Given one day's A/CNAME/NS snapshot of a site and the provider matcher:
+Given one day's A/CNAME/NS answers of a site and the provider matcher:
 
 * **ON** — an A record falls inside a provider's ranges (the traffic is
   actually rerouted; none of the studied providers web-host, so a
@@ -20,12 +20,12 @@ known off-net edge addresses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from ..compat import SLOTS
+from ..dns.name import DomainName
 from ..dps.portal import ReroutingMethod
 from ..net.ipaddr import IPv4Address
-from .collector import DomainSnapshot
 from .matching import ProviderMatcher
 
 __all__ = ["DpsStatus", "DpsObservation", "StatusDeterminer"]
@@ -57,7 +57,7 @@ class DpsStatus:
 
 @dataclass(frozen=True, **SLOTS)
 class DpsObservation:
-    """What the measurement concluded about one site on one day."""
+    """One site's Table III verdict on one day: a view of a table row."""
 
     www: str
     day: int
@@ -65,14 +65,9 @@ class DpsObservation:
     provider: Optional[str] = None
     rerouting: Optional[ReroutingMethod] = None
 
-    @property
-    def is_measured(self) -> bool:
-        """False for an UNMEASURED data hole."""
-        return self.status != DpsStatus.UNMEASURED
-
 
 class StatusDeterminer:
-    """Applies Table III to snapshots."""
+    """Applies Table III to one site's answers."""
 
     def __init__(
         self,
@@ -82,40 +77,28 @@ class StatusDeterminer:
         self._matcher = matcher
         self._shared_edge_ips = shared_edge_ips or frozenset()
 
-    def observe(self, snapshot: DomainSnapshot) -> DpsObservation:
-        """Classify one snapshot."""
-        if not snapshot.measured:
-            return DpsObservation(
-                www=str(snapshot.www),
-                day=snapshot.day,
-                status=DpsStatus.UNMEASURED,
-            )
-        a_provider = self._matcher.a_match_any(snapshot.a_records)
-        cname_provider = self._matcher.cname_match_any(snapshot.cnames)
-        ns_provider = self._matcher.ns_match_any(snapshot.ns_targets)
+    def classify(
+        self,
+        a_records: Sequence[IPv4Address],
+        cnames: Sequence[DomainName],
+        ns_targets: Sequence[DomainName],
+    ) -> Tuple[str, Optional[str], Optional[ReroutingMethod]]:
+        """Table III for one measured site: ``(status, provider, rerouting)``."""
+        a_provider = self._matcher.a_match_any(a_records)
+        cname_provider = self._matcher.cname_match_any(cnames)
+        ns_provider = self._matcher.ns_match_any(ns_targets)
 
         if a_provider is not None:
-            return DpsObservation(
-                www=str(snapshot.www),
-                day=snapshot.day,
-                status=DpsStatus.ON,
-                provider=a_provider,
-                rerouting=self._infer_rerouting(a_provider, cname_provider, ns_provider),
-            )
+            rerouting = self._infer_rerouting(a_provider, cname_provider, ns_provider)
+            return DpsStatus.ON, a_provider, rerouting
 
         # Footnote-6 correction: a CNAME match against Akamai/CDNetworks
         # whose address is a known off-net edge is really ON.
         if (
             cname_provider in _SHARED_IP_PROVIDERS
-            and any(ip in self._shared_edge_ips for ip in snapshot.a_records)
+            and any(ip in self._shared_edge_ips for ip in a_records)
         ):
-            return DpsObservation(
-                www=str(snapshot.www),
-                day=snapshot.day,
-                status=DpsStatus.ON,
-                provider=cname_provider,
-                rerouting=ReroutingMethod.CNAME_BASED,
-            )
+            return DpsStatus.ON, cname_provider, ReroutingMethod.CNAME_BASED
 
         delegated_provider = cname_provider
         if delegated_provider is None and ns_provider in _NS_REROUTING_PROVIDERS:
@@ -126,14 +109,8 @@ class StatusDeterminer:
                 if cname_provider is not None
                 else ReroutingMethod.NS_BASED
             )
-            return DpsObservation(
-                www=str(snapshot.www),
-                day=snapshot.day,
-                status=DpsStatus.OFF,
-                provider=delegated_provider,
-                rerouting=rerouting,
-            )
-        return DpsObservation(www=str(snapshot.www), day=snapshot.day, status=DpsStatus.NONE)
+            return DpsStatus.OFF, delegated_provider, rerouting
+        return DpsStatus.NONE, None, None
 
     def _infer_rerouting(
         self,

@@ -19,6 +19,7 @@ figure, plus ground-truth comparisons that the paper could never make.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Set
 
@@ -32,7 +33,7 @@ from ..obs.metrics import MetricsRegistry
 from ..world.admin import BehaviorEvent, BehaviorKind
 from ..world.internet import SimulatedInternet
 from .behaviors import BehaviorDetector, MeasuredBehavior, MultiCdnFilter
-from .collector import DailySnapshot, DnsRecordCollector
+from .collector import REROUTINGS, DayTable, DnsRecordCollector, series_hostnames
 from .exposure import ExposureSummary, ExposureTimeline
 from .htmlverify import HtmlVerifier
 from .ip_change import IpChangeExperiment, IpChangeResult
@@ -40,7 +41,7 @@ from .matching import ProviderMatcher
 from .pause import PauseAnalyzer
 from .pipeline import FilterPipeline, PipelineReport, RetrievedRecord
 from .residual_scan import CloudflareScanner, IncapsulaScanner, NameserverHarvest
-from .status import DpsObservation, StatusDeterminer
+from .status import StatusDeterminer
 
 __all__ = [
     "StudyConfig",
@@ -117,9 +118,9 @@ class StudyReport:
     population_size: int
     scale_factor: float
 
-    # §IV raw series
-    snapshots: List[DailySnapshot] = field(default_factory=list)
-    observations: List[Dict[str, DpsObservation]] = field(default_factory=list)
+    # §IV raw series: one table per collection day, holding every
+    # site's A/CNAME/NS answers and its Table III verdict.
+    days: List[DayTable] = field(default_factory=list)
     behaviors: List[MeasuredBehavior] = field(default_factory=list)
     multicdn_flagged: Set[str] = field(default_factory=set)
 
@@ -158,13 +159,11 @@ class StudyReport:
     cloudflare_exposure: Optional[ExposureSummary] = None
 
     # Degradation bookkeeping (all empty/zero on a fault-free run):
-    # per-day UNMEASURED site counts, the days that were partial, weekly
-    # Cloudflare sweeps skipped because no nameserver address resolved,
-    # hostnames per week whose sweep was throttled from every vantage
-    # point (partial scans — unmeasured, never recorded as absent), and
-    # the nameservers still quarantined when the campaign ended.
-    unmeasured_daily_counts: List[int] = field(default_factory=list)
-    partial_days: List[int] = field(default_factory=list)
+    # weekly Cloudflare sweeps skipped because no nameserver address
+    # resolved, hostnames per week whose sweep was throttled from every
+    # vantage point (partial scans — unmeasured, never recorded as
+    # absent), and the nameservers still quarantined when the campaign
+    # ended.  The per-day UNMEASURED counts are the day tables'.
     skipped_scan_weeks: List[int] = field(default_factory=list)
     partial_scan_weeks: Dict[int, int] = field(default_factory=dict)
     quarantined_nameservers: List[str] = field(default_factory=list)
@@ -175,6 +174,16 @@ class StudyReport:
     attack_profile: Optional[str] = None
     attack_events: List[Dict[str, object]] = field(default_factory=list)
     attack_tallies: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def unmeasured_daily_counts(self) -> List[int]:
+        """UNMEASURED sites per collection day."""
+        return [table.unmeasured_count for table in self.days]
+
+    @property
+    def partial_days(self) -> List[int]:
+        """The clock days on which at least one site went unmeasured."""
+        return [table.day for table in self.days if table.unmeasured_count]
 
     @property
     def total_unmeasured(self) -> int:
@@ -369,7 +378,7 @@ class SixWeekStudy:
             day_index=0,
             hostnames=hostnames[start:end],
             collection_resolver=collection_resolver,
-            collector=DnsRecordCollector(collection_resolver),
+            collector=DnsRecordCollector(collection_resolver, self.determiner),
             verifier=verifier,
             harvest=NameserverHarvest(),
             exposure=ExposureTimeline(),
@@ -414,20 +423,13 @@ class SixWeekStudy:
         """Phase 1: daily A/CNAME/NS collection over the shard's slice."""
         report = runtime.report
         day = self.world.clock.day
-        snapshot = runtime.collector.collect(runtime.hostnames, day)
-        report.snapshots.append(snapshot)
-        report.observations.append(
-            {
-                www: self.determiner.observe(domain_snapshot)
-                for www, domain_snapshot in snapshot.domains.items()
-            }
-        )
-        report.unmeasured_daily_counts.append(snapshot.unmeasured_count)
-        if snapshot.is_partial:
-            report.partial_days.append(day)
-        runtime.harvest.ingest([snapshot])
+        # Typed, so the shard-safety lint's call graph follows the call.
+        collector: DnsRecordCollector = runtime.collector
+        table = collector.collect(runtime.hostnames, day)
+        report.days.append(table)
+        runtime.harvest.ingest([table])
         if runtime.incap_scanner is not None:
-            runtime.incap_scanner.ingest([snapshot])
+            runtime.incap_scanner.ingest([table])
 
     def scan_day(self, runtime: StudyRuntime) -> WeeklyScan:
         """Phase 2 (weekly): the §V residual-resolution sweeps."""
@@ -556,19 +558,19 @@ class SixWeekStudy:
     def _analyse_usage_dynamics(
         self, report: StudyReport, study_start_day: int, verifier: HtmlVerifier
     ) -> None:
-        if not self.config.run_usage_dynamics or len(report.observations) < 2:
+        if not self.config.run_usage_dynamics or len(report.days) < 2:
             return
         flagged = MultiCdnFilter(self.config.multicdn_flip_threshold).flagged(
-            report.observations
+            report.days
         )
         report.multicdn_flagged = flagged
         detector = BehaviorDetector(excluded=flagged)
         report.behaviors = detector.diff_series(
-            report.observations, first_day=study_start_day + 1
+            report.days, first_day=study_start_day + 1
         )
         report.behavior_daily_counts = BehaviorDetector.daily_counts(report.behaviors)
         report.behavior_averages = BehaviorDetector.average_per_day(
-            report.behaviors, num_days=len(report.observations) - 1
+            report.behaviors, num_days=len(report.days) - 1
         )
 
         analyzer = PauseAnalyzer()
@@ -579,31 +581,37 @@ class SixWeekStudy:
             )
 
         experiment = IpChangeExperiment(verifier)
-        report.ip_change = experiment.run(report.behaviors, report.snapshots)
+        report.ip_change = experiment.run(report.behaviors, report.days)
 
     @merge_point
     def _analyse_adoption(self, report: StudyReport) -> None:
-        if not report.observations:
+        if not report.days:
             return
-        num_days = len(report.observations)
+        num_days = len(report.days)
         totals: Dict[str, int] = {}
         adopted_per_day: List[int] = []
         top_cutoff = max(1, int(report.population_size * self.world.config.top_sites_fraction))
         top_sites = {
             str(site.www) for site in self.world.population if site.rank <= top_cutoff
         }
-        top_adopted_per_day: List[int] = []
-        for day_observations in report.observations:
+        top_indices = {
+            index
+            for index, www in enumerate(series_hostnames(report.days))
+            if www in top_sites
+        }
+        top_adopted = 0
+        cloudflare_reroutings: Counter = Counter()
+        for table in report.days:
             adopted = 0
-            top_adopted = 0
-            for www, observation in sorted(day_observations.items()):
-                if observation.provider is not None:
+            for site, code, rerouting in zip(table.site, table.provider, table.rerouting):
+                if code:
                     adopted += 1
-                    totals[observation.provider] = totals.get(observation.provider, 0) + 1
-                    if www in top_sites:
-                        top_adopted += 1
-            adopted_per_day.append(adopted)  # repro: allow[REP061] -- report.observations is in day order by construction; the per-day series must preserve it
-            top_adopted_per_day.append(top_adopted)
+                    top_adopted += site in top_indices
+                    provider = table.providers[code]
+                    totals[provider] = totals.get(provider, 0) + 1
+                    if provider == "cloudflare":  # Fig. 6
+                        cloudflare_reroutings[REROUTINGS[rerouting]] += 1
+            adopted_per_day.append(adopted)  # repro: allow[REP061] -- report.days is in day order by construction; the per-day series must preserve it
         report.adoption_by_provider = {
             provider: count / num_days for provider, count in sorted(totals.items())
         }
@@ -611,7 +619,7 @@ class SixWeekStudy:
             sum(adopted_per_day) / num_days / report.population_size
         )
         report.top_sites_adoption_rate = (
-            sum(top_adopted_per_day) / num_days / len(top_sites) if top_sites else 0.0
+            top_adopted / num_days / len(top_sites) if top_sites else 0.0
         )
         # Growth is measured against the first day with a nonzero
         # adopter count, not blindly against day 0: a population that
@@ -621,17 +629,9 @@ class SixWeekStudy:
         baseline = next((count for count in adopted_per_day if count > 0), None)
         if baseline is not None:
             report.adoption_growth = (adopted_per_day[-1] - baseline) / baseline
-
         # Fig. 6: Cloudflare customers by rerouting mechanism.
-        ns_count = cname_count = 0
-        for day_observations in report.observations:
-            for observation in day_observations.values():  # repro: allow[REP061] -- commutative counters; iteration order cannot affect the sums
-                if observation.provider != "cloudflare":
-                    continue
-                if observation.rerouting is ReroutingMethod.CNAME_BASED:
-                    cname_count += 1
-                elif observation.rerouting is ReroutingMethod.NS_BASED:
-                    ns_count += 1
+        ns_count = cloudflare_reroutings[ReroutingMethod.NS_BASED]
+        cname_count = cloudflare_reroutings[ReroutingMethod.CNAME_BASED]
         total_cf = ns_count + cname_count
         if total_cf:
             report.cloudflare_ns_share = ns_count / total_cf

@@ -212,10 +212,10 @@ class Zone:
         self._check_in_zone(child_name)
         if child_name == self.origin:
             raise ZoneError("cannot delegate the zone origin")
-        self.remove_all(child_name, RecordType.NS)
         ns_names = [DomainName(n) for n in nameservers]
         if not ns_names:
             raise ZoneError(f"delegation of {child_name} needs nameservers")
+        self.remove_all(child_name, RecordType.NS)
         for ns_name in ns_names:
             self.add(ns_record(child_name, ns_name, ttl))
         for host, address in (glue or {}).items():

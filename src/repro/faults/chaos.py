@@ -132,7 +132,7 @@ def _run_workloads(
     study.collect_day(runtime)
     scan = study.scan_day(runtime)
     report = runtime.report
-    snapshot = report.snapshots[0]
+    snapshot = report.days[0]
 
     e8: Dict[str, object] = {
         "harvested_nameservers": runtime.harvest.state_dict(),

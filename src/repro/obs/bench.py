@@ -142,7 +142,7 @@ def run_bench(  # repro: allow[REP040] -- timing real hardware is the bench's pu
     # -- E1: daily collection ------------------------------------------
     e1_started = _wall_now()
     study.collect_day(runtime)
-    snapshot = runtime.report.snapshots[0]
+    snapshot = runtime.report.days[0]
     e1_counters = metrics.snapshot()
     e1 = {
         "hostnames": len(runtime.hostnames),

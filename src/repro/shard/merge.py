@@ -9,7 +9,7 @@ rosters, counters).  The merge rules follow directly:
   before shard 1's reproduces the monolithic collection order exactly;
 * set-like values merge in **canonical (sorted) order**, which is
   independent of how the observations were partitioned;
-* scalar tallies (unmeasured counts, pipeline drop counters, metrics)
+* scalar tallies (pipeline drop counters, metrics)
   are commutative sums.
 
 The workers ship in two kinds of message.  At every barrier each one
@@ -49,12 +49,7 @@ __all__ = [
 ]
 
 #: Bump on any incompatible change to the worker payload layout.
-PAYLOAD_VERSION = 5
-
-#: The report series whose positions count study days: every shard's
-#: base must sit at the same day.
-_DAY_SERIES = ("snapshots", "observations", "unmeasured_daily_counts")
-
+PAYLOAD_VERSION = 6
 
 def _shard(runtime: StudyRuntime) -> Dict[str, int]:
     return {"index": runtime.shard_index, "count": runtime.shard_count}
@@ -92,7 +87,7 @@ def fold_barrier(runtime: StudyRuntime, deltas: Sequence[Dict[str, object]]) -> 
     """Append the shards' answers to one barrier to the coordinator's report."""
     merged = merge_barrier_deltas(deltas)
     try:
-        restore_report_partial(runtime.report, merged)
+        restore_report_partial(runtime.report, merged, runtime.hostnames)
     except CheckpointCorruptError as exc:
         raise ShardError(
             f"the coordinator's report cannot take the shards' barrier "
@@ -234,7 +229,9 @@ def overlay_merged(
         )
     runtime.day_index = int(merged["day_index"])
     try:
-        restore_report_partial(runtime.report, merged["report"])
+        restore_report_partial(
+            runtime.report, merged["report"], runtime.hostnames
+        )
     except CheckpointCorruptError as exc:
         raise ShardError(
             f"the workers' final payload does not extend the coordinator's "
@@ -315,13 +312,7 @@ def _require_agreement(
 def _merged_base(
     partials: Sequence[Dict[str, object]],
 ) -> Optional[Dict[str, int]]:
-    """The base the shards' report deltas share, or None if all are whole.
-
-    Every series but ``partial_days`` must extend the same position in
-    every shard.  ``partial_days`` is left out of the merged base: each
-    shard counts only the days its own slice went partial, and the
-    union's count is known to no shard.
-    """
+    """The base every shard's report delta extends, or None if all are whole."""
     bases = [p["since"] for p in partials]
     if all(base is None for base in bases):
         return None
@@ -332,11 +323,9 @@ def _merged_base(
         )
     merged: Dict[str, int] = {}
     for name in bases[0]:
-        if name == "partial_days":
-            continue
         values = {int(base[name]) for base in bases}
         if len(values) > 1:
-            what = "day bases" if name in _DAY_SERIES else "bases"
+            what = "day bases" if name == "days" else "bases"
             raise ShardError(
                 f"workers' barrier deltas extend {name} from different "
                 f"{what}: {sorted(values)}; the lockstep has skewed"
@@ -350,52 +339,25 @@ def _merge_report_partials(
     partials: Sequence[Dict[str, object]],
 ) -> Dict[str, object]:
     """Merge per-shard report deltas (shard order = hostname order)."""
-    first = partials[0]
     since = _merged_base(partials)
-    for key in _DAY_SERIES:
-        lengths = {len(p[key]) for p in partials}
-        if len(lengths) > 1:
-            raise ShardError(
-                f"workers recorded different numbers of days in {key}: "
-                f"{sorted(lengths)}"
-            )
-
-    snapshots: List[Dict[str, object]] = []
-    for day_position in range(len(first["snapshots"])):
-        per_shard = [p["snapshots"][day_position] for p in partials]
-        days = {int(s["day"]) for s in per_shard}
-        if len(days) > 1:
-            raise ShardError(
-                f"snapshot position {day_position} spans clock days "
-                f"{sorted(days)} across shards; collection fell out of "
-                "lockstep"
-            )
-        # Each shard's day is one or more tabled parts; the merged day
-        # lists them in shard order, with no re-indexing.
-        snapshots.append(
-            {
-                "day": per_shard[0]["day"],
-                "parts": [part for s in per_shard for part in s["parts"]],
-            }
+    lengths = {len(p["days"]) for p in partials}
+    if len(lengths) > 1:
+        raise ShardError(
+            f"workers recorded different numbers of days: {sorted(lengths)}"
         )
 
-    observations = [
-        [entry for p in partials for entry in p["observations"][day_position]]
-        for day_position in range(len(first["observations"]))
-    ]
-
-    unmeasured = [
-        sum(int(p["unmeasured_daily_counts"][day_position]) for p in partials)
-        for day_position in range(len(first["unmeasured_daily_counts"]))
-    ]
-
-    # A day is partial when *any* site went unmeasured — the union of the
-    # per-shard verdicts.  Days are absolute clock days and every delta
-    # covers the same days in every shard, so the sorted union appended
-    # barrier by barrier reproduces the monolithic append order.
-    partial_days = sorted(
-        {int(day) for p in partials for day in p["partial_days"]}
-    )
+    # Each shard's day is one or more column parts; the merged day lists
+    # them in shard order, with no re-indexing.
+    days: List[Dict[str, object]] = []
+    for position, per_shard in enumerate(zip(*(p["days"] for p in partials))):
+        clock_days = sorted({int(s["day"]) for s in per_shard})
+        if len(clock_days) > 1:
+            raise ShardError(
+                f"day position {position} spans clock days {clock_days} "
+                "across shards; collection fell out of lockstep"
+            )
+        parts = [part for s in per_shard for part in s["parts"]]
+        days.append({"day": per_shard[0]["day"], "parts": parts})
 
     # Per-week throttled-hostname counts sum: each shard's slice of the
     # population is disjoint, so its throttled hostnames are too.
@@ -417,10 +379,7 @@ def _merge_report_partials(
 
     return {
         "since": since,
-        "snapshots": snapshots,
-        "observations": observations,
-        "unmeasured_daily_counts": unmeasured,
-        "partial_days": partial_days,
+        "days": days,
         "skipped_scan_weeks": skipped[0],
         "partial_scan_weeks": sorted(
             [week, partial_scans[week]] for week in partial_scans

@@ -278,7 +278,9 @@ class ShardWorker:
             )
         for record in records[:target]:  # contiguous from 0
             state = self.store.load_snapshot(record)
-            restore_report_partial(self.runtime.report, state["report"])
+            restore_report_partial(
+                self.runtime.report, state["report"], self.runtime.hostnames
+            )
         state = self.store.load_snapshot(records[target])
         replay_to_snapshot(self.study, self.runtime, state)
 

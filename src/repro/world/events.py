@@ -13,7 +13,7 @@ hours, which aggregated behaviours into visible spikes (§IV-B-3);
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, FrozenSet, List, Optional, TYPE_CHECKING
 
 from ..clock import SECONDS_PER_HOUR, SimulationClock
 from ..rng import SeededRng
@@ -22,6 +22,7 @@ from .admin import AdminBehaviorModel, BehaviorEvent, BehaviorKind
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..net.fabric import Plane
     from .internet import SimulatedInternet
+    from .website import Website
 
 __all__ = ["WorldEngine"]
 
@@ -42,6 +43,11 @@ class WorldEngine:
         #: world reads this to run only the warm-up days still missing.
         self.days_run = 0
         self._jitter_rng: SeededRng = world.rng.fork("interval-jitter")
+        #: The round-robin sites, built with a pool of several origins.
+        #: Pools grow only in the build, so no other site ever rotates.
+        self.rotating: FrozenSet[Website] = frozenset(
+            site for site in world.population if site.is_rotating
+        )
 
     @property
     def clock(self) -> SimulationClock:
@@ -69,7 +75,8 @@ class WorldEngine:
         todays: List[BehaviorEvent] = []
         for site in self.world.population:
             todays.extend(self.admin.step_site(site, day, rate_scale))
-            site.rotate_public_address(day)
+            if site in self.rotating:
+                site.rotate_public_address(day)
         self._flip_multicdn(day)
         # The planes are part of the day's world dynamics, driven in the
         # fabric's order by every replica alike; each sees the load surge

@@ -1,4 +1,4 @@
-"""Barrier snapshots are deltas: one tabled study day each, folded on resume."""
+"""Barrier snapshots are deltas: one study day's table each, folded on resume."""
 
 import json
 
@@ -8,21 +8,29 @@ from hypothesis import strategies as st
 
 from repro.checkpoint import CheckpointStore, run_checkpointed_study
 from repro.checkpoint.serde import (
-    _daily_from_dict,
-    _daily_to_dict,
+    _day_from_dict,
+    _day_to_dict,
     report_partial_to_dict,
     report_position,
     restore_report_partial,
 )
-from repro.core.collector import DailySnapshot, DomainSnapshot
+from repro.core.collector import DayTable
+from repro.core.status import DpsStatus
 from repro.core.study import SixWeekStudy, StudyConfig
 from repro.dns.message import Rcode
 from repro.dns.name import DomainName
+from repro.dps.portal import ReroutingMethod
 from repro.errors import CheckpointCorruptError
 from repro.net.ipaddr import IPv4Address
 from repro.world import SimulatedInternet, WorldConfig
 
 from .conftest import STUDY_DAYS, WARMUP_DAYS
+
+#: The keys of one day part: its columns, its span and its two lists.
+_PART_KEYS = sorted([
+    "site", "rcode", "status", "provider", "rerouting", "a_end", "addresses",
+    "cname_end", "cnames", "ns_end", "ns", "span", "names", "providers",
+])
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +50,7 @@ def chain(tmp_path_factory):
     ]
 
 
-def _study_report(days, on_barrier=None):
+def _study_runtime(days, on_barrier=None):
     """Run a p60 study of ``days`` days; ``on_barrier(report)`` at each barrier."""
     world = SimulatedInternet(WorldConfig(population_size=60, seed=5))
     study = SixWeekStudy(world, StudyConfig(warmup_days=2, study_days=days))
@@ -51,7 +59,7 @@ def _study_report(days, on_barrier=None):
         if on_barrier is not None:
             on_barrier(runtime.report)
         if runtime.finished:
-            return runtime.report
+            return runtime
         study.run_day(runtime)
 
 
@@ -59,19 +67,20 @@ class TestDeltaSnapshots:
     def test_barrier_zero_is_whole_and_empty(self, chain):
         report = chain[0][1]["report"]
         assert report["since"] is None
-        assert report["snapshots"] == [] and report["observations"] == []
+        assert report["days"] == []
 
     def test_each_later_barrier_holds_one_study_day(self, chain):
         for barrier, (_, state) in enumerate(chain[1:], start=1):
             report = state["report"]
-            assert len(report["snapshots"]) == 1, barrier
-            assert len(report["observations"]) == 1, barrier
-            assert len(report["unmeasured_daily_counts"]) == 1, barrier
-            assert report["since"]["snapshots"] == barrier - 1
-            # One tabled part: names and addresses once, a row per site.
-            (part,) = report["snapshots"][0]["parts"]
-            assert sorted(part) == ["addresses", "names", "rows"]
-            assert len(part["rows"]) == 120
+            assert len(report["days"]) == 1, barrier
+            assert report["since"]["days"] == barrier - 1
+            # One part: the day's columns, a row per site.
+            (part,) = report["days"][0]["parts"]
+            assert sorted(part) == _PART_KEYS
+            assert part["span"] == 120
+            for column in ("site", "rcode", "status", "provider", "rerouting",
+                           "a_end", "cname_end", "ns_end"):
+                assert len(part[column]) == 120, column
             assert len(set(part["names"])) == len(part["names"])
             assert all(isinstance(a, int) for a in part["addresses"])
 
@@ -90,28 +99,29 @@ class TestReportPartial:
             deltas.append(report_partial_to_dict(report, base[-1] if base else None))
             base.append(report_position(report))
 
-        report = _study_report(STUDY_DAYS, commit)
-        folded = _study_report(0)
+        report = _study_runtime(STUDY_DAYS, commit).report
+        folded = _study_runtime(0)
         for delta in deltas:
-            restore_report_partial(folded, delta)
-        assert report_partial_to_dict(folded) == report_partial_to_dict(report)
+            restore_report_partial(folded.report, delta, folded.hostnames)
+        assert report_partial_to_dict(folded.report) == report_partial_to_dict(report)
 
     def test_delta_at_the_wrong_base_is_refused(self):
-        report = _study_report(STUDY_DAYS)
+        report = _study_runtime(STUDY_DAYS).report
         since = report_position(report)
-        since["snapshots"] -= 1
+        since["days"] -= 1
         delta = report_partial_to_dict(report, since)
+        target = _study_runtime(0)
         with pytest.raises(CheckpointCorruptError, match="gap or a repeat"):
-            restore_report_partial(_study_report(0), delta)
+            restore_report_partial(target.report, delta, target.hostnames)
 
     def test_no_base_replaces_the_series(self):
-        report = _study_report(STUDY_DAYS)
+        report = _study_runtime(STUDY_DAYS).report
         whole = report_partial_to_dict(report)
         assert whole["since"] is None
-        target = _study_report(STUDY_DAYS)
-        restore_report_partial(target, whole)
-        restore_report_partial(target, whole)
-        assert report_partial_to_dict(target) == whole
+        target = _study_runtime(STUDY_DAYS)
+        restore_report_partial(target.report, whole, target.hostnames)
+        restore_report_partial(target.report, whole, target.hostnames)
+        assert report_partial_to_dict(target.report) == whole
 
 
 _NAMES = [
@@ -127,50 +137,73 @@ _NAMES = [
     )
 ]
 
+_VERDICTS = [
+    (DpsStatus.NONE, None, None),
+    (DpsStatus.UNMEASURED, None, None),
+    (DpsStatus.ON, "cloudflare", ReroutingMethod.NS_BASED),
+    (DpsStatus.ON, "akamai", ReroutingMethod.A_BASED),
+    (DpsStatus.OFF, "incapsula", ReroutingMethod.CNAME_BASED),
+]
+
 
 @st.composite
-def daily_snapshots(draw):
+def day_tables(draw):
     day = draw(st.integers(min_value=0, max_value=1000))
-    daily = DailySnapshot(day=day)
+    hostnames = [str(www) for www in draw(st.lists(st.sampled_from(_NAMES), unique=True))]
     addresses = st.one_of(
         st.integers(min_value=0, max_value=4),
         st.integers(min_value=0, max_value=2**32 - 1),
     ).map(IPv4Address)
-    for www in draw(st.lists(st.sampled_from(_NAMES), unique=True, max_size=6)):
-        daily.domains[str(www)] = DomainSnapshot(
-            # Collected domains carry the entry's day; the codec keeps a
-            # differing one too.
-            day=draw(st.sampled_from([day, day + 1])),
-            www=www,
-            a_records=tuple(draw(st.lists(addresses, max_size=3))),
-            cnames=tuple(draw(st.lists(st.sampled_from(_NAMES), max_size=2))),
-            ns_targets=tuple(draw(st.lists(st.sampled_from(_NAMES), max_size=3))),
-            rcode=draw(st.sampled_from(list(Rcode))),
-            measured=draw(st.booleans()),
+    # Rows in any order, any subset of the hostname list.
+    sites = draw(st.permutations(range(len(hostnames))))
+    rows = [
+        (
+            site,
+            draw(st.sampled_from(list(Rcode))),
+            draw(st.lists(addresses, max_size=3)),
+            draw(st.lists(st.sampled_from(_NAMES), max_size=2)),
+            draw(st.lists(st.sampled_from(_NAMES), max_size=3)),
+        ) + draw(st.sampled_from(_VERDICTS))
+        for site in sites[: draw(st.integers(0, len(sites)))]
+    ]
+    return DayTable.build(day, hostnames, rows)
+
+
+def _rows(table, rows, shift):
+    """``rows`` of ``table`` as build rows, their sites moved by ``shift``."""
+    for row in rows:
+        snapshot, observation = table.snapshot(row), table.observation(row)
+        yield (
+            table.site[row] + shift,
+            snapshot.rcode,
+            snapshot.a_records,
+            snapshot.cnames,
+            snapshot.ns_targets,
+            observation.status,
+            observation.provider,
+            observation.rerouting,
         )
-    return daily
 
 
 class TestDayCodec:
     @settings(max_examples=200, deadline=None)
-    @given(daily=daily_snapshots())
-    def test_round_trip_through_json_keeps_every_field_and_the_order(self, daily):
-        decoded = _daily_from_dict(json.loads(json.dumps(_daily_to_dict(daily))))
-        assert decoded == daily
-        assert list(decoded.domains) == list(daily.domains)
+    @given(table=day_tables())
+    def test_round_trip_through_json_keeps_every_field_and_the_order(self, table):
+        payload = json.loads(json.dumps(_day_to_dict(table)))
+        decoded = _day_from_dict(payload, table.hostnames)
+        assert decoded == table
+        assert list(decoded.site) == list(table.site)
 
     def test_a_multi_part_entry_decodes_to_the_concatenation_of_its_parts(self):
-        collected = _study_report(2).snapshots[1]
-        hosts = list(collected.domains)
-        halves = [hosts[:25], hosts[25:]]
+        runtime = _study_runtime(2)
+        collected = runtime.report.days[1]
+        hostnames = runtime.hostnames
+        halves = [(hostnames[:25], range(25), 0), (hostnames[25:], range(25, 60), -25)]
         parts = []
-        for half in halves:
-            piece = DailySnapshot(
-                day=collected.day,
-                domains={www: collected.domains[www] for www in half},
-            )
-            parts.extend(_daily_to_dict(piece)["parts"])
+        for half, rows, shift in halves:
+            piece = DayTable.build(collected.day, half, _rows(collected, rows, shift))
+            parts.extend(_day_to_dict(piece)["parts"])
         assert len(parts) == 2
-        decoded = _daily_from_dict({"day": collected.day, "parts": parts})
+        decoded = _day_from_dict({"day": collected.day, "parts": parts}, hostnames)
         assert decoded == collected
-        assert list(decoded.domains) == hosts
+        assert [decoded.www(row) for row in range(len(decoded))] == hostnames

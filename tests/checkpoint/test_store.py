@@ -91,6 +91,16 @@ class TestManifest:
         with pytest.raises(CheckpointSchemaError, match="rerun from scratch"):
             CheckpointStore.open(tmp_path / "ckpt")
 
+    def test_schema_6_checkpoint_refused_not_migrated(self, tmp_path):
+        # Schema 6 snapshots write a day as rows of indices beside a
+        # separate list of observations; schema 7 reads day-table
+        # columns and would misread them.
+        store = make_store(tmp_path / "ckpt")
+        manifest = dict(store.manifest, schema_version=6)
+        (tmp_path / "ckpt" / "MANIFEST.json").write_text(canonical_json(manifest))
+        with pytest.raises(CheckpointSchemaError, match="rerun from scratch"):
+            CheckpointStore.open(tmp_path / "ckpt")
+
     def test_manifest_records_the_scenario(self, tmp_path):
         store = make_store(tmp_path / "ckpt", profile="lossy-default")
         scenario = Scenario.of(fault_profile="lossy-default")

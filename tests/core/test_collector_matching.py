@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.core.collector import DnsRecordCollector
 from repro.core.matching import ProviderMatcher
 from repro.dns.message import Rcode
 from repro.dps.catalog import PAPER_PROVIDERS
 from repro.dps.plans import PlanTier
 from repro.dps.portal import ReroutingMethod
+
+from ..tables import collector_for
 
 
 @pytest.fixture
@@ -29,7 +30,7 @@ def _unprotected(world):
 class TestCollector:
     def test_snapshot_fields_for_plain_site(self, world):
         site = _unprotected(world)
-        collector = DnsRecordCollector(world.make_resolver())
+        collector = collector_for(world)
         snapshot = collector.collect([str(site.www)], day=0)
         record = snapshot.get(site.www)
         assert record.resolved
@@ -41,7 +42,7 @@ class TestCollector:
         site = _unprotected(world)
         cf = world.provider("cloudflare")
         site.join(cf, ReroutingMethod.NS_BASED)
-        collector = DnsRecordCollector(world.make_resolver())
+        collector = collector_for(world)
         record = collector.collect([str(site.www)], day=0).get(site.www)
         assert any(record.a_records[0] in p for p in cf.prefixes)
         assert any("ns.cloudflare" in str(t) for t in record.ns_targets)
@@ -50,7 +51,7 @@ class TestCollector:
         site = _unprotected(world)
         inc = world.provider("incapsula")
         site.join(inc, ReroutingMethod.CNAME_BASED, PlanTier.BUSINESS)
-        collector = DnsRecordCollector(world.make_resolver())
+        collector = collector_for(world)
         record = collector.collect([str(site.www)], day=0).get(site.www)
         assert any("incapdns" in str(t) for t in record.cnames)
 
@@ -58,14 +59,14 @@ class TestCollector:
         site = _unprotected(world)
         site.join(world.provider("cloudflare"), ReroutingMethod.NS_BASED)
         site.leave(die=True)
-        collector = DnsRecordCollector(world.make_resolver())
+        collector = collector_for(world)
         record = collector.collect([str(site.www)], day=0).get(site.www)
         assert not record.resolved
         assert record.rcode is Rcode.NXDOMAIN
 
     def test_cache_purged_between_runs(self, world):
         resolver = world.make_resolver()
-        collector = DnsRecordCollector(resolver)
+        collector = collector_for(world, resolver)
         site = _unprotected(world)
         collector.collect([str(site.www)], day=0)
         assert len(resolver.cache) > 0
@@ -77,7 +78,7 @@ class TestCollector:
 
     def test_daily_snapshot_len_and_iter(self, world):
         hostnames = [str(s.www) for s in world.population[:10]]
-        collector = DnsRecordCollector(world.make_resolver())
+        collector = collector_for(world)
         snapshot = collector.collect(hostnames, day=3)
         assert len(snapshot) == 10
         assert all(d.day == 3 for d in snapshot)

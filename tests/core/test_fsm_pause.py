@@ -9,6 +9,8 @@ from repro.core.status import DpsObservation, DpsStatus
 from repro.errors import MeasurementError
 from repro.world.admin import BehaviorKind
 
+from ..tables import verdict_days
+
 
 def _obs(status, provider=None, www="w", day=0):
     return DpsObservation(www=www, day=day, status=status, provider=provider)
@@ -57,12 +59,9 @@ class TestFsmClassification:
         detector = BehaviorDetector()
         for prev in statuses:
             for curr in statuses:
-                prev_obs, curr_obs = _obs(*prev), _obs(*curr)
-                measured = detector.diff_pair(
-                    {"w": prev_obs}, {"w": curr_obs}, day=1
-                )
+                measured = detector.diff_series(verdict_days({"w": prev}, {"w": curr}))
                 assert tuple(b.kind for b in measured) == DpsUsageFsm.classify(
-                    prev_obs, curr_obs
+                    _obs(*prev), _obs(*curr)
                 )
 
     def test_validate_sequence(self):

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.core.collector import DnsRecordCollector
 from repro.core.history import PassiveDnsDb
 from repro.core.htmlverify import HtmlVerifier
 from repro.core.matching import ProviderMatcher
 from repro.core.vectors import OriginExposureScanner
 from repro.dps.portal import ReroutingMethod
+
+from ..tables import collector_for
 
 
 @pytest.fixture
@@ -42,7 +43,7 @@ def _site(world, dev=None, mx=None):
 
 
 def _collect(world, sites, day=0):
-    collector = DnsRecordCollector(world.make_resolver())
+    collector = collector_for(world)
     return collector.collect([str(s.www) for s in sites], day=day)
 
 

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.core.behaviors import MeasuredBehavior
-from repro.core.collector import DailySnapshot, DnsRecordCollector, DomainSnapshot
+from repro.core.collector import DayTable
 from repro.core.htmlverify import HtmlVerifier
 from repro.core.ip_change import IpChangeExperiment
 from repro.dns.name import DomainName
 from repro.dps.portal import ReroutingMethod
 from repro.world.admin import BehaviorKind
+
+from ..tables import collector_for
 
 
 @pytest.fixture
@@ -97,7 +99,7 @@ class TestIpChangeExperiment:
     def _run_join(self, world, rotate):
         site = _unprotected(world)
         cf = world.provider("cloudflare")
-        collector = DnsRecordCollector(world.make_resolver())
+        collector = collector_for(world)
         www = str(site.www)
         before = collector.collect([www], day=0)
         site.join(cf, ReroutingMethod.NS_BASED, rotate_origin_ip=rotate)
@@ -129,7 +131,7 @@ class TestIpChangeExperiment:
             )
         ]
         verifier = HtmlVerifier(world.http_client("oregon"))
-        empty = DailySnapshot(day=0)
+        empty = DayTable(day=0, hostnames=[])
         result = IpChangeExperiment(verifier).run(behaviors, [empty])
         assert result.rows == {}
 
@@ -139,7 +141,7 @@ class TestIpChangeExperiment:
                              to_provider="fastly")
         ]
         verifier = HtmlVerifier(world.http_client("oregon"))
-        result = IpChangeExperiment(verifier).run(behaviors, [DailySnapshot(day=5)])
+        result = IpChangeExperiment(verifier).run(behaviors, [DayTable(5, [])])
         assert result.total.join_resume == 0
 
     def test_total_row_aggregates(self, world):

@@ -11,6 +11,8 @@ from repro.core.report import (
 )
 from repro.core.study import StudyConfig, StudyReport
 
+from ..tables import collector_for
+
 
 def _empty_report() -> StudyReport:
     return StudyReport(
@@ -66,14 +68,12 @@ class TestPassiveDnsAccessors:
         assert PassiveDnsDb().first_seen("www.x.com") is None
 
     def test_first_seen_returns_oldest(self, world_factory):
-        from repro.core.collector import DnsRecordCollector
-
         world = world_factory(population_size=40, seed=95)
         site = next(
             s for s in world.population if s.alive and not s.multicdn
         )
         db = PassiveDnsDb()
-        collector = DnsRecordCollector(world.make_resolver())
+        collector = collector_for(world)
         db.observe(collector.collect([str(site.www)], day=3))
         new_ip = site.hosting.move_origin(site.origin)
         site.hosting.set_www_a(site.www, new_ip)

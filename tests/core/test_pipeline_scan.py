@@ -10,11 +10,12 @@ from repro.core.residual_scan import (
     IncapsulaScanner,
     NameserverHarvest,
 )
-from repro.core.collector import DnsRecordCollector
 from repro.dps.plans import PlanTier
 from repro.dps.portal import ReroutingMethod
 from repro.net.ipaddr import IPv4Address
 from repro.rng import SeededRng
+
+from ..tables import collector_for
 
 
 @pytest.fixture
@@ -172,7 +173,7 @@ class TestNameserverHarvest:
             and s.rerouting is ReroutingMethod.NS_BASED
         ]
         assert customers, "need at least one NS customer"
-        collector = DnsRecordCollector(world.make_resolver())
+        collector = collector_for(world)
         snapshot = collector.collect([str(s.www) for s in customers], day=0)
         harvest = NameserverHarvest()
         harvest.ingest([snapshot])
@@ -181,7 +182,7 @@ class TestNameserverHarvest:
 
     def test_ignores_other_nameservers(self, world):
         site = _unprotected(world)
-        collector = DnsRecordCollector(world.make_resolver())
+        collector = collector_for(world)
         snapshot = collector.collect([str(site.www)], day=0)
         harvest = NameserverHarvest()
         harvest.ingest([snapshot])
@@ -193,7 +194,7 @@ class TestNameserverHarvest:
             if s.provider is not None and s.provider.name == "cloudflare"
             and s.rerouting is ReroutingMethod.NS_BASED
         ]
-        collector = DnsRecordCollector(world.make_resolver())
+        collector = collector_for(world)
         snapshot = collector.collect([str(s.www) for s in customers], day=0)
         harvest = NameserverHarvest()
         harvest.ingest([snapshot])
@@ -297,7 +298,7 @@ class TestIncapsulaScanner:
         return site, inc
 
     def _ingest(self, world, scanner, sites):
-        collector = DnsRecordCollector(world.make_resolver())
+        collector = collector_for(world)
         snapshot = collector.collect([str(s.www) for s in sites], day=0)
         scanner.ingest([snapshot])
 

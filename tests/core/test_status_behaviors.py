@@ -1,16 +1,18 @@
 """Tests for Table III status determination and Table IV behaviour
-detection, using hand-built snapshots plus live-world checks."""
+detection, using hand-built day tables plus live-world checks."""
 
 import pytest
 
 from repro.core.behaviors import BehaviorDetector, MultiCdnFilter
-from repro.core.collector import DnsRecordCollector, DomainSnapshot
+from repro.core.collector import DnsRecordCollector
 from repro.core.matching import ProviderMatcher
-from repro.core.status import DpsObservation, DpsStatus, StatusDeterminer
+from repro.core.status import DpsStatus, StatusDeterminer
 from repro.dns.name import DomainName
 from repro.dps.plans import PlanTier
 from repro.dps.portal import ReroutingMethod
 from repro.world.admin import BehaviorKind
+
+from ..tables import verdict_days
 
 
 @pytest.fixture
@@ -28,9 +30,9 @@ def determiner(world):
 
 
 def _observe(world, determiner, site):
-    collector = DnsRecordCollector(world.make_resolver())
-    snapshot = collector.collect([str(site.www)], day=world.clock.day)
-    return determiner.observe(snapshot.get(site.www))
+    collector = DnsRecordCollector(world.make_resolver(), determiner)
+    table = collector.collect([str(site.www)], day=world.clock.day)
+    return table.observation(0)
 
 
 def _unprotected(world):
@@ -95,16 +97,11 @@ class TestStatusDetermination:
         akamai = world.provider("akamai")
         if not akamai.offnet_edge_ips:
             pytest.skip("no off-net edges at this configuration")
-        snapshot = DomainSnapshot(
-            day=0,
-            www=DomainName("www.quirk.com"),
-            a_records=(akamai.offnet_edge_ips[0],),
-            cnames=(DomainName("site.edgekey.net"),),
-            ns_targets=(),
+        status, provider, _ = determiner.classify(
+            (akamai.offnet_edge_ips[0],), (DomainName("site.edgekey.net"),), ()
         )
-        observation = determiner.observe(snapshot)
-        assert observation.status == DpsStatus.ON
-        assert observation.provider == "akamai"
+        assert status == DpsStatus.ON
+        assert provider == "akamai"
 
     def test_shared_edge_without_correction_reads_off(self, world):
         matcher = ProviderMatcher(world.specs, world.routeviews)
@@ -112,18 +109,10 @@ class TestStatusDetermination:
         akamai = world.provider("akamai")
         if not akamai.offnet_edge_ips:
             pytest.skip("no off-net edges at this configuration")
-        snapshot = DomainSnapshot(
-            day=0,
-            www=DomainName("www.quirk.com"),
-            a_records=(akamai.offnet_edge_ips[0],),
-            cnames=(DomainName("site.edgekey.net"),),
-            ns_targets=(),
+        status, _, _ = naive.classify(
+            (akamai.offnet_edge_ips[0],), (DomainName("site.edgekey.net"),), ()
         )
-        assert naive.observe(snapshot).status == DpsStatus.OFF
-
-
-def _obs(www, status, provider=None, day=0):
-    return DpsObservation(www=www, day=day, status=status, provider=provider)
+        assert status == DpsStatus.OFF
 
 
 class TestBehaviorDetector:
@@ -147,19 +136,19 @@ class TestBehaviorDetector:
     )
     def test_transitions(self, prev, curr, expected):
         detector = BehaviorDetector()
-        behaviors = detector.diff_pair(
-            {"www.x.com": _obs("www.x.com", *prev)},
-            {"www.x.com": _obs("www.x.com", *curr)},
-            day=1,
+        behaviors = detector.diff_series(
+            verdict_days({"www.x.com": prev}, {"www.x.com": curr})
         )
         assert [b.kind for b in behaviors] == expected
 
     def test_providers_recorded(self):
         detector = BehaviorDetector()
-        [behavior] = detector.diff_pair(
-            {"w": _obs("w", DpsStatus.ON, "cloudflare")},
-            {"w": _obs("w", DpsStatus.ON, "incapsula")},
-            day=4,
+        [behavior] = detector.diff_series(
+            verdict_days(
+                {"w": (DpsStatus.ON, "cloudflare")},
+                {"w": (DpsStatus.ON, "incapsula")},
+            ),
+            first_day=4,
         )
         assert behavior.from_provider == "cloudflare"
         assert behavior.to_provider == "incapsula"
@@ -167,29 +156,25 @@ class TestBehaviorDetector:
 
     def test_excluded_sites_skipped(self):
         detector = BehaviorDetector(excluded=["w"])
-        behaviors = detector.diff_pair(
-            {"w": _obs("w", DpsStatus.NONE)},
-            {"w": _obs("w", DpsStatus.ON, "fastly")},
-            day=1,
+        behaviors = detector.diff_series(
+            verdict_days({"w": (DpsStatus.NONE, None)}, {"w": (DpsStatus.ON, "fastly")})
         )
         assert behaviors == []
 
     def test_new_site_in_current_day_ignored(self):
         detector = BehaviorDetector()
-        behaviors = detector.diff_pair(
-            {},
-            {"w": _obs("w", DpsStatus.ON, "fastly")},
-            day=1,
+        behaviors = detector.diff_series(
+            verdict_days({}, {"w": (DpsStatus.ON, "fastly")})
         )
         assert behaviors == []
 
     def test_diff_series_day_labels(self):
         detector = BehaviorDetector()
-        days = [
-            {"w": _obs("w", DpsStatus.NONE)},
-            {"w": _obs("w", DpsStatus.ON, "fastly")},
-            {"w": _obs("w", DpsStatus.NONE)},
-        ]
+        days = verdict_days(
+            {"w": (DpsStatus.NONE, None)},
+            {"w": (DpsStatus.ON, "fastly")},
+            {"w": (DpsStatus.NONE, None)},
+        )
         behaviors = detector.diff_series(days, first_day=10)
         assert [(b.kind, b.day) for b in behaviors] == [
             (BehaviorKind.JOIN, 10),
@@ -198,11 +183,11 @@ class TestBehaviorDetector:
 
     def test_daily_counts_and_averages(self):
         detector = BehaviorDetector()
-        days = [
-            {"w": _obs("w", DpsStatus.NONE)},
-            {"w": _obs("w", DpsStatus.ON, "fastly")},
-            {"w": _obs("w", DpsStatus.ON, "fastly")},
-        ]
+        days = verdict_days(
+            {"w": (DpsStatus.NONE, None)},
+            {"w": (DpsStatus.ON, "fastly")},
+            {"w": (DpsStatus.ON, "fastly")},
+        )
         behaviors = detector.diff_series(days, first_day=1)
         counts = BehaviorDetector.daily_counts(behaviors)
         assert counts[1][BehaviorKind.JOIN] == 1
@@ -212,10 +197,9 @@ class TestBehaviorDetector:
 
 class TestMultiCdnFilter:
     def _days(self, providers):
-        return [
-            {"w": _obs("w", DpsStatus.ON, provider, day=i)}
-            for i, provider in enumerate(providers)
-        ]
+        return verdict_days(
+            *({"w": (DpsStatus.ON, provider)} for provider in providers)
+        )
 
     def test_flags_frequent_flippers(self):
         days = self._days(["fastly", "akamai", "fastly", "cloudfront", "akamai"])
@@ -236,14 +220,11 @@ class TestMultiCdnFilter:
             pytest.skip("no multicdn site at this seed")
         matcher = ProviderMatcher(world.specs, world.routeviews)
         determiner = StatusDeterminer(matcher)
-        collector = DnsRecordCollector(world.make_resolver())
+        collector = DnsRecordCollector(world.make_resolver(), determiner)
         hostnames = [str(s.www) for s in flagged_sites]
-        observation_days = []
+        days = []
         for _ in range(8):
-            snapshot = collector.collect(hostnames, world.clock.day)
-            observation_days.append(
-                {www: determiner.observe(snapshot.get(www)) for www in hostnames}
-            )
+            days.append(collector.collect(hostnames, world.clock.day))
             world.engine.run_day()
-        flagged = MultiCdnFilter(flip_threshold=3).flagged(observation_days)
+        flagged = MultiCdnFilter(flip_threshold=3).flagged(days)
         assert flagged  # at least one multi-CDN site detected

@@ -16,11 +16,13 @@ Four bugs, one test class each:
 
 import pytest
 
-from repro.core.status import DpsObservation, DpsStatus
+from repro.core.status import DpsStatus
 from repro.core.study import SixWeekStudy, StudyConfig, StudyReport
 from repro.errors import ConfigurationError
 from repro.world import SimulatedInternet, WorldConfig
 from repro.world.admin import BehaviorEvent, BehaviorKind
+
+from ..tables import verdict_days
 
 
 def _small_world(**overrides) -> SimulatedInternet:
@@ -65,24 +67,25 @@ class TestSkippedScanWeekRecording:
 class TestAdoptionGrowthBaseline:
     def _analyse(self, adopted_per_day):
         """Run ``_analyse_adoption`` over a synthetic adoption series:
-        one observation dict per day, ``n`` adopters each."""
+        one day table per day, ``n`` adopters each."""
         world = _small_world(population_size=40)
         study = SixWeekStudy(world)
         report = StudyReport(
             config=StudyConfig(), population_size=10, scale_factor=1.0
         )
-        for day, adopted in enumerate(adopted_per_day):
-            observations = {}
-            for index in range(5):
-                provider = "cloudflare" if index < adopted else None
-                status = DpsStatus.ON if provider else DpsStatus.NONE
-                observations[f"www.site{index}.test"] = DpsObservation(
-                    www=f"www.site{index}.test",
-                    day=day,
-                    status=status,
-                    provider=provider,
-                )
-            report.observations.append(observations)
+        report.days = verdict_days(
+            *(
+                {
+                    f"www.site{index}.test": (
+                        (DpsStatus.ON, "cloudflare")
+                        if index < adopted
+                        else (DpsStatus.NONE, None)
+                    )
+                    for index in range(5)
+                }
+                for adopted in adopted_per_day
+            )
+        )
         study._analyse_adoption(report)
         return report
 

@@ -29,8 +29,8 @@ def study_result():
 class TestStudyRun:
     def test_daily_series_lengths(self, study_result):
         _, report = study_result
-        assert len(report.snapshots) == 15
-        assert len(report.observations) == 15
+        assert len(report.days) == 15
+        assert all(len(table) == report.population_size for table in report.days)
 
     def test_adoption_rate_near_paper(self, study_result):
         _, report = study_result

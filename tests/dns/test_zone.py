@@ -187,6 +187,16 @@ class TestDelegation:
         with pytest.raises(ZoneError):
             zone.delegate("sub.example.com", [])
 
+    def test_refused_redelegation_keeps_the_cut_and_the_serial(self, zone):
+        zone.delegate("sub.example.com", ["ns1.other.net"])
+        serial = zone.serial
+        with pytest.raises(ZoneError):
+            zone.delegate("sub.example.com", [])
+        assert zone.delegation_covering("x.sub.example.com") == DomainName("sub.example.com")
+        targets = [r.target for r in zone.lookup("sub.example.com", RecordType.NS)]
+        assert targets == [DomainName("ns1.other.net")]
+        assert zone.serial == serial
+
     def test_redelegate_replaces(self, zone):
         zone.delegate("sub.example.com", ["ns1.other.net"])
         zone.delegate("sub.example.com", ["ns2.other.net"])

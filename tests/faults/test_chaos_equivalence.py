@@ -54,7 +54,9 @@ class TestEquivalenceWithinBudget:
         assert chaotic.cloudflare_exposure == baseline.cloudflare_exposure
 
     def test_observations_and_behaviors_identical(self, baseline, chaotic):
-        assert chaotic.observations == baseline.observations
+        assert [list(t.observations()) for t in chaotic.days] == [
+            list(t.observations()) for t in baseline.days
+        ]
         assert chaotic.behaviors == baseline.behaviors
 
     def test_no_degradation_recorded(self, chaotic):
@@ -76,8 +78,10 @@ class TestDegradationAboveBudget:
         assert len(degraded.unmeasured_daily_counts) == degraded.config.study_days
 
     def test_study_still_produces_series(self, degraded):
-        assert len(degraded.snapshots) == degraded.config.study_days
-        assert len(degraded.observations) == degraded.config.study_days
+        assert len(degraded.days) == degraded.config.study_days
+        assert all(
+            len(table) == degraded.population_size for table in degraded.days
+        )
 
 
 def test_fault_free_baseline_has_no_degradation(baseline):

@@ -5,9 +5,8 @@ import pytest
 
 from repro.clock import SECONDS_PER_HOUR, SimulationClock
 from repro.core.behaviors import BehaviorDetector
-from repro.core.collector import DnsRecordCollector, DomainSnapshot
-from repro.core.matching import ProviderMatcher
-from repro.core.status import DpsObservation, DpsStatus, StatusDeterminer
+from repro.core.collector import DayTable
+from repro.core.status import DpsStatus
 from repro.dns.message import Rcode
 from repro.dns.name import DomainName
 from repro.dns.records import RecordType
@@ -17,39 +16,33 @@ from repro.faults import FaultKind, FaultPlan, FaultRule, NameserverQuarantine
 from repro.net.ipaddr import IPv4Address
 from repro.world.admin import BehaviorKind
 
+from ..tables import collector_for, verdict_days
 
-def obs(www, day, status, provider=None):
-    return DpsObservation(www=www, day=day, status=status, provider=provider)
+_WWW = DomainName("www.example.com")
+
+
+def _collected(world, a_result, ns_result):
+    """The one-row table a collector writes from these two results."""
+    rows = collector_for(world)._rows([a_result], [ns_result])
+    return DayTable.build(3, [str(_WWW)], rows)
 
 
 class TestUnmeasuredStatus:
     def test_unmeasured_snapshot_becomes_unmeasured_observation(self, shared_world):
-        determiner = StatusDeterminer(
-            ProviderMatcher(shared_world.specs, shared_world.routeviews)
-        )
-        snapshot = DomainSnapshot(
-            day=3,
-            www=DomainName("www.example.com"),
-            a_records=(),
-            cnames=(),
-            ns_targets=(),
-            rcode=Rcode.SERVFAIL,
-            measured=False,
-        )
-        observation = determiner.observe(snapshot)
+        gave_up = ResolutionResult(_WWW, RecordType.A, Rcode.SERVFAIL, gave_up=True)
+        clean = ResolutionResult(_WWW.apex, RecordType.NS, Rcode.NOERROR)
+        table = _collected(shared_world, gave_up, clean)
+        assert table.snapshot(0).rcode is Rcode.SERVFAIL
+        observation = table.observation(0)
         assert observation.status == DpsStatus.UNMEASURED
-        assert not observation.is_measured
         assert observation.provider is None
 
-    def test_gave_up_resolution_marks_snapshot_unmeasured(self):
-        www = DomainName("www.example.com")
-        gave_up = ResolutionResult(www, RecordType.A, Rcode.SERVFAIL, gave_up=True)
-        clean = ResolutionResult(www.apex, RecordType.NS, Rcode.NOERROR)
-        snapshot = DnsRecordCollector._snapshot_from_results(www, 1, gave_up, clean)
-        assert not snapshot.measured
+    def test_gave_up_resolution_marks_snapshot_unmeasured(self, shared_world):
+        gave_up = ResolutionResult(_WWW, RecordType.A, Rcode.SERVFAIL, gave_up=True)
+        clean = ResolutionResult(_WWW.apex, RecordType.NS, Rcode.NOERROR)
+        assert not _collected(shared_world, gave_up, clean).snapshot(0).measured
         # Either leg giving up taints the whole site-day.
-        snapshot = DnsRecordCollector._snapshot_from_results(www, 1, clean, gave_up)
-        assert not snapshot.measured
+        assert not _collected(shared_world, clean, gave_up).snapshot(0).measured
 
     def test_collector_counts_partial_days(self, world_factory):
         world = world_factory(population_size=60, seed=13)
@@ -61,11 +54,10 @@ class TestUnmeasuredStatus:
             )
         )
         resolver = world.make_resolver()
-        collector = DnsRecordCollector(resolver)
+        collector = collector_for(world, resolver)
         snapshot = collector.collect(
             [str(site.www) for site in world.population[:10]], day=0
         )
-        assert snapshot.is_partial
         assert snapshot.unmeasured_count == 10
         assert resolver.metrics.value("collector.partial_days") == 1
         assert resolver.metrics.value("collector.unmeasured") == 10
@@ -73,44 +65,44 @@ class TestUnmeasuredStatus:
 
 class TestCarryForwardDiffing:
     def test_hole_does_not_fabricate_leave_join(self):
-        days = [
-            {"a": obs("a", 0, DpsStatus.ON, "cloudflare")},
-            {"a": obs("a", 1, DpsStatus.UNMEASURED)},
-            {"a": obs("a", 2, DpsStatus.ON, "cloudflare")},
-        ]
+        days = verdict_days(
+            {"a": (DpsStatus.ON, "cloudflare")},
+            {"a": (DpsStatus.UNMEASURED, None)},
+            {"a": (DpsStatus.ON, "cloudflare")},
+        )
         assert BehaviorDetector().diff_series(days, first_day=1) == []
 
     def test_transition_across_hole_attributed_to_observed_day(self):
-        days = [
-            {"a": obs("a", 0, DpsStatus.ON, "cloudflare")},
-            {"a": obs("a", 1, DpsStatus.UNMEASURED)},
-            {"a": obs("a", 2, DpsStatus.NONE)},
-        ]
+        days = verdict_days(
+            {"a": (DpsStatus.ON, "cloudflare")},
+            {"a": (DpsStatus.UNMEASURED, None)},
+            {"a": (DpsStatus.NONE, None)},
+        )
         behaviors = BehaviorDetector().diff_series(days, first_day=1)
         assert len(behaviors) == 1
         assert behaviors[0].kind is BehaviorKind.LEAVE
         assert behaviors[0].day == 2  # first_day + index - 1
 
     def test_no_holes_matches_pairwise_diffing(self):
-        days = [
-            {"a": obs("a", 0, DpsStatus.NONE), "b": obs("b", 0, DpsStatus.ON, "incapsula")},
-            {"a": obs("a", 1, DpsStatus.ON, "cloudflare"), "b": obs("b", 1, DpsStatus.OFF, "incapsula")},
-            {"a": obs("a", 2, DpsStatus.ON, "cloudflare"), "b": obs("b", 2, DpsStatus.NONE)},
-        ]
+        days = verdict_days(
+            {"a": (DpsStatus.NONE, None), "b": (DpsStatus.ON, "incapsula")},
+            {"a": (DpsStatus.ON, "cloudflare"), "b": (DpsStatus.OFF, "incapsula")},
+            {"a": (DpsStatus.ON, "cloudflare"), "b": (DpsStatus.NONE, None)},
+        )
         detector = BehaviorDetector()
         series = detector.diff_series(days, first_day=5)
         pairwise = []
         for index in range(1, len(days)):
             pairwise.extend(
-                detector.diff_pair(days[index - 1], days[index], day=5 + index - 1)
+                detector.diff_series(days[index - 1:index + 1], first_day=5 + index - 1)
             )
         assert series == pairwise
 
     def test_unmeasured_first_day_skipped_until_measured(self):
-        days = [
-            {"a": obs("a", 0, DpsStatus.UNMEASURED)},
-            {"a": obs("a", 1, DpsStatus.ON, "cloudflare")},
-        ]
+        days = verdict_days(
+            {"a": (DpsStatus.UNMEASURED, None)},
+            {"a": (DpsStatus.ON, "cloudflare")},
+        )
         # No prior measured observation: nothing to diff against.
         assert BehaviorDetector().diff_series(days) == []
 

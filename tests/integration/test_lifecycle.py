@@ -34,9 +34,8 @@ def _site(world):
 def _observe(world, site):
     matcher = ProviderMatcher(world.specs, world.routeviews)
     determiner = StatusDeterminer(matcher)
-    collector = DnsRecordCollector(world.make_resolver())
-    snapshot = collector.collect([str(site.www)], day=world.clock.day)
-    return determiner.observe(snapshot.get(site.www))
+    collector = DnsRecordCollector(world.make_resolver(), determiner)
+    return collector.collect([str(site.www)], day=world.clock.day).observation(0)
 
 
 class TestFullLifecycleThroughMeasurement:

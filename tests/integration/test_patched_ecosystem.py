@@ -59,4 +59,4 @@ class TestPatchedEcosystem:
         assert report.behavior_averages.get(BehaviorKind.PAUSE, 0.0) >= 0.0
         # (rate may be zero at this small scale; the point is the study
         # runs to completion and the behaviour channel stays intact)
-        assert len(report.observations) == _CONFIG.study_days
+        assert len(report.days) == _CONFIG.study_days

@@ -12,6 +12,8 @@ from repro.dps.scrubbing import ScrubbingCenter
 from repro.net.traffic import TrafficFlow
 from repro.world.admin import BehaviorKind
 
+from ..tables import verdict_days
+
 statuses = st.sampled_from(
     [
         (DpsStatus.NONE, None),
@@ -33,7 +35,7 @@ class TestDetectorFsmAgreement:
     @given(statuses, statuses)
     def test_detector_matches_fsm_labels(self, prev, curr):
         detector = BehaviorDetector()
-        measured = detector.diff_pair({"w": _obs(prev)}, {"w": _obs(curr, 1)}, day=1)
+        measured = detector.diff_series(verdict_days({"w": prev}, {"w": curr}))
         assert tuple(b.kind for b in measured) == DpsUsageFsm.classify(
             _obs(prev), _obs(curr, 1)
         )
@@ -51,8 +53,8 @@ class TestDetectorFsmAgreement:
     def test_behavior_conservation(self, sequence):
         """JOIN/LEAVE balance: a site observed NONE at both ends has
         equal JOINs and LEAVEs; differing ends differ by exactly one."""
-        observations = [{"w": _obs(pair, day)} for day, pair in enumerate(sequence)]
-        behaviors = BehaviorDetector().diff_series(observations, first_day=1)
+        days = verdict_days(*({"w": pair} for pair in sequence))
+        behaviors = BehaviorDetector().diff_series(days, first_day=1)
         joins = sum(1 for b in behaviors if b.kind is BehaviorKind.JOIN)
         leaves = sum(1 for b in behaviors if b.kind is BehaviorKind.LEAVE)
         start_none = sequence[0][0] == DpsStatus.NONE

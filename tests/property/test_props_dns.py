@@ -197,9 +197,9 @@ class _ReferenceZone:
     def delegate(self, child, nameservers, glue) -> None:
         if not child.is_subdomain_of(_ORIGIN) or child == _ORIGIN:
             raise ZoneError("bad cut")
-        self.remove_all(child, RecordType.NS)
         if not nameservers:
             raise ZoneError("no nameservers")
+        self.remove_all(child, RecordType.NS)
         for ns_name in nameservers:
             self.add(ns_record(child, ns_name))
         for host, address in glue.items():

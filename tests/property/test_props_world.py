@@ -57,11 +57,10 @@ class TestWorldInvariants:
             ip for p in world.providers.values() for ip in p.offnet_edge_ips
         )
         determiner = StatusDeterminer(matcher, shared)
-        collector = DnsRecordCollector(world.make_resolver())
+        collector = DnsRecordCollector(world.make_resolver(), determiner)
         sites = [s for s in world.population[:50] if s.alive and not s.multicdn]
-        snapshot = collector.collect([str(s.www) for s in sites], day=0)
-        for site in sites:
-            observation = determiner.observe(snapshot.get(site.www))
+        table = collector.collect([str(s.www) for s in sites], day=0)
+        for site, observation in zip(sites, table.observations()):
             assert observation.status == site.status.value, str(site.www)
             if site.provider is not None:
                 assert observation.provider == site.provider.name

@@ -102,11 +102,7 @@ def _recording_folds(monkeypatch):
     def recording(runtime, deltas):
         fold_barrier(runtime, deltas)
         report = runtime.report
-        held = {
-            len(report.snapshots),
-            len(report.observations),
-            len(report.unmeasured_daily_counts),
-        }
+        held = {len(report.days), len(report.unmeasured_daily_counts)}
         assert len(held) == 1
         folds.append((deltas[0]["barrier"], held.pop()))
 

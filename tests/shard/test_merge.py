@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from repro.core.collector import UNMEASURED
 from repro.core.study import SixWeekStudy, StudyConfig
 from repro.errors import ShardError
 from repro.scenario import Scenario
@@ -57,17 +58,14 @@ class TestBarrierDeltas:
         for barrier, answers in enumerate(barriers):
             assert [a["barrier"] for a in answers] == [barrier, barrier]
             for answer in answers:
-                assert len(answer["report"]["snapshots"]) == min(barrier, 1)
+                assert len(answer["report"]["days"]) == min(barrier, 1)
 
     def test_finish_payloads_carry_empty_day_series(self, payloads):
         for payload in payloads:
             report = payload["report"]
-            assert report["since"]["snapshots"] == 3
+            assert report["since"]["days"] == 3
             for series in (
-                "snapshots",
-                "observations",
-                "unmeasured_daily_counts",
-                "partial_days",
+                "days",
                 "skipped_scan_weeks",
                 "cloudflare_weekly",
                 "incapsula_weekly",
@@ -85,16 +83,11 @@ class TestMergePayloads:
     def test_positional_series_concatenate_in_shard_order(self, deltas):
         merged = merge_barrier_deltas(deltas)
         reports = [delta["report"] for delta in deltas]
-        assert merged["snapshots"]
-        for position, snapshot in enumerate(merged["snapshots"]):
-            per_shard = [report["snapshots"][position] for report in reports]
-            assert snapshot["parts"] == (
+        assert merged["days"]
+        for position, day in enumerate(merged["days"]):
+            per_shard = [report["days"][position] for report in reports]
+            assert day["parts"] == (
                 per_shard[0]["parts"] + per_shard[1]["parts"]
-            )
-        for position, observations in enumerate(merged["observations"]):
-            assert observations == (
-                reports[0]["observations"][position]
-                + reports[1]["observations"][position]
             )
         for position, weekly in enumerate(merged["cloudflare_weekly"]):
             assert weekly["hidden"] == (
@@ -117,10 +110,6 @@ class TestMergePayloads:
         assert merged["harvest"] == sorted(
             set(payloads[0]["harvest"]) | set(payloads[1]["harvest"])
         )
-        partial = copy.deepcopy(deltas)
-        partial[0]["report"]["partial_days"] = [9, 4]
-        partial[1]["report"]["partial_days"] = [4, 7]
-        assert merge_barrier_deltas(partial)["partial_days"] == [4, 7, 9]
 
     def test_tallies_are_commutative_sums(self, deltas, payloads):
         merged = merge_payloads(payloads)
@@ -130,13 +119,16 @@ class TestMergePayloads:
             )
         merged_delta = merge_barrier_deltas(deltas)
         reports = [delta["report"] for delta in deltas]
-        assert merged_delta["unmeasured_daily_counts"] == [
-            sum(
-                report["unmeasured_daily_counts"][position]
+        # A merged day's parts are the shards' parts, so its UNMEASURED
+        # count is the sum of theirs.
+        for position, day in enumerate(merged_delta["days"]):
+            assert [
+                part["status"].count(UNMEASURED) for part in day["parts"]
+            ] == [
+                part["status"].count(UNMEASURED)
                 for report in reports
-            )
-            for position in range(len(reports[0]["unmeasured_daily_counts"]))
-        ]
+                for part in report["days"][position]["parts"]
+            ]
 
 
 class TestMergeRefusals:
@@ -178,7 +170,7 @@ class TestMergeRefusals:
             merge_barrier_deltas(mutated)
 
     @pytest.mark.parametrize(
-        "series", ["snapshots", "observations", "unmeasured_daily_counts"]
+        "series", ["days"]
     )
     def test_disagreeing_day_bases_are_refused(self, campaign, series):
         mutated = copy.deepcopy(campaign[0][2])

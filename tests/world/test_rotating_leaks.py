@@ -115,6 +115,35 @@ class TestRotatingOrigins:
         assert all(client.get(ip, site.www) is None for ip in pool)
 
 
+class TestRotationRoster:
+    def test_roster_is_the_sites_built_with_a_pool(self, world):
+        built = [site for site in world.population if len(site.origin_pool) > 1]
+        assert built
+        assert world.engine.rotating == frozenset(built)
+
+    def test_only_roster_sites_rotate(self, world, monkeypatch):
+        rotated = []
+        monkeypatch.setattr(
+            type(world.population[0]),
+            "rotate_public_address",
+            lambda site, day: rotated.append(site),
+        )
+        world.engine.run_day()
+        assert rotated == [s for s in world.population if s in world.engine.rotating]
+
+    def test_a_collapsed_pool_stops_writing_its_zone(self, world, monkeypatch):
+        site = _rotating_site(world)
+        site._rotate_origin()
+        zone = site.hosting.zone_of(site.apex)
+        site.hosting.set_www_a(site.www, site.origin.ip)
+        serial = zone.serial
+        # No admin acts today, so only a rotation could touch the zone.
+        monkeypatch.setattr(world.admin, "step_site", lambda *args: [])
+        world.engine.run_day()
+        assert site in world.engine.rotating
+        assert zone.serial == serial
+
+
 class TestLeakRecords:
     def test_dev_record_in_hosting_zone(self, world):
         site = _leaky_site(world, dev=True)
