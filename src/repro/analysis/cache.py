@@ -47,7 +47,9 @@ __all__ = ["LintCache", "content_hash", "decode", "encode", "ruleset_signature"]
 #: v4: one generic codec replaced the per-class ``to_dict``/``from_dict``
 #: pairs; findings are stored by field name.
 #: v5: calls on annotated locals (``x: T``) are recorded as typed calls.
-CACHE_SCHEMA_VERSION = 5
+#: v6: ``p.x.m()`` on a parameter is a ``paramattr`` call, and a class's
+#: annotated fields type its attributes.
+CACHE_SCHEMA_VERSION = 6
 
 _Codec = Tuple[Callable[[Any], Any], Callable[[Any], Any]]
 

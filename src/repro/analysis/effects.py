@@ -115,7 +115,9 @@ _ESCAPING_WRITES = ("writes-global", "writes-captured")
 
 #: Call kinds whose empty resolution means "unknown receiver".  Plain
 #: ``name`` calls are excluded — unresolved names are stdlib builtins.
-_UNKNOWN_CALL_KINDS = frozenset({"obj", "other", "param", "selfattr", "typed"})
+_UNKNOWN_CALL_KINDS = frozenset(
+    {"obj", "other", "param", "paramattr", "selfattr", "typed"}
+)
 
 
 @dataclass(frozen=True)

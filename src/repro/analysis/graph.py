@@ -175,11 +175,12 @@ class CallRef:
     """One call site, classified by how its receiver can be resolved.
 
     ``kind`` is one of ``name`` (plain ``f()``), ``self`` (``self.m()``),
-    ``param`` (``p.m()`` on a parameter), ``typed`` (``v.m()`` on a local
-    constructed as ``v = Cls(...)``), ``obj`` (``q.m()`` on another
-    name — import alias or class), ``selfattr`` (``self.x.m()``),
-    ``other`` (deeper chains, unique-method fallback only), and
-    ``contained`` (implicit edge to a nested ``def``).
+    ``param`` (``p.m()`` on a parameter), ``paramattr`` (``p.x.m()``
+    on a parameter's attribute; ``qualifier`` is ``p.x``), ``typed``
+    (``v.m()`` on a local constructed as ``v = Cls(...)``), ``obj``
+    (``q.m()`` on another name — import alias or class), ``selfattr``
+    (``self.x.m()``), ``other`` (deeper chains, unique-method fallback
+    only), and ``contained`` (implicit edge to a nested ``def``).
     """
 
     kind: str
@@ -969,15 +970,18 @@ class _FunctionCollector:
                 CallRef("obj", func.attr, qualifier=value.id, line=line)
             )
             return
-        if (
-            isinstance(value, ast.Attribute)
-            and isinstance(value.value, ast.Name)
-            and value.value.id == "self"
-        ):
-            self.fn.calls.append(
-                CallRef("selfattr", func.attr, qualifier=value.attr, line=line)
-            )
-            return
+        if isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
+            if value.value.id == "self":
+                self.fn.calls.append(
+                    CallRef("selfattr", func.attr, qualifier=value.attr, line=line)
+                )
+                return
+            if self.fn.param(value.value.id) is not None:
+                self.fn.calls.append(
+                    CallRef("paramattr", func.attr,
+                            qualifier=f"{value.value.id}.{value.attr}", line=line)
+                )
+                return
         self.fn.calls.append(CallRef("other", func.attr, line=line))
 
     def _record_fork(self, node: ast.Call, line: int) -> None:
@@ -1246,6 +1250,12 @@ class _ModuleSummarizer:
                 summary.methods[child.name] = qualname
                 self.summarize_function(child, qualname, summary)
                 continue
+            if isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name):
+                # A declared field (``collector: DnsRecordCollector``) types
+                # ``p.collector`` for a parameter ``p`` of this class.
+                annotated = _annotation_names(child.annotation)
+                if annotated:
+                    summary.attr_types.setdefault(child.target.id, annotated)
             names, value = self._assigned_names(child)
             if value is None:
                 continue
@@ -1410,6 +1420,8 @@ class ProjectGraph:
             return self._resolve_typed_call(module, call.qualifier, call.name)
         if call.kind == "selfattr":
             return self._resolve_selfattr_call(module, fn, call)
+        if call.kind == "paramattr":
+            return self._resolve_paramattr_call(module, fn, call)
         if call.kind == "obj":
             return self._resolve_obj_call(module, call)
         if call.kind == "other":
@@ -1510,6 +1522,22 @@ class ProjectGraph:
                 return self._types_to_methods(module, attr_types, call.name)
         if call.qualifier in ("rng", "_rng", "clock", "_clock"):
             return SANITIZED
+        return self._fallback(call.name)
+
+    def _resolve_paramattr_call(self, module: ModuleSummary,
+                                fn: FunctionSummary, call: CallRef):
+        """``p.x.m()``: the type of field ``x`` on ``p``'s annotated class."""
+        name, _, attr = call.qualifier.partition(".")
+        param = fn.param(name)
+        if param is not None and not param.is_injected:
+            for type_name in param.annotation_names:
+                class_key = self._resolve_class(module, type_name)
+                klass = self.class_summary(class_key) if class_key else None
+                if klass is not None and klass.attr_types.get(attr):
+                    return self._types_to_methods(
+                        self.modules[class_key[0]], klass.attr_types[attr],
+                        call.name,
+                    )
         return self._fallback(call.name)
 
     def _resolve_obj_call(self, module: ModuleSummary, call: CallRef):

@@ -117,8 +117,7 @@ class PurgeProbe:
         hosting: HostingProvider = self.world.hosting_providers[0]
         apex = DomainName(f"repro-probe-{trial}.com")
         origin_ip = hosting.allocate_origin_ip()
-        document = HostingProvider.default_document(apex, rank=10**9 + trial)
-        origin = OriginServer(apex, origin_ip, document)
+        origin = OriginServer(apex, origin_ip, rank=10**9 + trial)
         hosting.deploy_origin(origin)
         hosting.host_zone(apex, origin_ip)
         return Website(rank=10**9 + trial, apex=apex, hosting=hosting, origin=origin)

@@ -423,9 +423,7 @@ class SixWeekStudy:
         """Phase 1: daily A/CNAME/NS collection over the shard's slice."""
         report = runtime.report
         day = self.world.clock.day
-        # Typed, so the shard-safety lint's call graph follows the call.
-        collector: DnsRecordCollector = runtime.collector
-        table = collector.collect(runtime.hostnames, day)
+        table = runtime.collector.collect(runtime.hostnames, day)
         report.days.append(table)
         runtime.harvest.ingest([table])
         if runtime.incap_scanner is not None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from ..clock import SECONDS_PER_DAY
+from ..compat import SLOTS
 from ..errors import ZoneError
 from ..net.ipaddr import IPv4Address
 from .name import DomainName
@@ -96,7 +97,7 @@ _RDATA_TYPES = types.MappingProxyType(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTS)
 class ResourceRecord:
     """One DNS resource record."""
 

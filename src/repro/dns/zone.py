@@ -16,11 +16,16 @@ until the serial moves.  :meth:`Zone.replace` (and so :meth:`Zone.set_a`)
 over an existing RRset swaps the new record in place, leaving the store,
 the existence index and the serial exactly as a ``remove_all`` followed
 by an ``add`` would.
+
+Zones are the bulk of a world (one per site, several per customer), so
+a zone holds little: ``__slots__``, each RRset a tuple (written whole,
+never grown in place), and a zone with no zone cut shares one empty
+frozenset until its first delegation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from ..errors import ZoneError
 from ..net.ipaddr import IPv4Address
@@ -41,9 +46,23 @@ _Key = Tuple[DomainName, int]
 
 _CNAME = RecordType.CNAME.code
 
+#: The zone cuts of every zone that has none.
+_NO_CUTS: FrozenSet[DomainName] = frozenset()
+
 
 class Zone:
     """Authoritative data for one zone."""
+
+    __slots__ = (
+        "origin",
+        "_records",
+        "_delegations",
+        "_name_index",
+        "_primary_ns",
+        "_serial",
+        "_soa",
+        "_soa_serial",
+    )
 
     def __init__(
         self,
@@ -51,8 +70,9 @@ class Zone:
         primary_ns: "DomainName | str" = "ns.invalid",
     ) -> None:
         self.origin = DomainName(origin)
-        self._records: Dict[_Key, List[ResourceRecord]] = {}
-        self._delegations: Set[DomainName] = set()
+        self._records: Dict[_Key, Tuple[ResourceRecord, ...]] = {}
+        #: Zone cuts; :data:`_NO_CUTS` until the first one is added.
+        self._delegations: Union[Set[DomainName], FrozenSet[DomainName]] = _NO_CUTS
         #: Reference counts of records at or below each in-zone name,
         #: kept so existence checks are O(depth) instead of O(zone).
         self._name_index: Dict[DomainName, int] = {}
@@ -118,12 +138,15 @@ class Zone:
             self._check_cname_constraints(name)
         elif (name, _CNAME) in self._records:
             raise ZoneError(f"{record} conflicts with the CNAME at {name}")
-        bucket = self._records.setdefault((name, rtype.code), [])
+        key = (name, rtype.code)
+        bucket = self._records.get(key, ())
         if bucket and any(existing.rdata == record.rdata for existing in bucket):
             raise ZoneError(f"duplicate record: {record}")
-        bucket.append(record)
+        self._records[key] = bucket + (record,)
         self._index_add(name)
         if rtype is RecordType.NS and name != self.origin:
+            if self._delegations is _NO_CUTS:
+                self._delegations = set()
             self._delegations.add(name)
         self._bump_serial()
 
@@ -149,7 +172,7 @@ class Zone:
         if not old:
             self.add(record)
             return
-        self._records[key] = [record]
+        self._records[key] = (record,)
         if len(old) > 1:
             self._index_remove(record.name, len(old) - 1)
         self._serial += 2
@@ -157,9 +180,9 @@ class Zone:
     def remove_all(self, name: "DomainName | str", rtype: RecordType) -> int:
         """Remove every record of (name, type); returns how many vanished."""
         target = DomainName(name)
-        bucket = self._records.pop((target, rtype.code), [])
+        bucket = self._records.pop((target, rtype.code), ())
         if rtype is RecordType.NS:
-            self._delegations.discard(target)
+            self._drop_cut(target)
         if bucket:
             self._index_remove(target, len(bucket))
             self._bump_serial()
@@ -175,7 +198,7 @@ class Zone:
                 removed += len(bucket)
                 self._index_remove(target, len(bucket))
                 if rtype is RecordType.NS:
-                    self._delegations.discard(target)
+                    self._drop_cut(target)
         if removed:
             self._bump_serial()
         return removed
@@ -183,9 +206,13 @@ class Zone:
     def clear(self) -> None:
         """Remove every record in the zone."""
         self._records.clear()
-        self._delegations.clear()
+        self._delegations = _NO_CUTS
         self._name_index.clear()
         self._bump_serial()
+
+    def _drop_cut(self, name: DomainName) -> None:
+        if self._delegations:
+            self._delegations.discard(name)
 
     # -- convenience mutators -----------------------------------------------
 

@@ -9,7 +9,8 @@ on the PoP closest to the client.
 :class:`~repro.dns.authoritative.AuthoritativeServer` (the central
 database), many nameserver hostnames each with an anycast address, and a
 per-PoP :class:`PopMirror` wrapper that counts queries so experiments can
-observe catchment behaviour (Fig. 7).
+observe catchment behaviour (Fig. 7).  A PoP runs one mirror for the
+whole fleet: every anycast address of the fleet lands on it.
 
 Cloudflare-style ``[person name].ns.<provider domain>`` naming is
 provided for the NS-rerouting fleet — the study extracted 391 such
@@ -69,7 +70,8 @@ class PopMirror:
     """One PoP's face of a shared nameserver backend.
 
     Forwards queries to the backend and counts them, so experiments can
-    verify which PoPs absorbed a scanner's load.
+    verify which PoPs absorbed a scanner's load.  One mirror serves all
+    of a fleet's addresses at its PoP.
     """
 
     def __init__(self, backend: AuthoritativeServer, pop_id: str) -> None:
@@ -102,7 +104,12 @@ class NameserverFleet:
         self.anycast = anycast
         self.backend = AuthoritativeServer(self.hostnames[0], policy=policy)
         self._fabric = fabric
-        self._mirrors: Dict[IPv4Address, Dict[str, PopMirror]] = {}
+        #: One mirror per PoP, shared by every address of the fleet.
+        self._mirrors: Dict[str, PopMirror] = (
+            {pop.pop_id: PopMirror(self.backend, pop.pop_id) for pop in anycast.pops}
+            if anycast is not None
+            else {}
+        )
         self.addresses: Dict[DomainName, IPv4Address] = {}
         for hostname in self.hostnames:
             ip = allocator.allocate_address()
@@ -110,12 +117,7 @@ class NameserverFleet:
             if anycast is None:
                 fabric.register_dns(ip, self.backend)
             else:
-                mirrors = {
-                    pop.pop_id: PopMirror(self.backend, pop.pop_id)
-                    for pop in anycast.pops
-                }
-                self._mirrors[ip] = mirrors
-                fabric.register_dns_anycast(ip, anycast, mirrors)
+                fabric.register_dns_anycast(ip, anycast, self._mirrors)
 
     # -- lookups ---------------------------------------------------------
 
@@ -129,11 +131,7 @@ class NameserverFleet:
 
     def pop_query_counts(self) -> Dict[str, int]:
         """Queries served per PoP, aggregated over the whole fleet."""
-        counts: Dict[str, int] = {}
-        for mirrors in self._mirrors.values():
-            for pop_id, mirror in mirrors.items():
-                counts[pop_id] = counts.get(pop_id, 0) + mirror.queries_served
-        return counts
+        return {pop_id: mirror.queries_served for pop_id, mirror in self._mirrors.items()}
 
     def __len__(self) -> int:
         return len(self.hostnames)

@@ -208,10 +208,12 @@ class DpsProvider:
         )
 
         # --- edge fleet --------------------------------------------------------
+        # One Host → origin table, read by every edge.
+        self._edge_origins: Dict[DomainName, IPv4Address] = {}
         self.edges: List[EdgeServer] = []
         for i in range(build.num_edges):
             ip = self._edge_allocator.allocate_address()
-            edge = EdgeServer(self.name, ip, fabric)
+            edge = EdgeServer(self.name, ip, fabric, self._edge_origins)
             fabric.register_http(ip, edge)
             self.edges.append(edge)
         # Off-net edges (Akamai/CDNetworks quirk, footnote 6): edge IPs
@@ -220,7 +222,7 @@ class DpsProvider:
             num_offnet = max(1, int(build.num_edges * build.shared_ip_fraction * 4))
             for _ in range(num_offnet):
                 ip = offnet_allocator.allocate_address()
-                edge = EdgeServer(self.name, ip, fabric)
+                edge = EdgeServer(self.name, ip, fabric, self._edge_origins)
                 fabric.register_http(ip, edge)
                 self.edges.append(edge)
                 self.offnet_edge_ips.append(ip)
@@ -376,9 +378,7 @@ class DpsProvider:
             edge_ip=edge.ip,
         )
         self._customers[name] = record
-        for e in self.edges:
-            e.configure_origin(name, origin)
-            e.configure_origin(name.apex, origin)
+        self._proxy(record)
 
         if rerouting is ReroutingMethod.NS_BASED:
             return self._onboard_ns(record, imported_records or [])
@@ -455,9 +455,7 @@ class DpsProvider:
         if record.is_terminated:
             raise PortalError(f"{hostname} has terminated service with {self.name}")
         record.origin_ip = IPv4Address(new_origin)
-        for e in self.edges:
-            e.configure_origin(record.hostname, record.origin_ip)
-            e.configure_origin(record.hostname.apex, record.origin_ip)
+        self._proxy(record)
         if record.status is CustomerStatus.PAUSED:
             self._point_records_at(record, record.origin_ip)
 
@@ -478,9 +476,7 @@ class DpsProvider:
             return
         # Stop proxying; what DNS answers remains is up to the residual
         # policy, enforced at query time by the answer policy hook.
-        for e in self.edges:
-            e.remove_origin(record.hostname)
-            e.remove_origin(record.hostname.apex)
+        self._stop_proxying(record)
         if record.rerouting is ReroutingMethod.NS_BASED and self.customer_fleet is not None:
             self.customer_fleet.backend.drop_zone(record.hostname.apex)
         elif record.rerouting is ReroutingMethod.CNAME_BASED and record.cname is not None:
@@ -510,9 +506,7 @@ class DpsProvider:
             self._by_cname.pop(record.cname, None)
         if record.rerouting is ReroutingMethod.NS_BASED and self.customer_fleet is not None:
             self.customer_fleet.backend.drop_zone(record.hostname.apex)
-        for e in self.edges:
-            e.remove_origin(record.hostname)
-            e.remove_origin(record.hostname.apex)
+        self._stop_proxying(record)
 
     # ------------------------------------------------------------------
     # Traffic
@@ -555,6 +549,17 @@ class DpsProvider:
                 f"{hostname} is {record.status}, expected {status} at {self.name}"
             )
         return record
+
+    def _proxy(self, record: CustomerRecord) -> None:
+        """Point every edge's hostname and apex at the customer's origin."""
+        self._edge_origins[record.hostname] = record.origin_ip
+        self._edge_origins[record.hostname.apex] = record.origin_ip
+
+    def _stop_proxying(self, record: CustomerRecord) -> None:
+        """Drop the customer from the edge table and every edge's cache."""
+        for edge in self.edges:
+            edge.remove_origin(record.hostname)
+            edge.remove_origin(record.hostname.apex)
 
     def _point_records_at(self, record: CustomerRecord, address: IPv4Address) -> None:
         if record.rerouting is ReroutingMethod.NS_BASED and self.customer_fleet is not None:

@@ -26,12 +26,21 @@ class IPv4Address:
     """An IPv4 address backed by a single integer.
 
     Instances are immutable, hashable, and totally ordered by numeric
-    value, so they can live in sets and sorted structures.
+    value, so they can live in sets and sorted structures.  Being
+    immutable, ``IPv4Address(addr)`` returns ``addr`` itself: every
+    holder that normalises its argument shares the one object instead
+    of copying it.
     """
 
     __slots__ = ("_value",)
 
+    def __new__(cls, value: "int | str | IPv4Address") -> "IPv4Address":
+        if type(value) is cls:
+            return value
+        return object.__new__(cls)
+
     def __init__(self, value: "int | str | IPv4Address") -> None:
+        # On an address returned by ``__new__`` this rewrites the same value.
         if isinstance(value, IPv4Address):
             self._value = value._value
         elif isinstance(value, int):
@@ -42,6 +51,11 @@ class IPv4Address:
             self._value = _parse_dotted_quad(value)
         else:
             raise AddressError(f"cannot build IPv4Address from {type(value).__name__}")
+
+    def __reduce__(self):
+        # Rebuild through the constructor: pickle's default for a slotted
+        # class would call a bare ``cls.__new__(cls)``, which needs a value.
+        return (type(self), (self._value,))
 
     @property
     def value(self) -> int:

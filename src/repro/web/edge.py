@@ -2,8 +2,9 @@
 
 An :class:`EdgeServer` terminates client connections at the provider and
 fetches content from the customer's configured origin, caching it.  The
-customer table (Host → origin IP) is owned by the provider; when a
-customer terminates service the provider removes its entry and the edge
+customer table (Host → origin IP) is owned by the provider and shared by
+all its edges; when a customer terminates service the provider removes
+its entry, every edge flushes the host from its own cache, and the fleet
 stops proxying for that host.
 
 Edge fetches originate from the edge's own address, which sits inside
@@ -24,19 +25,24 @@ __all__ = ["EdgeServer"]
 
 
 class EdgeServer:
-    """One edge (PoP-resident reverse proxy) of a provider."""
+    """One edge (PoP-resident reverse proxy) of a provider.
+
+    ``origins`` is the customer table to proxy by; a provider passes the
+    one it owns to every edge.
+    """
 
     def __init__(
         self,
         provider_name: str,
         ip: "IPv4Address | str",
         fabric: NetworkFabric,
+        origins: Dict[DomainName, IPv4Address],
         cache_enabled: bool = True,
     ) -> None:
         self.provider_name = provider_name
         self.ip = IPv4Address(ip)
         self._fabric = fabric
-        self._origins: Dict[DomainName, IPv4Address] = {}
+        self._origins = origins
         self._cache: Dict[Tuple[DomainName, str], HttpResponse] = {}
         self.cache_enabled = cache_enabled
         self.requests_served = 0
@@ -44,12 +50,12 @@ class EdgeServer:
 
     # -- customer table ---------------------------------------------------
 
-    def configure_origin(self, host: "DomainName | str", origin_ip: "IPv4Address | str") -> None:
-        """Proxy ``host`` to ``origin_ip`` from now on."""
-        self._origins[DomainName(host)] = IPv4Address(origin_ip)
-
     def remove_origin(self, host: "DomainName | str") -> bool:
-        """Stop proxying for ``host``; flush its cache entries."""
+        """Stop proxying for ``host``; flush its cache entries.
+
+        Only this edge's cache is flushed: an edge sharing the table
+        stops proxying too, but must be told to drop what it cached.
+        """
         host_name = DomainName(host)
         removed = self._origins.pop(host_name, None) is not None
         for key in [k for k in self._cache if k[0] == host_name]:

@@ -11,6 +11,10 @@ that blunt HTML verification (§IV-C-3):
 
 Both produce false *negatives* in verification, which is why the paper's
 verified-origin counts are a lower bound.
+
+A world holds one origin per site but fetches few landing pages, so an
+origin built without a document keeps only its rank and renders
+:func:`default_document` on its first request.
 """
 
 from __future__ import annotations
@@ -22,24 +26,57 @@ from ..net.ipaddr import IPv4Address, IPv4Prefix
 from .html import HtmlDocument
 from .http import HttpRequest, HttpResponse, StatusCode
 
-__all__ = ["OriginServer"]
+__all__ = ["OriginServer", "default_document"]
+
+
+def default_document(apex: "DomainName | str", rank: int) -> HtmlDocument:
+    """A landing page distinctive enough for HTML verification."""
+    apex_name = DomainName(apex)
+    return HtmlDocument(
+        title=f"{apex_name} — home",
+        meta={
+            "description": f"Landing page of {apex_name} (rank {rank})",
+            "generator": "sitebuilder/2.4",
+            "site-id": f"{apex_name}#{rank}",
+        },
+        body=f"<h1>Welcome to {apex_name}</h1>",
+    )
 
 
 class OriginServer:
-    """Serves one website's landing page from one IP address."""
+    """Serves one website's landing page from one IP address.
+
+    ``document`` is the page to serve; without one, the server serves
+    :func:`default_document` for its domain and ``rank``, built when it
+    is first asked for.
+    """
+
+    __slots__ = (
+        "domain",
+        "ip",
+        "_document",
+        "_rank",
+        "dynamic_meta_keys",
+        "firewall_allow",
+        "landing_path",
+        "requests_served",
+        "_request_counter",
+    )
 
     def __init__(
         self,
         domain: "DomainName | str",
         ip: "IPv4Address | str",
-        document: HtmlDocument,
+        document: Optional[HtmlDocument] = None,
         dynamic_meta_keys: Iterable[str] = (),
         firewall_allow: Optional[Iterable["IPv4Prefix | str"]] = None,
         landing_path: str = "/",
+        rank: int = 0,
     ) -> None:
         self.domain = DomainName(domain)
         self.ip = IPv4Address(ip)
-        self.document = document
+        self._document = document
+        self._rank = rank
         self.dynamic_meta_keys = tuple(dynamic_meta_keys)
         self.firewall_allow: Optional[List[IPv4Prefix]] = (
             [IPv4Prefix(p) for p in firewall_allow] if firewall_allow is not None else None
@@ -47,6 +84,13 @@ class OriginServer:
         self.landing_path = landing_path
         self.requests_served = 0
         self._request_counter = 0
+
+    @property
+    def document(self) -> HtmlDocument:
+        """The landing page (without dynamic meta)."""
+        if self._document is None:
+            self._document = default_document(self.domain, self._rank)
+        return self._document
 
     # -- configuration -----------------------------------------------------
 
@@ -99,7 +143,8 @@ class OriginServer:
 
     def _materialise_document(self) -> HtmlDocument:
         """The document as served right now, with dynamic meta filled in."""
-        meta = dict(self.document.meta)
+        document = self.document
+        meta = dict(document.meta)
         for key in self.dynamic_meta_keys:
             meta[key] = f"req-{self._request_counter}"
-        return HtmlDocument(self.document.title, meta, self.document.body)
+        return HtmlDocument(document.title, meta, document.body)

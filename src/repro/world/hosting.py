@@ -22,7 +22,6 @@ from ..errors import SimulationError
 from ..net.asn import AsRegistry
 from ..net.fabric import NetworkFabric
 from ..net.ipaddr import AddressAllocator, IPv4Address
-from ..web.html import HtmlDocument
 from ..web.origin import OriginServer
 
 __all__ = ["HostingProvider"]
@@ -151,17 +150,3 @@ class HostingProvider:
         zone = self.zone_of(apex)
         zone.remove_name(www)
         zone.remove_all(apex, RecordType.A)
-
-    @staticmethod
-    def default_document(apex: "DomainName | str", rank: int) -> HtmlDocument:
-        """A landing page distinctive enough for HTML verification."""
-        apex_name = DomainName(apex)
-        return HtmlDocument(
-            title=f"{apex_name} — home",
-            meta={
-                "description": f"Landing page of {apex_name} (rank {rank})",
-                "generator": "sitebuilder/2.4",
-                "site-id": f"{apex_name}#{rank}",
-            },
-            body=f"<h1>Welcome to {apex_name}</h1>",
-        )

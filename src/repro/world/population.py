@@ -117,13 +117,13 @@ class PopulationBuilder:
         hosting = self.hosting_providers[rank % len(self.hosting_providers)]
         apex = self._domain_for_rank(rank)
         origin_ip = hosting.allocate_origin_ip()
-        document = HostingProvider.default_document(apex, rank)
         dynamic = self._rng.bernoulli(self.config.dynamic_meta_fraction)
+        # No document: the origin renders the default page on first request.
         origin = OriginServer(
             apex,
             origin_ip,
-            document,
             dynamic_meta_keys=("csrf-token",) if dynamic else (),
+            rank=rank,
         )
         hosting.deploy_origin(origin)
         zone = hosting.host_zone(apex, origin_ip)

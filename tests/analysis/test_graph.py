@@ -214,6 +214,49 @@ class TestCallGraph:
         assert (("pkg.use", "run"), ("pkg.svc", "Service.work")) in edges
         assert (("pkg.use", "run"), ("pkg.svc", "Other.work")) not in edges
 
+    def test_method_dispatch_through_a_typed_params_field(self, tmp_path):
+        # ``runtime.collector.collect()`` with ``runtime: Runtime``: the
+        # dataclass field's annotation types the receiver.  ``collect``
+        # has two owners, so the unique-name fallback cannot guess.
+        graph = build_graph(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/svc.py": """
+                class Collector:
+                    def collect(self):
+                        return 1
+
+                class Other:
+                    def collect(self):
+                        return 2
+            """,
+            "pkg/state.py": """
+                from dataclasses import dataclass
+                from typing import Optional
+
+                from pkg.svc import Collector
+
+                @dataclass
+                class Runtime:
+                    collector: Collector
+                    spare: Optional[Collector] = None
+                    count: int = 0
+            """,
+            "pkg/use.py": """
+                from pkg.state import Runtime
+
+                def run(runtime: Runtime):
+                    runtime.spare.collect()
+                    return runtime.collector.collect()
+
+                def untyped(runtime):
+                    return runtime.collector.collect()
+            """,
+        })
+        edges = edge_set(graph)
+        assert (("pkg.use", "run"), ("pkg.svc", "Collector.collect")) in edges
+        assert (("pkg.use", "run"), ("pkg.svc", "Other.collect")) not in edges
+        assert not [edge for edge in edges if edge[0] == ("pkg.use", "untyped")]
+
     def test_protocol_receiver_dispatches_to_every_implementer(self, tmp_path):
         graph = build_graph(tmp_path, {
             "pkg/__init__.py": "",

@@ -78,6 +78,47 @@ class TestRep060SharedMutableState:
         flagged = by_rule(findings, "REP060")
         assert len(flagged) == 1
         assert flagged[0].path == "pkg/state.py"
+
+    def test_global_read_through_a_typed_params_field(self, tmp_path):
+        # The closure follows ``runtime.worker.step()`` through the
+        # ``worker: Worker`` field of the entry's annotated parameter.
+        findings = lint_package(tmp_path, {
+            "pkg/__init__.py": "",
+            "pkg/state.py": """
+                CACHE = {}
+            """,
+            "pkg/worker.py": """
+                from pkg.state import CACHE
+
+                class Worker:
+                    def step(self, shard):
+                        return CACHE.get(shard)
+
+                class Idle:
+                    def step(self, shard):
+                        return None
+            """,
+            "pkg/work.py": """
+                from dataclasses import dataclass
+
+                from repro.markers import shard_entry
+
+                from pkg.worker import Worker
+
+
+                @dataclass
+                class Runtime:
+                    worker: Worker
+
+
+                @shard_entry
+                def run(runtime: Runtime, shard):
+                    return runtime.worker.step(shard)
+            """,
+        }, select=["REP060"])
+        flagged = by_rule(findings, "REP060")
+        assert len(flagged) == 1
+        assert flagged[0].path == "pkg/state.py"
         assert "'CACHE'" in flagged[0].message
         # The witness chain starts at the declared entry point.
         assert "pkg.work.run" in flagged[0].message

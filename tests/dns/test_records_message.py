@@ -1,5 +1,7 @@
 """Tests for resource records and DNS messages."""
 
+import sys
+
 import pytest
 
 from repro.dns.message import DnsQuery, DnsResponse, Rcode
@@ -64,6 +66,12 @@ class TestRecordConstruction:
         assert clone.ttl == 10
         assert clone.rdata == record.rdata
         assert record.ttl == 300  # original untouched
+
+    @pytest.mark.skipif(sys.version_info < (3, 10), reason="dataclass slots need 3.10")
+    def test_records_have_no_instance_dict(self):
+        record = a_record("a.com", "1.1.1.1")
+        assert not hasattr(record, "__dict__")
+        assert not hasattr(record.with_ttl(10), "__dict__")
 
 
 def _response(**kwargs) -> DnsResponse:

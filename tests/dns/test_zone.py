@@ -357,3 +357,44 @@ class TestSetWwwSerial:
         # The CNAME removal, a fresh www A, and the apex A replaced.
         assert zone.serial == before + 4
         assert zone.lookup("www.example.com", RecordType.CNAME) == []
+
+
+class TestFootprint:
+    """A zone is one per site: it holds no more than its records need."""
+
+    def test_zone_has_no_instance_dict(self, zone):
+        assert not hasattr(zone, "__dict__")
+
+    def test_lookup_returns_a_fresh_list(self, zone):
+        zone.add(a_record("www.example.com", "1.1.1.1"))
+        first = zone.lookup("www.example.com", RecordType.A)
+        first.append(a_record("www.example.com", "2.2.2.2"))
+        first.clear()
+        second = zone.lookup("www.example.com", RecordType.A)
+        assert second is not first
+        assert [r.address for r in second] == [IPv4Address("1.1.1.1")]
+
+    def test_rrsets_are_stored_as_tuples(self, zone):
+        zone.add(a_record("www.example.com", "1.1.1.1"))
+        zone.add(a_record("www.example.com", "2.2.2.2"))
+        zone.set_a("example.com", "3.3.3.3")
+        assert all(type(bucket) is tuple for bucket in zone._records.values())
+
+    def test_a_zone_without_cuts_holds_no_set_of_its_own(self, zone):
+        other = Zone("example.org")
+        zone.add(ns_record("example.com", "ns1.example.com"))
+        assert zone._delegations is other._delegations
+        assert not zone._delegations
+        zone.delegate("sub.example.com", ["ns.sub.example.com"])
+        assert zone._delegations is not other._delegations
+        assert not other._delegations
+        assert zone.delegation_covering("a.sub.example.com") == DomainName("sub.example.com")
+        assert other.delegation_covering("a.sub.example.org") is None
+
+    def test_removing_a_cut_from_a_zone_without_cuts_is_harmless(self, zone):
+        assert zone.remove_all("sub.example.com", RecordType.NS) == 0
+        assert zone.remove_name("sub.example.com") == 0
+        zone.delegate("sub.example.com", ["ns.sub.example.com"])
+        zone.clear()
+        assert zone.delegation_covering("a.sub.example.com") is None
+        assert zone._delegations is Zone("example.org")._delegations

@@ -7,7 +7,7 @@ from repro.dns.records import RecordType
 from repro.dps.nameservers import generate_person_names
 from repro.dps.scrubbing import ScrubbingCenter, ScrubbingNetwork
 from repro.errors import ConfigurationError
-from repro.net.geo import region
+from repro.net.geo import WELL_KNOWN_REGIONS, region
 from repro.net.traffic import TrafficFlow
 
 
@@ -61,6 +61,22 @@ class TestNameserverFleet:
             client.query(ip, "www.example.com", RecordType.A)
         counts = fleet.pop_query_counts()
         assert sum(counts.values()) == 2
+
+    def test_pop_counts_equal_a_per_address_reference_sum(self, mini, cloudflare_like):
+        fleet = cloudflare_like.customer_fleet
+        anycast = cloudflare_like.anycast
+        reference = {pop.pop_id: 0 for pop in anycast.pops}
+        for i, ip in enumerate(fleet.all_addresses()):
+            for name in sorted(WELL_KNOWN_REGIONS)[: 1 + i % 4]:
+                client_region = region(name)
+                DnsClient(mini.fabric, client_region).query(
+                    ip, "www.example.com", RecordType.A
+                )
+                reference[anycast.catchment(client_region).pop_id] += 1
+        counts = fleet.pop_query_counts()
+        assert list(counts) == [pop.pop_id for pop in anycast.pops]
+        assert counts == reference
+        assert len({id(mirror) for mirror in fleet._mirrors.values()}) == len(anycast.pops)
 
     def test_empty_fleet_rejected(self, mini):
         from repro.dps.nameservers import NameserverFleet

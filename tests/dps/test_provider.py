@@ -12,6 +12,9 @@ from repro.dps.portal import CustomerStatus, ReroutingMethod
 from repro.dps.residual_policy import RefuseAfterTermination, TrackAndCompare
 from repro.errors import PlanError, PortalError
 from repro.net.ipaddr import IPv4Address
+from repro.web.html import HtmlDocument
+from repro.web.http import HttpClient
+from repro.web.origin import OriginServer
 
 
 ORIGIN = IPv4Address("172.16.0.10")
@@ -163,6 +166,33 @@ class TestTermination:
         cloudflare_like.terminate(WWW, informed=True)
         for edge in cloudflare_like.edges:
             assert edge.origin_for(WWW) is None
+
+    def test_every_edge_reads_one_customer_table(self, mini, cloudflare_like):
+        tables = {id(edge._origins) for edge in cloudflare_like.edges}
+        assert len(tables) == 1
+        cloudflare_like.onboard(WWW, ORIGIN, ReroutingMethod.NS_BASED)
+        assert len(cloudflare_like.edges[0]._origins) == 2  # www and apex
+
+    def test_termination_flushes_every_edge_cache(self, mini, cloudflare_like):
+        old = OriginServer("example.com", ORIGIN, rank=1)
+        new = OriginServer("example.com", "172.16.0.11", rank=2)
+        for origin in (old, new):
+            mini.fabric.register_http(origin.ip, origin)
+        client = HttpClient(mini.fabric)
+
+        def site_ids():
+            return {
+                HtmlDocument.parse(client.get(edge.ip, WWW).body).meta["site-id"]
+                for edge in cloudflare_like.edges
+            }
+
+        cloudflare_like.onboard(WWW, old.ip, ReroutingMethod.NS_BASED)
+        assert site_ids() == {"example.com#1"}
+        assert old.requests_served == len(cloudflare_like.edges)
+        cloudflare_like.terminate(WWW, informed=True)
+        cloudflare_like.onboard(WWW, new.ip, ReroutingMethod.NS_BASED)
+        # A cache that outlived the termination would still serve #1.
+        assert site_ids() == {"example.com#2"}
 
     def test_double_termination_rejected(self, mini, cloudflare_like):
         cloudflare_like.onboard(WWW, ORIGIN, ReroutingMethod.NS_BASED)

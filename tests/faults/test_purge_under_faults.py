@@ -14,7 +14,7 @@ from repro.dps.portal import ReroutingMethod
 from repro.dps.residual_policy import RefuseAfterTermination
 from repro.faults import FaultKind, FaultPlan, FaultRule
 from repro.obs.metrics import MetricsRegistry
-from repro.web.origin import OriginServer
+from repro.web.origin import OriginServer, default_document
 from repro.world.hosting import HostingProvider
 from repro.world.website import Website
 
@@ -26,7 +26,7 @@ def make_probe_site(world, label):
     hosting: HostingProvider = world.hosting_providers[0]
     apex = DomainName(f"fault-probe-{label}.com")
     origin_ip = hosting.allocate_origin_ip()
-    document = HostingProvider.default_document(apex, rank=10**9)
+    document = default_document(apex, rank=10**9)
     origin = OriginServer(apex, origin_ip, document)
     hosting.deploy_origin(origin)
     hosting.host_zone(apex, origin_ip)

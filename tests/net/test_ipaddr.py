@@ -1,5 +1,8 @@
 """Tests for IPv4 addresses, prefixes, and the allocator."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import AddressError, AllocationError
@@ -20,6 +23,28 @@ class TestIPv4Address:
     def test_copy_constructor(self):
         a = IPv4Address("10.0.0.1")
         assert IPv4Address(a) == a
+
+    def test_constructor_returns_an_address_itself(self):
+        a = IPv4Address("10.0.0.1")
+        assert IPv4Address(a) is a
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda a: pickle.loads(pickle.dumps(a)),
+            lambda a: pickle.loads(pickle.dumps(a, protocol=0)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "pickle-protocol-0", "copy", "deepcopy"],
+    )
+    def test_round_trips_are_equal_and_hash_equal(self, clone):
+        a = IPv4Address("198.51.100.23")
+        b = clone(a)
+        assert type(b) is IPv4Address
+        assert b == a
+        assert hash(b) == hash(a)
+        assert {a: 1}[b] == 1
 
     def test_out_of_range_int(self):
         with pytest.raises(AddressError):

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.dns.name import DomainName
 from repro.net.fabric import NetworkFabric
 from repro.net.ipaddr import IPv4Address, IPv4Prefix
 from repro.web.edge import EdgeServer
 from repro.web.html import HtmlDocument
 from repro.web.http import HttpClient, HttpRequest, StatusCode
-from repro.web.origin import OriginServer
+from repro.web.origin import OriginServer, default_document
 
 
 def _doc(title="Example — home"):
@@ -61,6 +62,26 @@ class TestOriginServer:
         origin.move_to("172.16.0.50")
         assert origin.ip == IPv4Address("172.16.0.50")
 
+    def test_origin_has_no_instance_dict(self, web):
+        _, origin = web
+        assert not hasattr(origin, "__dict__")
+
+    def test_default_document_is_built_on_first_request(self):
+        fabric = NetworkFabric()
+        origin = OriginServer("example.com", "172.16.0.10", rank=42)
+        fabric.register_http(origin.ip, origin)
+        assert origin._document is None
+        served = HtmlDocument.parse(HttpClient(fabric).get(origin.ip, "example.com").body)
+        expected = default_document("example.com", 42)
+        assert served.matches(expected)
+        assert origin.document is origin.document
+
+    def test_explicit_document_is_served(self, web):
+        fabric, origin = web
+        served = HtmlDocument.parse(HttpClient(fabric).get(origin.ip, "example.com").body)
+        assert served.matches(_doc())
+        assert origin.document == _doc()
+
 
 class TestFirewall:
     def test_firewalled_origin_drops_unknown_sources(self):
@@ -101,9 +122,8 @@ class TestEdgeServer:
         allow = [IPv4Prefix("10.0.0.0/8")] if firewall else None
         origin = OriginServer("example.com", "172.16.0.10", _doc(), firewall_allow=allow)
         fabric.register_http(origin.ip, origin)
-        edge = EdgeServer("cdnco", "10.0.0.1", fabric)
+        edge = EdgeServer("cdnco", "10.0.0.1", fabric, {DomainName("example.com"): origin.ip})
         fabric.register_http(edge.ip, edge)
-        edge.configure_origin("example.com", origin.ip)
         return fabric, origin, edge
 
     def test_proxies_configured_host(self):
@@ -162,7 +182,6 @@ class TestEdgeServer:
 
 class TestHttpRequest:
     def test_url_property(self):
-        from repro.dns.name import DomainName
         request = HttpRequest(host=DomainName("example.com"), path="/x")
         assert request.url == "http://example.com/x"
 
